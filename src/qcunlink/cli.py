@@ -99,7 +99,8 @@ def _render(value, indent: int) -> str:
 def _emit(report: dict, out: str | None):
     text = _render(report, 0) + "\n"
     if out:
-        Path(out).write_text(text, encoding="utf-8")
+        with open(out, "w", encoding="utf-8") as handle:
+            handle.write(text)
     else:
         sys.stdout.write(text)
 
@@ -115,8 +116,9 @@ def _load_polynomial(path: str) -> Polynomial:
     Text format: first non-blank line ``n=<int>``, remaining lines hold
     one expression.  Any extension other than .json is treated as text.
     """
-    raw = Path(path).read_text(encoding="utf-8")
-    if Path(path).suffix.lower() == ".json":
+    with open(path, encoding="utf-8") as handle:
+        raw = handle.read()
+    if os.path.splitext(path)[1].lower() == ".json":
         return from_json(json.loads(raw))
     lines = [line for line in raw.splitlines() if line.strip()]
     if not lines:

@@ -436,12 +436,33 @@ def from_json(obj) -> Polynomial:
     arity = obj["n"]
     if not isinstance(arity, int) or arity < 0:
         raise ValueError("'n' must be a nonnegative integer")
+    if not isinstance(obj["terms"], list):
+        raise ValueError("'terms' must be a list")
     terms: dict[Exponent, Fraction] = {}
-    for item in obj["terms"]:
-        exponent = tuple(item["e"])
-        coeff = Fraction(item["c"])
+    for index, item in enumerate(obj["terms"]):
+        exponent, coeff = _json_term(item, arity, index)
         terms[exponent] = terms.get(exponent, Fraction(0)) + coeff
     return Polynomial(arity, terms)
+
+
+def _json_term(item, arity: int, index: int) -> tuple[Exponent, Fraction]:
+    """Exponent and coefficient of one JSON term, or ValueError naming the term."""
+    if not isinstance(item, dict) or "e" not in item or "c" not in item:
+        raise ValueError(f"term {index}: expected an object with keys 'e' and 'c'")
+    exponent = item["e"]
+    if (
+        not isinstance(exponent, list)
+        or len(exponent) != arity
+        or not all(type(k) is int and k >= 0 for k in exponent)
+    ):
+        raise ValueError(f"term {index}: 'e' must be a list of {arity} nonnegative integers")
+    coeff = item["c"]
+    try:
+        if isinstance(coeff, bool):
+            raise TypeError
+        return tuple(exponent), Fraction(coeff)
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError):
+        raise ValueError(f"term {index}: 'c' is not a rational number: {coeff!r}") from None
 
 
 def _tokenize(text: str) -> list[tuple[str, object, int]]:

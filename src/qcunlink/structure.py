@@ -1,13 +1,19 @@
 """Structural analysis: symmetry, quasi-convexity, rays, invariant directions.
 
 Quasi-convexity of a general polynomial is only falsified here, never
-certified: the sampler hunts for points where the value at a convex
-combination exceeds both endpoint values, and every candidate violation
-is re-verified in exact rational arithmetic, so there are no
-floating-point false positives.  The one decidable case is total degree
-at most two, where convexity (equivalently quasi-convexity) reduces to
-an exact positive-semidefiniteness test of the quadratic form; a failed
-test yields a deterministic witness instead of relying on sampling luck.
+certified: the sampler hunts for rational points x, y and a weight alpha
+where the value at alpha*x + (1-alpha)*y strictly exceeds both endpoint
+values.  Each trial is first screened in float64: p is evaluated at the
+three points together with a forward error bound (Higham's gamma_K times
+the sum of |coefficient| * |point|^exponent), and a trial whose float
+upper bound of p(mid) - max(p(x), p(y)) is below zero cannot be a
+violation and is skipped.  Every other trial is confirmed in exact
+rational arithmetic, in trial order, so the verdict and witness are
+those of an all-exact search and there are no floating-point false
+positives or negatives.  The one decidable case is total degree at most
+two, where convexity (equivalently quasi-convexity) reduces to an exact
+positive-semidefiniteness test of the quadratic form; a failed test
+yields a deterministic witness instead of relying on sampling luck.
 
 The invariance subspace of p (all directions a with p(t*a) = 0 for every
 t, for normalized p with p(0) = 0) is computed as the kernel of the
@@ -54,9 +60,6 @@ CASE_A = "A"  # eventually increasing, diverges at +infinity
 CASE_B = "B"  # eventually increasing toward the left, diverges at -infinity
 CASE_CONST = "CONST"
 
-# minimal exact margin for an accepted violation witness
-_WITNESS_MARGIN = Fraction(1, 10**9)
-
 
 @dataclass(frozen=True)
 class QcWitness:
@@ -99,10 +102,14 @@ class QcVerdict:
         }
 
 
-def _random_fraction(rng: random.Random, bound: int, max_denominator: int) -> Fraction:
+def _random_ratio(rng: random.Random, bound: int, max_denominator: int) -> tuple[int, int]:
+    """Numerator and denominator of a random rational in [-bound, bound]."""
     denominator = rng.randint(1, max_denominator)
-    numerator = rng.randint(-bound * denominator, bound * denominator)
-    return Fraction(numerator, denominator)
+    return rng.randint(-bound * denominator, bound * denominator), denominator
+
+
+def _random_fraction(rng: random.Random, bound: int, max_denominator: int) -> Fraction:
+    return Fraction(*_random_ratio(rng, bound, max_denominator))
 
 
 def _combination(x, y, alpha: Fraction) -> tuple[Fraction, ...]:
@@ -114,7 +121,7 @@ def _witness_if_violation(p: Polynomial, x, y, alpha: Fraction) -> Optional[QcWi
     py = evaluate(p, y)
     mid = _combination(x, y, alpha)
     pmid = evaluate(p, mid)
-    if pmid - max(px, py) >= _WITNESS_MARGIN:
+    if pmid > max(px, py):
         return QcWitness(tuple(x), tuple(y), alpha, (px, py, pmid))
     return None
 
@@ -162,7 +169,9 @@ def qc_falsify(
     """Search for a quasi-convexity violation of p.
 
     Sample points have entries in [-bound, bound] with denominators at
-    most ``max_denominator``, so all candidate checks are exact.  For
+    most ``max_denominator``.  Each trial is screened in float with a
+    forward error bound and confirmed in exact arithmetic unless the
+    screen proves it is no violation, so the verdict is exact.  For
     total degree <= 2 the answer is decided exactly instead of sampled:
     the quadratic form is either positive semidefinite (certificate) or
     it supplies a concave direction from which a witness is built.
@@ -174,13 +183,119 @@ def qc_falsify(
         if violation is None:
             return QcVerdict(CERTIFIED_CONVEX_QUADRATIC, None, 0, seed)
         return QcVerdict(FALSIFIED, _quadratic_witness(p, violation), 0, seed)
+    return _sample_violation(p, trials, seed, bound, max_denominator)
+
+
+# Float screen of a sampled trial.
+#
+# Write u = 2**-53 for the unit roundoff of float64 and
+# gamma_k = k*u / (1 - k*u) (Higham, Accuracy and Stability of Numerical
+# Algorithms, section 3.1).  A coordinate of x, y or the midpoint is an
+# exact integer ratio rounded once to float.  A term c * x1^e1 * ... *
+# xn^en of degree D is then formed from the rounded coefficient (one
+# rounding) and the rounded coordinates, which enter it D times; x^k
+# takes k - 1 multiplications and the term one more per variable present,
+# D multiplications in all.  Summing t terms from 0.0 rounds each term at
+# most t - 1 more times.  So each term carries at most
+#     K = 1 + D + D + (t - 1) <= 2*deg(p) + t
+# factors (1 + delta), |delta| <= u, and Lemma 3.1 gives for the float
+# value h of p at a point x
+#     |h - p(x)| <= gamma_K * M,     M = sum over terms of |c_e| * |x|^e.
+# The same operations on the magnitudes give the float m with
+# |m - M| <= gamma_K * M (rounding to nearest is symmetric, so m sums the
+# |term| of h), hence
+#     |h - p(x)| <= gamma_K / (1 - gamma_K) * m <= gamma_2K * m.
+# The screen computes err = gamma * m with gamma = gamma_(2K+4) in float;
+# the four extra roundings cover forming gamma, the product gamma * m, the
+# sum err(x) + err(mid) and the difference h(x) - h(mid).  So
+#     h(x) - h(mid) > err(x) + err(mid)   (computed in float)
+# proves p(x) > p(mid) exactly, the float upper bound of
+# p(mid) - max(p(x), p(y)) is below zero, and the trial is no violation;
+# likewise with y.  Any other trial, including one whose screen values
+# are not finite, is confirmed exactly.  The relative error model needs
+# every coefficient, power, partial product and sum to stay normal:
+# nonzero coordinates lie between 1/max_denominator**3 (a midpoint's
+# denominator divides d*dx*dy) and bound in magnitude, and when these
+# extremes can leave [2**-1000, 2**1000] no trial is screened.
+
+_UNIT_ROUNDOFF = 2.0**-53
+_NORMAL_RANGE = (Fraction(1, 2**1000), Fraction(2**1000))
+
+# float coefficient and (variable index, exponent) factors per term, the
+# largest exponent of each variable, and the error factor gamma_(2K+4)
+_Screen = tuple[list[tuple[float, tuple[tuple[int, int], ...]]], list[int], float]
+
+
+def _screen(p: Polynomial, bound: int, max_denominator: int) -> Optional[_Screen]:
+    """Float form of p for the screen, or None when every trial must be confirmed exactly."""
+    degree = p.total_degree()
+    magnitudes = [abs(c) for c in p.terms.values()]
+    smallest = min(min(magnitudes), 1) / Fraction(max_denominator) ** (3 * degree)
+    largest = max(max(magnitudes), 1) * len(magnitudes) * Fraction(max(bound, 1)) ** degree
+    low, high = _NORMAL_RANGE
+    if smallest < low or largest > high:
+        return None
+    terms = [
+        (float(c), tuple((i, k) for i, k in enumerate(exponent) if k))
+        for exponent, c in p.terms.items()
+    ]
+    tops = [max(exponent[i] for exponent in p.terms) for i in range(p.arity)]
+    k = 2 * (2 * degree + len(terms)) + 4
+    gamma = k * _UNIT_ROUNDOFF / (1 - k * _UNIT_ROUNDOFF)
+    return terms, tops, gamma
+
+
+def _float_value(screen: _Screen, point: Sequence[float]) -> tuple[float, float]:
+    """Float p(point) and the float sum of its term magnitudes."""
+    terms, tops, _ = screen
+    powers = []
+    for x, top in zip(point, tops):
+        row = [1.0, x]
+        for _ in range(top - 1):
+            row.append(row[-1] * x)
+        powers.append(row)
+    value = magnitude = 0.0
+    for term, factors in terms:
+        for i, k in factors:
+            term *= powers[i][k]
+        value += term
+        magnitude += abs(term)
+    return value, magnitude
+
+
+def _screened_out(screen: _Screen, x, y, a: int, d: int) -> bool:
+    """True when the float screen proves the trial is no violation.
+
+    ``x`` and ``y`` hold (numerator, denominator) pairs and the weight is a/d.
+    """
+    gamma = screen[2]
+    mid = [
+        (a * nx * dy + (d - a) * ny * dx) / (d * dx * dy) for (nx, dx), (ny, dy) in zip(x, y)
+    ]
+    h_mid, m_mid = _float_value(screen, mid)
+    h_x, m_x = _float_value(screen, [n / den for n, den in x])
+    if h_x - h_mid > gamma * m_x + gamma * m_mid:
+        return True
+    h_y, m_y = _float_value(screen, [n / den for n, den in y])
+    return h_y - h_mid > gamma * m_y + gamma * m_mid
+
+
+def _sample_violation(
+    p: Polynomial, trials: int, seed: int, bound: int, max_denominator: int
+) -> QcVerdict:
+    """The sampled search: trials in order, float-screened, confirmed exactly."""
+    screen = _screen(p, bound, max_denominator)
     rng = random.Random(seed)
     for trial in range(1, trials + 1):
-        x = [_random_fraction(rng, bound, max_denominator) for _ in range(p.arity)]
-        y = [_random_fraction(rng, bound, max_denominator) for _ in range(p.arity)]
+        x = [_random_ratio(rng, bound, max_denominator) for _ in range(p.arity)]
+        y = [_random_ratio(rng, bound, max_denominator) for _ in range(p.arity)]
         d = rng.randint(2, max_denominator)
-        alpha = Fraction(rng.randint(1, d - 1), d)
-        witness = _witness_if_violation(p, x, y, alpha)
+        a = rng.randint(1, d - 1)
+        if screen is not None and _screened_out(screen, x, y, a, d):
+            continue
+        witness = _witness_if_violation(
+            p, [Fraction(*r) for r in x], [Fraction(*r) for r in y], Fraction(a, d)
+        )
         if witness is not None:
             return QcVerdict(FALSIFIED, witness, trial, seed)
     return QcVerdict(NOT_FALSIFIED, None, trials, seed)

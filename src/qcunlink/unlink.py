@@ -631,4 +631,4 @@ def divergence_check(
     values = evaluate_float(u_star, scales[:, None] * direction[None, :])
     tail = max(2, steps // 4)
     increasing = bool(np.all(np.diff(values[-tail:]) > 0))
-    return increasing and values[-1] > values[0] + 1e3
+    return bool(increasing and values[-1] > values[0] + 1e3)

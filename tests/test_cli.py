@@ -1,12 +1,14 @@
 """CLI behaviour: report shapes, determinism, and the exit-code contract."""
 
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import qcunlink.unlink as unlink_module
 from qcunlink.cli import main
+from qcunlink.polyalg import evaluate, parse_expression
 from qcunlink.unlink import InvariantViolation
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -66,6 +68,28 @@ def test_exit_2_missing_file(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "terms, message",
+    [
+        ([{"c": "1"}], "term 0"),
+        ([{"c": "1", "e": [2, 0]}, {"e": [0, 2]}], "term 1"),
+        ([{"c": "1", "e": [2]}], "'e' must be a list of 2"),
+        ([{"c": "1", "e": [2, -1]}], "nonnegative"),
+        ([{"c": "one", "e": [2, 0]}], "'c' is not a rational"),
+        ([{"c": "1/0", "e": [2, 0]}], "'c' is not a rational"),
+        ([["1", [2, 0]]], "term 0"),
+    ],
+)
+def test_exit_2_malformed_json_term(capsys, tmp_path, terms, message):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"n": 2, "terms": terms}))
+    code, out, err = run(capsys, "cov", "--u", str(bad), "--v", str(bad))
+    assert code == 2
+    assert out == ""
+    assert message in err
+    assert "Traceback" not in err
+
+
 def test_exit_2_invalid_seed(capsys):
     code, _, err = run(
         capsys, "check", "--p", str(FIXTURES / "square.poly"), "--seed", "0"
@@ -96,6 +120,26 @@ def test_exit_3_unlink_non_quasi_convex(capsys, tmp_path):
     assert report["input"] == "v"
     assert report["kind"] == "quasi-convexity"
     assert report["witness"]["witness"]["alpha"] is not None
+
+
+def test_exit_3_unlink_tiny_non_quasi_convex(capsys, tmp_path):
+    # scale does not hide a violation: the witness gap is strictly positive, however small
+    tiny = tmp_path / "tiny.poly"
+    tiny.write_text("n=3\n1/1000000000000*x1^2*x2^2\n")
+    square = tmp_path / "square3.poly"
+    square.write_text("n=3\nx3^2\n")
+    code, report, _ = run_json(capsys, "unlink", "--u", str(tiny), "--v", str(square))
+    assert code == 3
+    assert report["input"] == "u"
+    assert report["kind"] == "quasi-convexity"
+    witness = report["witness"]["witness"]
+    x, y = ([Fraction(c) for c in witness[key]] for key in ("x", "y"))
+    alpha = Fraction(witness["alpha"])
+    mid = [alpha * a + (1 - alpha) * b for a, b in zip(x, y)]
+    p = parse_expression("1/1000000000000*x1^2*x2^2", 3)
+    values = [evaluate(p, x), evaluate(p, y), evaluate(p, mid)]
+    assert [Fraction(c) for c in witness["values"]] == values
+    assert values[2] > max(values[:2])
 
 
 def test_exit_4_nonzero_covariance(capsys):

@@ -4,9 +4,10 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from qcunlink import structure
 from qcunlink.exactla import Subspace
 from qcunlink.polyalg import Polynomial, evaluate
 from qcunlink.structure import (
@@ -16,6 +17,8 @@ from qcunlink.structure import (
     CERTIFIED_CONVEX_QUADRATIC,
     FALSIFIED,
     NOT_FALSIFIED,
+    QcVerdict,
+    QcWitness,
     check_translation_invariance,
     classify_ray,
     invariance_subspace,
@@ -31,6 +34,25 @@ def exact_violation(p, witness):
         witness.alpha * a + (1 - witness.alpha) * b for a, b in zip(witness.x, witness.y)
     )
     return evaluate(p, mid) - max(evaluate(p, witness.x), evaluate(p, witness.y))
+
+
+def exact_reference_falsify(p, trials, seed, bound=4, max_denominator=16):
+    """Reference oracle for the sampled falsifier: every trial checked exactly.
+
+    Draws the same random stream as ``qc_falsify`` and accepts the first
+    trial with p(alpha*x + (1-alpha)*y) > max(p(x), p(y)).
+    """
+    rng = random.Random(seed)
+    for trial in range(1, trials + 1):
+        x = [structure._random_fraction(rng, bound, max_denominator) for _ in range(p.arity)]
+        y = [structure._random_fraction(rng, bound, max_denominator) for _ in range(p.arity)]
+        d = rng.randint(2, max_denominator)
+        alpha = Fraction(rng.randint(1, d - 1), d)
+        mid = [alpha * a + (1 - alpha) * b for a, b in zip(x, y)]
+        px, py, pmid = evaluate(p, x), evaluate(p, y), evaluate(p, mid)
+        if pmid > max(px, py):
+            return QcVerdict(FALSIFIED, QcWitness(tuple(x), tuple(y), alpha, (px, py, pmid)), trial, seed)
+    return QcVerdict(NOT_FALSIFIED, None, trials, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -83,9 +105,127 @@ def test_falsifier_catches_non_qc_corpus():
         assert exact_violation(p, verdict.witness) >= Fraction(1, 10**9), name
 
 
+def test_falsify_tiny_cross_square_strict_witness():
+    # a positive multiple of a non-quasi-convex polynomial is falsified at the same trial
+    tiny = P("1/1000000000000*x1^2*x2^2", 2)
+    verdict = qc_falsify(tiny, trials=10_000, seed=42)
+    assert verdict.status == FALSIFIED
+    assert exact_violation(tiny, verdict.witness) > 0
+    assert verdict.witness.values[2] > max(verdict.witness.values[:2])
+    unscaled = qc_falsify(P("x1^2*x2^2", 2), trials=10_000, seed=42)
+    assert (verdict.trials, verdict.witness.x, verdict.witness.y) == (
+        unscaled.trials, unscaled.witness.x, unscaled.witness.y
+    )
+
+
+def test_quadratic_witness_scale_free():
+    # the concave direction gives a witness at half-width 1 at any positive scale
+    tiny = qc_falsify(P("-1/1000000000000*x1^2", 1), trials=1, seed=1)
+    plain = qc_falsify(P("-x1^2", 1), trials=1, seed=1)
+    assert tiny.status == plain.status == FALSIFIED
+    assert (tiny.witness.x, tiny.witness.y) == (plain.witness.x, plain.witness.y)
+    assert exact_violation(P("-1/1000000000000*x1^2", 1), tiny.witness) > 0
+
+
 def test_falsify_rejects_nonpositive_trials():
     with pytest.raises(ValueError):
         qc_falsify(P("x1^4", 1), trials=0, seed=1)
+
+
+# ---------------------------------------------------------------------------
+# Float screen against the exact reference loop
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("seed", [42, 7])
+@pytest.mark.parametrize(
+    "p", [pytest.param(p, id=name) for name, p in QC_FIXTURES + NON_QC_FIXTURES]
+)
+def test_screened_trials_match_exact_reference_on_corpus(p, seed):
+    # the sampled loop itself, also on the quadratics that qc_falsify decides exactly
+    assert structure._sample_violation(p, 300, seed, 4, 16) == exact_reference_falsify(p, 300, seed)
+
+
+def test_screen_skips_most_trials_of_a_convex_input(monkeypatch):
+    calls = []
+    exact = structure._witness_if_violation
+
+    def counted(*args):
+        calls.append(args)
+        return exact(*args)
+
+    monkeypatch.setattr(structure, "_witness_if_violation", counted)
+    verdict = qc_falsify(P("x1^4 + x2^2 + x3^6", 3), trials=300, seed=42)
+    assert verdict.status == NOT_FALSIFIED
+    assert len(calls) < 30
+
+
+def test_screen_off_outside_normal_range_still_exact():
+    # coefficients far below the float range: every trial is confirmed exactly
+    p = P("x1^4 + x2^4", 2) * Fraction(1, 2**1100)
+    assert structure._screen(p, 4, 16) is None
+    assert qc_falsify(p, 50, 3) == exact_reference_falsify(p, 50, 3)
+    q = P("x1^2*x2^2", 2) * Fraction(1, 2**1100)
+    assert qc_falsify(q, 300, 42) == exact_reference_falsify(q, 300, 42)
+
+
+@st.composite
+def convex_forms(draw, arity, degree):
+    """Sum of even powers of rational linear forms, one of them of full degree."""
+    acc = Polynomial.zero(arity)
+    powers = [degree] + draw(st.lists(st.sampled_from([2, 4, 6][: degree // 2]), max_size=2))
+    for power in powers:
+        coeffs = draw(st.lists(st.fractions(-2, 2, max_denominator=3), min_size=arity, max_size=arity))
+        coeffs[draw(st.integers(0, arity - 1))] = draw(st.sampled_from([-1, 1])) * draw(
+            st.fractions(Fraction(1, 3), 2, max_denominator=3)
+        )
+        form = Polynomial(
+            arity, {tuple(int(i == j) for j in range(arity)): c for i, c in enumerate(coeffs)}
+        )
+        acc = acc + draw(st.fractions(Fraction(1, 4), 2, max_denominator=4)) * form**power
+    return acc
+
+
+@st.composite
+def symmetric_terms(draw, arity, degree):
+    """A full-degree monomial plus up to three more terms, all of even degree."""
+    units = draw(st.lists(st.integers(0, arity - 1), min_size=degree, max_size=degree))
+    exponents = [tuple(units.count(i) for i in range(arity))]
+    for _ in range(draw(st.integers(0, 3))):
+        low = draw(st.lists(st.integers(0, degree), min_size=arity, max_size=arity))
+        if sum(low) % 2:
+            low[0] += 1
+        if 2 <= sum(low) <= degree:
+            exponents.append(tuple(low))
+    nonzero = st.fractions(-3, 3, max_denominator=5).filter(bool)
+    return Polynomial(arity, {e: draw(nonzero) for e in exponents})
+
+
+@st.composite
+def screened_inputs(draw):
+    """Symmetric polynomials of degree 4 or 6 in 1-4 variables, scaled by 10^k.
+
+    Convex ones (even powers of linear forms), arbitrary ones (mostly not
+    quasi-convex, falsified early), and convex ones with a small arbitrary
+    perturbation (falsified late or not at all, with small gaps).
+    """
+    arity = draw(st.integers(1, 4))
+    degree = draw(st.sampled_from([4, 6]))
+    kind = draw(st.sampled_from(["convex", "arbitrary", "perturbed"]))
+    if kind == "arbitrary":
+        p = draw(symmetric_terms(arity, degree))
+    else:
+        p = draw(convex_forms(arity, degree))
+        if kind == "perturbed":
+            p = p + Fraction(1, 100) * draw(symmetric_terms(arity, degree))
+    assume(p.total_degree() > 2)
+    return p * Fraction(10) ** draw(st.integers(-12, 12))
+
+
+@settings(max_examples=40, deadline=None)
+@given(screened_inputs(), st.integers(1, 300), st.integers(1, 2**31 - 1))
+def test_screened_falsifier_matches_exact_reference(p, trials, seed):
+    assert qc_falsify(p, trials, seed) == exact_reference_falsify(p, trials, seed)
 
 
 # ---------------------------------------------------------------------------

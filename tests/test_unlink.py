@@ -1,5 +1,6 @@
 """Concordance, transform assembly, the unlink pipeline, and spot-checks."""
 
+import json
 import random
 from fractions import Fraction
 
@@ -427,9 +428,11 @@ def test_integral_check_rejects_large_arity():
 
 
 def test_divergence_check_examples():
-    assert divergence_check(P("x1^2", 1), (1.0,))
-    assert divergence_check(P("x1^4 + x2^2", 2), (1.0, 1.0))
-    assert not divergence_check(P("5", 1), (1.0,))
+    assert divergence_check(P("x1^2", 1), (1.0,)) is True
+    assert divergence_check(P("x1^4 + x2^2", 2), (1.0, 1.0)) is True
+    assert divergence_check(P("5", 1), (1.0,)) is False
+    results = [divergence_check(P("x1^2", 1), (1.0,)), divergence_check(P("5", 1), (1.0,))]
+    assert json.dumps(results) == "[true, false]"
 
 
 def test_divergence_check_decaying_direction():
