@@ -245,12 +245,7 @@ def _cmd_marginal(args) -> tuple[dict, int]:
 def _cmd_unlink(args) -> tuple[dict, int]:
     u = _load_polynomial(args.u)
     v = _load_polynomial(args.v)
-    config = unlink.UnlinkConfig(
-        seed=args.seed,
-        qc_trials=args.trials,
-        tol_residual=args.tol_residual,
-        tol_ortho=args.tol_ortho,
-    )
+    config = unlink.UnlinkConfig(seed=args.seed, qc_trials=args.trials)
     result = unlink.unlink_decision(u, v, config)
     code = EXIT_COV_NONZERO if result.verdict == unlink.VERDICT_HYPOTHESIS_FAILED else EXIT_OK
     return result.to_json(), code
@@ -384,8 +379,6 @@ def _build_parser() -> argparse.ArgumentParser:
     unlink_cmd = sub.add_parser("unlink", help="full unlinking pipeline")
     _add_common(unlink_cmd, u=True, v=True)
     unlink_cmd.add_argument("--trials", type=int, default=DEFAULT_TRIALS)
-    unlink_cmd.add_argument("--tol-residual", type=float, default=1e-9)
-    unlink_cmd.add_argument("--tol-ortho", type=float, default=1e-10)
 
     verify = sub.add_parser("verify", help="run the property suite over a fixture directory")
     verify.add_argument("fixtures", help="directory of .poly/.json fixtures")

@@ -4,9 +4,10 @@ Every dimension-bearing computation here (kernel, complement,
 intersection, sum, containment, the sign of a quadratic form) is done
 over ``Fraction`` so that ranks are exact integers.  Floating point
 appears only in ``orthonormalize_nested``, and even there the
-Gram-Schmidt sweep runs over the rationals; each column is converted to
-float only when it is normalized, so prefix spans are exact by
-construction.
+Gram-Schmidt sweep runs over the rationals and yields exactly orthogonal
+integer columns; each column is converted to float only when it is
+normalized, so prefix spans are exact by construction, and the integer
+columns are handed back for exact checks downstream.
 
 Subspace bases are canonicalized to reduced row echelon form (pivot
 order, leading entry 1), which is unique for a given row space, so all
@@ -23,6 +24,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
+from .errors import InvariantViolation
 from .polyalg import RationalMatrix
 
 __all__ = [
@@ -36,6 +38,12 @@ __all__ = [
 ]
 
 Vector = tuple[Fraction, ...]
+IntVector = tuple[int, ...]
+
+
+def _unit(index: int, length: int) -> list[Fraction]:
+    """The standard basis vector e_index (0-based) of the given length."""
+    return [Fraction(int(j == index)) for j in range(length)]
 
 
 def _to_vector(values: Sequence, length: int | None = None) -> Vector:
@@ -99,10 +107,7 @@ class Subspace:
 
     @classmethod
     def full(cls, ambient: int) -> "Subspace":
-        identity = tuple(
-            tuple(Fraction(int(i == j)) for j in range(ambient)) for i in range(ambient)
-        )
-        return cls(ambient, identity)
+        return cls(ambient, tuple(tuple(_unit(i, ambient)) for i in range(ambient)))
 
     @property
     def dimension(self) -> int:
@@ -201,13 +206,13 @@ def psd_violation(entries: Sequence[Sequence]) -> Optional[Vector]:
 
     original = [row[:] for row in grid]
     # basis[j] expresses the current j-th coordinate direction in original coordinates
-    basis = [[Fraction(int(i == j)) for i in range(n)] for j in range(n)]
+    basis = [_unit(j, n) for j in range(n)]
     active = list(range(n))
 
     def _check(v: list[Fraction]) -> Vector:
         value = sum(v[i] * original[i][j] * v[j] for i in range(n) for j in range(n))
         if value >= 0:
-            raise AssertionError("internal error: witness is not a violating direction")
+            raise InvariantViolation("PSD witness is not a violating direction")
         return tuple(v)
 
     while active:
@@ -241,7 +246,7 @@ def psd_violation(entries: Sequence[Sequence]) -> Optional[Vector]:
     return None
 
 
-def _primitive(vector: list[Fraction]) -> list[Fraction]:
+def _primitive(vector: list[Fraction]) -> list[int]:
     """Rescale to the integer vector with coprime entries and positive lead."""
     denominator = math.lcm(*(x.denominator for x in vector))
     ints = [int(x * denominator) for x in vector]
@@ -251,10 +256,10 @@ def _primitive(vector: list[Fraction]) -> list[Fraction]:
     lead = next((x for x in ints if x), 0)
     if lead < 0:
         ints = [-x for x in ints]
-    return [Fraction(x) for x in ints]
+    return ints
 
 
-def _orthogonalize_exact(vector: Sequence[Fraction], ortho: list[list[Fraction]]) -> list[Fraction]:
+def _orthogonalize_exact(vector: Sequence, ortho: list[list[int]]) -> list[Fraction]:
     u = list(vector)
     for w in ortho:
         uw = sum(a * b for a, b in zip(u, w))
@@ -265,13 +270,18 @@ def _orthogonalize_exact(vector: Sequence[Fraction], ortho: list[list[Fraction]]
     return u
 
 
-def orthonormalize_nested(chain: Sequence[Subspace], ambient: int) -> np.ndarray:
+def orthonormalize_nested(
+    chain: Sequence[Subspace], ambient: int
+) -> tuple[np.ndarray, tuple[IntVector, ...]]:
     """Orthonormal columns whose prefixes span a nested chain of subspaces.
 
     The chain must be strictly nested (checked exactly); its last element
     need not be all of R^n, the basis is always extended to a full one.
-    Returns an n-by-n float matrix Q; for each chain element T_i the first
-    dim(T_i) columns span T_i, and Q'Q = I to within rounding.
+    Exact Gram-Schmidt over the rationals yields n pairwise exactly
+    orthogonal, primitive integer columns w_1..w_n; for each chain element
+    T_i the first dim(T_i) of them span T_i.  Returns the n-by-n float
+    matrix Q whose column j is w_j / |w_j| (so Q'Q = I to within
+    rounding) together with the integer columns, in the same order.
     """
     for space in chain:
         if space.ambient != ambient:
@@ -282,23 +292,23 @@ def orthonormalize_nested(chain: Sequence[Subspace], ambient: int) -> np.ndarray
     if chain and chain[-1].dimension > ambient:
         raise ValueError("chain exceeds the ambient dimension")
 
-    ortho: list[list[Fraction]] = []
+    ortho: list[list[int]] = []
     for space in chain:
         for vector in space.basis:
             u = _orthogonalize_exact(vector, ortho)
             if any(u):
                 ortho.append(_primitive(u))
-        assert len(ortho) == space.dimension, "exact Gram-Schmidt lost a dimension"
+        if len(ortho) != space.dimension:
+            raise InvariantViolation("exact Gram-Schmidt lost a dimension")
     for i in range(ambient):
         if len(ortho) == ambient:
             break
-        e = [Fraction(int(j == i)) for j in range(ambient)]
-        u = _orthogonalize_exact(e, ortho)
+        u = _orthogonalize_exact(_unit(i, ambient), ortho)
         if any(u):
             ortho.append(_primitive(u))
 
     columns = []
-    for u in ortho:
-        norm = math.sqrt(float(sum(x * x for x in u)))
-        columns.append([float(x) / norm for x in u])
-    return np.array(columns, dtype=float).T
+    for w in ortho:
+        norm = math.sqrt(float(sum(x * x for x in w)))
+        columns.append([float(x) / norm for x in w])
+    return np.array(columns, dtype=float).T, tuple(tuple(w) for w in ortho)

@@ -513,28 +513,32 @@ class _Parser:
         return token
 
     def expression(self) -> Polynomial:
-        sign = Fraction(1)
-        if self.peek()[0] in "+-":
-            if self.take()[0] == "-":
-                sign = Fraction(-1)
-        acc = sign * self.term()
-        while self.peek()[0] in "+-":
+        # each term is one monomial; like terms are summed in a dict and
+        # the polynomial is built once, so parsing is linear in the input
+        acc: dict[Exponent, Fraction] = {}
+        op = self.take()[0] if self.peek()[0] in "+-" else "+"
+        while True:
+            exponent, coeff = self.term()
+            acc[exponent] = acc.get(exponent, 0) + (coeff if op == "+" else -coeff)
+            if self.peek()[0] not in "+-":
+                break
             op = self.take()[0]
-            term = self.term()
-            acc = acc + term if op == "+" else acc - term
         kind, _, position = self.peek()
         if kind != "end":
             raise PolynomialSyntaxError("expected '+', '-', '*' or end of input", position)
-        return acc
+        return Polynomial(self.arity, acc)
 
-    def term(self) -> Polynomial:
-        acc = self.factor()
-        while self.peek()[0] == "*":
+    def term(self) -> tuple[Exponent, Fraction]:
+        exponent = [0] * self.arity
+        coeff = Fraction(1)
+        while True:
+            coeff *= self.factor(exponent)
+            if self.peek()[0] != "*":
+                return tuple(exponent), coeff
             self.take()
-            acc = acc * self.factor()
-        return acc
 
-    def factor(self) -> Polynomial:
+    def factor(self, exponent: list[int]) -> Fraction:
+        """Consume one factor: return its coefficient, add its powers to ``exponent``."""
         kind, value, position = self.peek()
         if kind == "int":
             self.take()
@@ -546,25 +550,24 @@ class _Parser:
                     raise PolynomialSyntaxError("expected an integer denominator", dpos)
                 if denominator == 0:
                     raise PolynomialSyntaxError("zero denominator in a coefficient", dpos)
-                return Polynomial.constant(self.arity, Fraction(numerator, denominator))
-            return Polynomial.constant(self.arity, Fraction(numerator))
+                return Fraction(numerator, denominator)
+            return Fraction(numerator)
         if kind == "var":
             self.take()
             if not 1 <= value <= self.arity:
                 raise PolynomialSyntaxError(
                     f"variable index {value} out of range 1..{self.arity}", position
                 )
-            exponent = 1
+            power = 1
             if self.peek()[0] == "^":
                 self.take()
-                ekind, exponent, epos = self.take()
+                ekind, power, epos = self.take()
                 if ekind != "int":
                     raise PolynomialSyntaxError("expected an integer exponent", epos)
-                if exponent < 1:
+                if power < 1:
                     raise PolynomialSyntaxError("exponent must be a positive integer", epos)
-            e = [0] * self.arity
-            e[value - 1] = exponent
-            return Polynomial(self.arity, {tuple(e): Fraction(1)})
+            exponent[value - 1] += power
+            return Fraction(1)
         raise PolynomialSyntaxError("expected a coefficient or a variable", position)
 
 

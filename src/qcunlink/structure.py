@@ -29,6 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
+from .errors import InvariantViolation
 from .exactla import Subspace, kernel, psd_violation
 from .polyalg import (
     Polynomial,
@@ -357,12 +358,12 @@ def classify_ray(g: Polynomial) -> RayClass:
     bound = _root_bound(derivative)
     estimates: dict[str, float] = {}
     if CASE_A in cases:
-        for k in range(1, 51):
-            assert evaluate(derivative, (bound + k,)) > 0, "derivative sign unstable beyond bound"
+        if any(evaluate(derivative, (bound + k,)) <= 0 for k in range(1, 51)):
+            raise InvariantViolation("derivative sign unstable beyond the root bound (case A)")
         estimates[CASE_A] = float(bound)
     if CASE_B in cases:
-        for k in range(1, 51):
-            assert evaluate(derivative, (-bound - k,)) < 0, "derivative sign unstable beyond bound"
+        if any(evaluate(derivative, (-bound - k,)) >= 0 for k in range(1, 51)):
+            raise InvariantViolation("derivative sign unstable beyond the root bound (case B)")
         estimates[CASE_B] = float(-bound)
     return RayClass(frozenset(cases), estimates)
 

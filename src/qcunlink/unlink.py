@@ -17,8 +17,13 @@ polynomials over a standard Gaussian vector:
    a consistency check;
 5. if r = 0, assemble an orthonormal basis adapted to the nested chain
    (overlap) < (I_u complement) < (I_u complement + I_v complement) and
-   verify that each composed polynomial has no mass on the other's
-   coordinates.
+   certify exactly that each polynomial, composed with it, does not
+   depend on the other's coordinates.  Since
+   d/dy_j (p o W) = (D_{w_j} p) o W for any invertible W, p o W is free
+   of y_j exactly when the directional derivative of p along column w_j
+   is the zero polynomial; the check runs on the exactly orthogonal
+   integer columns behind the float transform, so it involves no
+   rounding and no tolerance, and scaling p or w_j does not change it.
 
 A result of r > 0 with zero covariance and unfalsified hypotheses is
 reported as a contradiction witness rather than an error: in practice it
@@ -41,6 +46,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .errors import InvariantViolation
 from .exactla import Subspace, intersect, orthogonal_complement, orthonormalize_nested, subspace_sum
 from .gaussmeasure import (
     DEFAULT_CHUNK,
@@ -54,6 +60,7 @@ from .polyalg import (
     evaluate,
     evaluate_float,
     is_symmetric,
+    partial_derivative,
 )
 from .structure import QcVerdict, invariance_subspace, qc_falsify
 
@@ -86,9 +93,8 @@ VERDICT_UNLINKED = "unlinked"
 VERDICT_HYPOTHESIS_FAILED = "hypothesis_failed"
 VERDICT_CONTRADICTION = "theorem_contradiction_witness"
 
-
-class InvariantViolation(RuntimeError):
-    """An internal consistency check failed; indicates a bug upstream."""
+# largest entry of |Q'Q - I| accepted for the float transform
+TOL_ORTHO = 1e-10
 
 
 class HypothesisFalsified(Exception):
@@ -201,6 +207,8 @@ def concordance(u: Polynomial, v: Polynomial) -> ConcordanceReport:
 class OrthogonalTransform:
     """Orthonormal matrix Q (columns are the new directions) plus the split.
 
+    ``columns`` holds the exactly orthogonal integer vectors w_1..w_n
+    that the columns of ``matrix`` normalize, in the same order.
     Blocks are 1-based variable numbers of the new coordinates y:
     ``u_block`` = 1..r+t carries u, ``v_block`` = {1..r} and
     r+t+1..r+t+m carries v, ``shared_free`` = r+t+m+1..n touches
@@ -209,6 +217,7 @@ class OrthogonalTransform:
     """
 
     matrix: np.ndarray
+    columns: tuple[tuple[int, ...], ...]
     u_block: tuple[int, ...]
     v_block: tuple[int, ...]
     shared_free: tuple[int, ...]
@@ -225,7 +234,7 @@ class OrthogonalTransform:
         return float(np.max(np.abs(q.T @ q - np.eye(q.shape[0]))))
 
 
-def build_transform(report: ConcordanceReport, tol_ortho: float = 1e-10) -> OrthogonalTransform:
+def build_transform(report: ConcordanceReport) -> OrthogonalTransform:
     """Assemble the adapted orthonormal basis from a concordance report.
 
     The nested chain overlap < inv_u_perp < perp_sum < R^n is
@@ -241,11 +250,11 @@ def build_transform(report: ConcordanceReport, tol_ortho: float = 1e-10) -> Orth
     for space in (report.overlap, report.inv_u_perp, report.perp_sum):
         if space.dimension > (chain[-1].dimension if chain else 0):
             chain.append(space)
-    q = orthonormalize_nested(chain, n)
+    q, columns = orthonormalize_nested(chain, n)
     order = list(range(t, t + r)) + list(range(t)) + list(range(r + t, n))
-    q = q[:, order]
     transform = OrthogonalTransform(
-        matrix=q,
+        matrix=q[:, order],
+        columns=tuple(columns[j] for j in order),
         u_block=tuple(range(1, r + t + 1)),
         v_block=tuple(range(1, r + 1)) + tuple(range(r + t + 1, r + t + m + 1)),
         shared_free=tuple(range(r + t + m + 1, n + 1)),
@@ -253,7 +262,7 @@ def build_transform(report: ConcordanceReport, tol_ortho: float = 1e-10) -> Orth
         t=t,
         m=m,
     )
-    if transform.orthogonality_error() > tol_ortho:
+    if transform.orthogonality_error() > TOL_ORTHO:
         raise InvariantViolation("assembled transform is not orthonormal within tolerance")
     return transform
 
@@ -289,21 +298,27 @@ def marginalized_polys(
     return u_star, v_star
 
 
-def verify_unlinked(p: Polynomial, transform: OrthogonalTransform, forbidden) -> float:
-    """Largest |coefficient| of a forbidden variable after the change of basis.
+def verify_unlinked(p: Polynomial, transform: OrthogonalTransform, forbidden) -> bool:
+    """Exact certificate that p composed with the transform avoids ``forbidden``.
 
-    ``forbidden`` holds 1-based new-coordinate numbers.  Zero means the
-    composed polynomial is a function of the allowed coordinates only.
+    ``forbidden`` holds 1-based new-coordinate numbers.  True iff for
+    each forbidden j the directional derivative sum_i w_ji * dp/dx_i of p
+    along the exact column w_j is the zero polynomial, i.e. iff p o Q is
+    a function of the other coordinates only.
     """
-    banned = {i - 1 for i in forbidden if 1 <= i <= p.arity}
+    banned = sorted({i - 1 for i in forbidden if 1 <= i <= p.arity})
     if not banned:
-        return 0.0
-    composed = compose_linear(p, transform.matrix)
-    worst = 0.0
-    for exponent, coeff in composed.terms.items():
-        if any(exponent[i] for i in banned):
-            worst = max(worst, abs(float(coeff)))
-    return worst
+        return True
+    partials = [partial_derivative(p, i).terms for i in range(1, p.arity + 1)]
+    for j in banned:
+        derivative: dict = {}
+        for weight, partial in zip(transform.columns[j], partials):
+            if weight:
+                for exponent, coeff in partial.items():
+                    derivative[exponent] = derivative.get(exponent, 0) + weight * coeff
+        if any(derivative.values()):
+            return False
+    return True
 
 
 def _asymmetry_witness(p: Polynomial) -> dict:
@@ -346,8 +361,6 @@ class UnlinkResult:
     hypothesis: HypothesisReport
     report: ConcordanceReport
     transform: Optional[OrthogonalTransform]
-    residual_u: Optional[float]
-    residual_v: Optional[float]
 
     @property
     def cov_exact(self) -> Fraction:
@@ -364,8 +377,6 @@ class UnlinkResult:
             "transform": self.transform.matrix.tolist() if self.transform else None,
             "u_block": list(self.transform.u_block) if self.transform else None,
             "v_block": list(self.transform.v_block) if self.transform else None,
-            "residual_u": self.residual_u,
-            "residual_v": self.residual_v,
             "hypothesis": self.hypothesis.to_json(),
         }
 
@@ -376,8 +387,6 @@ class UnlinkConfig:
     qc_trials: int = 10_000
     qc_bound: int = 4
     qc_max_denominator: int = 16
-    tol_residual: float = 1e-9
-    tol_ortho: float = 1e-10
 
 
 def unlink_decision(
@@ -387,8 +396,8 @@ def unlink_decision(
 
     Raises :class:`HypothesisFalsified` when symmetry fails or the
     falsifier finds a quasi-convexity violation.  Otherwise returns a
-    result whose verdict is ``unlinked`` (r = 0, zero covariance,
-    residuals within tolerance), ``hypothesis_failed`` (nonzero exact
+    result whose verdict is ``unlinked`` (r = 0, zero covariance, exact
+    separation certificate), ``hypothesis_failed`` (nonzero exact
     covariance), or ``theorem_contradiction_witness`` (r > 0 with zero
     covariance, which under genuinely quasi-convex inputs cannot happen).
     """
@@ -416,18 +425,15 @@ def unlink_decision(
     report = concordance(u0, v0)
 
     if cov != 0:
-        return UnlinkResult(VERDICT_HYPOTHESIS_FAILED, hypothesis, report, None, None, None)
+        return UnlinkResult(VERDICT_HYPOTHESIS_FAILED, hypothesis, report, None)
 
-    transform = build_transform(report, config.tol_ortho)
-    n = report.n
-    residual_u = verify_unlinked(u0, transform, set(range(1, n + 1)) - set(transform.u_block))
-    residual_v = verify_unlinked(v0, transform, set(range(1, n + 1)) - set(transform.v_block))
-    if residual_u > config.tol_residual or residual_v > config.tol_residual:
-        raise InvariantViolation(
-            f"composition residuals exceed tolerance: {residual_u}, {residual_v}"
-        )
+    transform = build_transform(report)
+    coordinates = set(range(1, report.n + 1))
+    for name, p, block in (("u", u0, transform.u_block), ("v", v0, transform.v_block)):
+        if not verify_unlinked(p, transform, coordinates - set(block)):
+            raise InvariantViolation(f"{name} depends on a coordinate outside its block")
     verdict = VERDICT_UNLINKED if report.r == 0 else VERDICT_CONTRADICTION
-    return UnlinkResult(verdict, hypothesis, report, transform, residual_u, residual_v)
+    return UnlinkResult(verdict, hypothesis, report, transform)
 
 
 # ---------------------------------------------------------------------------

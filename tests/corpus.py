@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -158,3 +159,48 @@ def random_psd_quadratic(rng: random.Random, arity: int) -> Polynomial:
                 linear = linear + coeff * Polynomial.variable(arity, j)
         acc = acc + linear * linear
     return acc
+
+
+def cayley(skew: list[list[Fraction]]) -> list[list[Fraction]]:
+    """Exact rational rotation Q = (I - S)^{-1} (I + S) of a skew-symmetric S.
+
+    I - S is invertible for every real skew S, so Gauss-Jordan elimination
+    on [I - S | I + S] leaves Q in the right half.
+    """
+    n = len(skew)
+    rows = [
+        [Fraction(int(i == j)) - skew[i][j] for j in range(n)]
+        + [Fraction(int(i == j)) + skew[i][j] for j in range(n)]
+        for i in range(n)
+    ]
+    for col in range(n):
+        pivot = next(r for r in range(col, n) if rows[r][col])
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        lead = rows[col][col]
+        rows[col] = [x / lead for x in rows[col]]
+        for r in range(n):
+            if r != col and rows[r][col]:
+                factor = rows[r][col]
+                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[col])]
+    return [row[n:] for row in rows]
+
+
+def dense_rotation(n: int) -> list[list[Fraction]]:
+    """Cayley rotation with every entry nonzero for n >= 3; S_ij = 1/2 or 1 above the diagonal."""
+    skew = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            skew[i][j] = Fraction(1) if (i + j) % 2 else Fraction(1, 2)
+            skew[j][i] = -skew[i][j]
+    return cayley(skew)
+
+
+def swap_columns(transform, i, j):
+    """The same transform with 1-based columns i and j exchanged, blocks kept."""
+    order = list(range(transform.n))
+    order[i - 1], order[j - 1] = order[j - 1], order[i - 1]
+    return dataclasses.replace(
+        transform,
+        matrix=transform.matrix[:, order],
+        columns=tuple(transform.columns[k] for k in order),
+    )

@@ -30,6 +30,7 @@ from qcunlink.unlink import (
     correlation_spotcheck,
     covariance_integral_check,
     unlink_decision,
+    verify_unlinked,
 )
 
 from corpus import (
@@ -59,7 +60,9 @@ def test_criterion_1_rotated_pair_end_to_end():
     ok = ok and result.cov_exact == 0
     ok = ok and result.report.r == 0
     ok = ok and result.transform.orthogonality_error() <= 1e-10
-    ok = ok and result.residual_u <= 1e-9 and result.residual_v <= 1e-9
+    n = result.transform.n
+    for p, block in ((u, result.transform.u_block), (v, result.transform.v_block)):
+        ok = ok and verify_unlinked(p, result.transform, set(range(1, n + 1)) - set(block))
     composed_u = compose_linear(u, result.transform.matrix)
     composed_v = compose_linear(v, result.transform.matrix)
     for composed, lead in ((composed_u, (2, 0)), (composed_v, (0, 2))):

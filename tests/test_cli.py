@@ -8,8 +8,10 @@ import pytest
 
 import qcunlink.unlink as unlink_module
 from qcunlink.cli import main
-from qcunlink.polyalg import evaluate, parse_expression
+from qcunlink.polyalg import compose_linear, evaluate, parse_expression, to_expression
 from qcunlink.unlink import InvariantViolation
+
+from corpus import dense_rotation, swap_columns
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -25,12 +27,26 @@ def run_json(capsys, *argv):
     return code, json.loads(out) if out else None, err
 
 
+@pytest.fixture
+def certificates(monkeypatch):
+    """Results of the exact separation certificates the pipeline evaluates."""
+    results = []
+    certify = unlink_module.verify_unlinked
+
+    def spy(p, transform, forbidden):
+        results.append(certify(p, transform, forbidden))
+        return results[-1]
+
+    monkeypatch.setattr(unlink_module, "verify_unlinked", spy)
+    return results
+
+
 # ---------------------------------------------------------------------------
 # Exit code contract, one scenario per code
 # ---------------------------------------------------------------------------
 
 
-def test_exit_0_unlink_rotated_pair(capsys):
+def test_exit_0_unlink_rotated_pair(capsys, certificates):
     code, report, _ = run_json(
         capsys,
         "unlink",
@@ -44,11 +60,25 @@ def test_exit_0_unlink_rotated_pair(capsys):
     assert report["r"] == 0
     assert report["u_block"] == [1]
     assert report["v_block"] == [2]
-    assert report["residual_u"] <= 1e-9
+    assert certificates == [True, True]
     assert list(report) == [
         "verdict", "cov_exact", "r", "t", "m", "transform",
-        "u_block", "v_block", "residual_u", "residual_v", "hypothesis",
+        "u_block", "v_block", "hypothesis",
     ]
+
+
+def test_exit_0_unlink_scaled_rotated_pair(capsys, tmp_path):
+    # the separation certificate is exact, so coefficient scale cannot trip it
+    q = dense_rotation(4)
+    paths = []
+    for name, text in (("u", "200000000*x1^2 + 200000000*x2^2"), ("v", "3*x3^2 + x4^2")):
+        path = tmp_path / f"{name}.poly"
+        path.write_text(f"n=4\n{to_expression(compose_linear(parse_expression(text, 4), q))}\n")
+        paths.append(str(path))
+    code, report, err = run_json(capsys, "unlink", "--u", paths[0], "--v", paths[1])
+    assert code == 0, err
+    assert report["verdict"] == "unlinked"
+    assert (report["r"], report["t"], report["m"]) == (0, 2, 2)
 
 
 def test_exit_2_syntax_error(capsys):
@@ -156,7 +186,7 @@ def test_exit_4_nonzero_covariance(capsys):
 
 
 def test_exit_5_internal_invariant_violation(capsys, monkeypatch):
-    def broken(report, tol_ortho=1e-10):
+    def broken(report):
         raise InvariantViolation("injected fault")
 
     monkeypatch.setattr(unlink_module, "build_transform", broken)
@@ -168,6 +198,28 @@ def test_exit_5_internal_invariant_violation(capsys, monkeypatch):
     )
     assert code == 5
     assert "invariant" in err
+
+
+def test_exit_5_swapped_transform_fails_certificate(capsys, monkeypatch, certificates):
+    build = unlink_module.build_transform
+
+    def swapped(report):
+        # exchange u's first column with the first column u must not use
+        transform = build(report)
+        forbidden = set(range(1, transform.n + 1)) - set(transform.u_block)
+        return swap_columns(transform, transform.u_block[0], min(forbidden))
+
+    monkeypatch.setattr(unlink_module, "build_transform", swapped)
+    code, out, err = run(
+        capsys,
+        "unlink",
+        "--u", str(FIXTURES / "rot_u.poly"),
+        "--v", str(FIXTURES / "rot_v.poly"),
+    )
+    assert code == 5
+    assert out == ""
+    assert "invariant" in err
+    assert certificates == [False]
 
 
 # ---------------------------------------------------------------------------
@@ -269,7 +321,7 @@ def test_verify_fixture_directory(capsys):
     assert all(entry["pass"] for entry in report["fixtures"])
 
 
-def test_unlink_quartic_pair_residuals_zero(capsys):
+def test_unlink_quartic_pair_residuals_zero(capsys, certificates):
     code, report, _ = run_json(
         capsys,
         "unlink",
@@ -278,8 +330,7 @@ def test_unlink_quartic_pair_residuals_zero(capsys):
     )
     assert code == 0
     assert report["verdict"] == "unlinked"
-    assert report["residual_u"] == 0.0
-    assert report["residual_v"] == 0.0
+    assert certificates == [True, True]
 
 
 # ---------------------------------------------------------------------------

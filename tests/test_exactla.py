@@ -1,5 +1,6 @@
 """Exact subspace computations and nested orthonormalization."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -8,6 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qcunlink import exactla
+from qcunlink.errors import InvariantViolation
 from qcunlink.exactla import (
     Subspace,
     intersect,
@@ -117,7 +120,7 @@ def prefix_residual(q, space):
 
 
 def test_orthonormalize_single_element():
-    q = orthonormalize_nested([span([(1, 1)], 2)], 2)
+    q, _ = orthonormalize_nested([span([(1, 1)], 2)], 2)
     s = 1 / np.sqrt(2.0)
     assert np.allclose(np.abs(q), [[s, s], [s, s]])
     assert abs(abs(q[0, 0] * q[0, 1] + q[1, 0] * q[1, 1])) <= 1e-12
@@ -125,14 +128,14 @@ def test_orthonormalize_single_element():
 
 
 def test_orthonormalize_zero_chain():
-    q = orthonormalize_nested([Subspace.zero(3)], 3)
+    q, _ = orthonormalize_nested([Subspace.zero(3)], 3)
     assert q.shape == (3, 3)
     assert orthogonality_error(q) <= 1e-10
 
 
 def test_orthonormalize_two_element_chain():
     chain = [span([(0, 0, 1)], 3), span([(0, 0, 1), (1, 1, 0)], 3)]
-    q = orthonormalize_nested(chain, 3)
+    q, _ = orthonormalize_nested(chain, 3)
     s = 1 / np.sqrt(2.0)
     assert np.allclose(np.abs(q[:, 0]), [0, 0, 1])
     assert np.allclose(np.abs(q[:, 1]), [s, s, 0])
@@ -263,7 +266,37 @@ def test_orthonormalize_random_nested_chains():
         chain = [inner, outer] if inner.dimension < outer.dimension else [outer]
         if chain[0].dimension == 0 and len(chain) > 1:
             chain = chain[1:]
-        q = orthonormalize_nested(chain, ambient)
+        q, columns = orthonormalize_nested(chain, ambient)
         assert orthogonality_error(q) <= 1e-10
         for space in chain:
             assert prefix_residual(q, space) <= 1e-9
+            assert Subspace.span(columns[: space.dimension], ambient).same_space(space)
+        assert_exact_columns(q, columns)
+
+
+def assert_exact_columns(q, columns):
+    """Integer columns: primitive, pairwise exactly orthogonal, normalized into q."""
+    n = q.shape[0]
+    assert len(columns) == n
+    for j, w in enumerate(columns):
+        assert len(w) == n and all(type(x) is int for x in w)
+        assert math.gcd(*w) == 1
+        assert next(x for x in w if x) > 0
+        norm = math.sqrt(float(sum(x * x for x in w)))
+        assert q[:, j].tolist() == [float(x) / norm for x in w]
+        for k in range(j):
+            assert sum(a * b for a, b in zip(w, columns[k])) == 0
+
+
+def test_orthonormalize_lost_dimension_raises(monkeypatch):
+    # a Gram-Schmidt step that wrongly annihilates every vector loses the span
+    monkeypatch.setattr(exactla, "_orthogonalize_exact", lambda vector, ortho: [0] * len(vector))
+    with pytest.raises(InvariantViolation, match="lost a dimension"):
+        orthonormalize_nested([span([(1, 1)], 2)], 2)
+
+
+def test_psd_unverified_witness_raises(monkeypatch):
+    # a corrupted change of basis makes the candidate direction fail its exact check
+    monkeypatch.setattr(exactla, "_unit", lambda index, length: [Fraction(0)] * length)
+    with pytest.raises(InvariantViolation, match="PSD witness"):
+        psd_violation([[-1]])

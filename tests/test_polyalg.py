@@ -24,6 +24,7 @@ from qcunlink.polyalg import (
     to_json,
     from_json,
 )
+from qcunlink.polyalg import _tokenize
 
 from corpus import P
 
@@ -280,6 +281,123 @@ def poly_triples(draw):
         draw(polynomials(min_arity=arity, max_arity=arity, max_exponent=2, max_terms=4))
         for _ in range(3)
     )
+
+
+class ReferenceParser:
+    """The parser before it accumulated monomials in a dict: every step
+    builds a Polynomial with + and *.  Kept as the oracle of the parser."""
+
+    def __init__(self, text, arity):
+        self.tokens = _tokenize(text)
+        self.pos = 0
+        self.arity = arity
+
+    def peek(self):
+        return self.tokens[self.pos]
+
+    def take(self):
+        token = self.tokens[self.pos]
+        self.pos += 1
+        return token
+
+    def expression(self):
+        sign = Fraction(1)
+        if self.peek()[0] in "+-":
+            if self.take()[0] == "-":
+                sign = Fraction(-1)
+        acc = sign * self.term()
+        while self.peek()[0] in "+-":
+            op = self.take()[0]
+            term = self.term()
+            acc = acc + term if op == "+" else acc - term
+        kind, _, position = self.peek()
+        if kind != "end":
+            raise PolynomialSyntaxError("expected '+', '-', '*' or end of input", position)
+        return acc
+
+    def term(self):
+        acc = self.factor()
+        while self.peek()[0] == "*":
+            self.take()
+            acc = acc * self.factor()
+        return acc
+
+    def factor(self):
+        kind, value, position = self.peek()
+        if kind == "int":
+            self.take()
+            numerator = value
+            if self.peek()[0] == "/":
+                self.take()
+                dkind, denominator, dpos = self.take()
+                if dkind != "int":
+                    raise PolynomialSyntaxError("expected an integer denominator", dpos)
+                if denominator == 0:
+                    raise PolynomialSyntaxError("zero denominator in a coefficient", dpos)
+                return Polynomial.constant(self.arity, Fraction(numerator, denominator))
+            return Polynomial.constant(self.arity, Fraction(numerator))
+        if kind == "var":
+            self.take()
+            if not 1 <= value <= self.arity:
+                raise PolynomialSyntaxError(
+                    f"variable index {value} out of range 1..{self.arity}", position
+                )
+            exponent = 1
+            if self.peek()[0] == "^":
+                self.take()
+                ekind, exponent, epos = self.take()
+                if ekind != "int":
+                    raise PolynomialSyntaxError("expected an integer exponent", epos)
+                if exponent < 1:
+                    raise PolynomialSyntaxError("exponent must be a positive integer", epos)
+            e = [0] * self.arity
+            e[value - 1] = exponent
+            return Polynomial(self.arity, {tuple(e): Fraction(1)})
+        raise PolynomialSyntaxError("expected a coefficient or a variable", position)
+
+
+def parse_outcome(parse, text, arity):
+    """Terms in iteration order, or the syntax error's message and offset."""
+    try:
+        return "ok", list(parse(text, arity).terms.items())
+    except PolynomialSyntaxError as exc:
+        return "error", str(exc), exc.position
+
+
+FRAGMENTS = ["x1", "x2", "x3", "x0", "x", "^", "^0", "2", "0", "12", "/", "/0", "*", "+", "-", " ", "a"]
+
+
+@st.composite
+def expression_texts(draw):
+    """(text, arity): grammatical expressions with repeated monomials, or token soup."""
+    arity = draw(st.integers(0, 3))
+    if draw(st.booleans()):
+        return "".join(draw(st.lists(st.sampled_from(FRAGMENTS), max_size=14))), arity
+    space = st.sampled_from(["", " ", "  "])
+    coefficient = st.builds(
+        lambda n, d: f"{n}/{d}" if d else str(n), st.integers(0, 40), st.integers(0, 9)
+    )
+    variable = st.builds(
+        lambda i, k: f"x{i}^{k}" if k > 1 else f"x{i}",
+        st.integers(1, max(arity, 1)),
+        st.integers(1, 4),
+    )
+    factor = coefficient | variable if arity else coefficient
+    pieces = [draw(st.sampled_from(["", "-", "+"]))]
+    for index in range(draw(st.integers(1, 8))):
+        if index:
+            pieces.append(draw(st.sampled_from(["+", "-"])))
+        factors = draw(st.lists(factor, min_size=1, max_size=4))
+        pieces.append((draw(space) + "*" + draw(space)).join(factors))
+    return "".join(draw(space) + piece for piece in pieces), arity
+
+
+@settings(max_examples=300, deadline=None)
+@given(expression_texts())
+def test_parser_matches_reference(case):
+    text, arity = case
+    expected = parse_outcome(lambda t, n: ReferenceParser(t, n).expression(), text, arity)
+    assert parse_outcome(parse_expression, text, arity) == expected
 
 
 @settings(max_examples=80, deadline=None)

@@ -1,13 +1,18 @@
 """Quasi-convexity falsifier, ray classes, and invariance subspaces."""
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qcunlink import structure
+from qcunlink.errors import InvariantViolation
 from qcunlink.exactla import Subspace
 from qcunlink.polyalg import Polynomial, evaluate
 from qcunlink.structure import (
@@ -266,6 +271,37 @@ def test_classify_ray_monotone_beyond_threshold():
 def test_classify_ray_requires_univariate():
     with pytest.raises(ValueError, match="univariate"):
         classify_ray(P("x1 + x2", 2))
+
+
+@pytest.mark.parametrize("text, case", [("x1^3", "case A"), ("-x1^3", "case B")])
+def test_classify_ray_unstable_derivative_raises(monkeypatch, text, case):
+    # a root bound below the derivative's root x = 0 puts that root among the checked points
+    monkeypatch.setattr(structure, "_root_bound", lambda g: Fraction(-1))
+    with pytest.raises(InvariantViolation, match=case):
+        classify_ray(P(text, 1))
+
+
+def test_classify_ray_invariant_survives_optimize_flag():
+    # python -O strips assert statements; the runtime check must still raise
+    script = """
+import sys
+from fractions import Fraction
+from qcunlink import structure
+from qcunlink.errors import InvariantViolation
+from qcunlink.polyalg import parse_expression
+structure._root_bound = lambda g: Fraction(-1)
+try:
+    structure.classify_ray(parse_expression("x1^3", 1))
+except InvariantViolation as exc:
+    print("optimize", sys.flags.optimize, "raised", exc)
+"""
+    src = str(Path(structure.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("optimize 1 raised derivative sign unstable"), done.stdout
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,14 @@ from qcunlink.unlink import (
     verify_unlinked,
 )
 
-from corpus import QC_FIXTURES, P, overlapping_convex_pair, random_psd_quadratic
+from corpus import (
+    QC_FIXTURES,
+    P,
+    dense_rotation,
+    overlapping_convex_pair,
+    random_psd_quadratic,
+    swap_columns,
+)
 
 ROT_U = P("x1^2 + 2*x1*x2 + x2^2", 2)
 ROT_V = P("x1^2 - 2*x1*x2 + x2^2", 2)
@@ -43,6 +50,7 @@ def span(vectors, ambient):
 def identity_transform(n):
     return OrthogonalTransform(
         matrix=np.eye(n),
+        columns=tuple(tuple(int(i == j) for i in range(n)) for j in range(n)),
         u_block=tuple(range(1, n + 1)),
         v_block=(),
         shared_free=(),
@@ -50,6 +58,11 @@ def identity_transform(n):
         t=n,
         m=0,
     )
+
+
+def separated(p, transform, block):
+    """The pipeline's check: p composed with the transform uses only ``block``."""
+    return verify_unlinked(p, transform, set(range(1, transform.n + 1)) - set(block))
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +247,8 @@ def test_unlink_rotated_pair_end_to_end():
     assert result.cov_exact == 0
     assert result.report.r == 0
     assert result.transform.orthogonality_error() <= 1e-10
-    assert result.residual_u <= 1e-9 and result.residual_v <= 1e-9
+    assert separated(ROT_U, result.transform, result.transform.u_block)
+    assert separated(ROT_V, result.transform, result.transform.v_block)
     composed_u = compose_linear(ROT_U, result.transform.matrix)
     composed_v = compose_linear(ROT_V, result.transform.matrix)
     assert abs(float(composed_u.terms.get((2, 0), 0)) - 2.0) <= 1e-9
@@ -256,7 +270,8 @@ def test_unlink_already_separated_quartics():
     result = unlink_decision(P("x1^4", 2), P("x2^4", 2))
     assert result.verdict == VERDICT_UNLINKED
     assert np.allclose(np.abs(result.transform.matrix), np.eye(2))
-    assert result.residual_u == 0.0 and result.residual_v == 0.0
+    assert separated(P("x1^4", 2), result.transform, result.transform.u_block)
+    assert separated(P("x2^4", 2), result.transform, result.transform.v_block)
 
 
 def test_unlink_normalizes_constant_offsets():
@@ -311,9 +326,9 @@ def test_unlinked_verdicts_have_zero_covariance_and_clean_blocks():
         n = transform.n
         u0, v0 = normalize_at_origin(u), normalize_at_origin(v)
         forbidden_u = set(range(1, n + 1)) - set(transform.u_block)
-        assert verify_unlinked(u0, transform, forbidden_u) <= 1e-9
+        assert verify_unlinked(u0, transform, forbidden_u) is True
         overlap_coords = range(transform.r + 1, transform.r + transform.t + 1)
-        assert verify_unlinked(v0, transform, overlap_coords) <= 1e-9
+        assert verify_unlinked(v0, transform, overlap_coords) is True
 
 
 def test_theorem_direction_on_overlapping_pairs():
@@ -351,21 +366,102 @@ def test_r_invariant_under_exact_orthogonal_maps():
 
 
 # ---------------------------------------------------------------------------
-# verify_unlinked
+# verify_unlinked: the exact separation certificate
 # ---------------------------------------------------------------------------
+
+
+def float_composition_residual(p, transform, forbidden):
+    """Largest |coefficient| of a forbidden coordinate in p o Q, Q the float matrix.
+
+    The separation check the exact certificate replaced, kept as its
+    reference: the composition runs exactly on the binary rationals of Q
+    and drops coefficients <= 1e-12.
+    """
+    banned = {i - 1 for i in forbidden if 1 <= i <= p.arity}
+    composed = compose_linear(p, transform.matrix)
+    return max(
+        (abs(float(c)) for e, c in composed.terms.items() if any(e[i] for i in banned)),
+        default=0.0,
+    )
+
+
+def rotated(text, n, q):
+    return compose_linear(P(text, n), q)
+
+
+def rotated_unlinked_pairs():
+    """Separated pairs on disjoint coordinates, composed with a dense exact rotation."""
+    q3, q4 = dense_rotation(3), dense_rotation(4)
+    return [
+        (rotated("x1^2 + 2*x2^2", 3, q3), rotated("x3^2", 3, q3)),
+        (rotated("x1^4 + x2^2", 3, q3), rotated("3*x3^2", 3, q3)),
+        (rotated("x1^2", 4, q4), rotated("x2^4 + 2*x3^2", 4, q4)),
+    ]
+
+
+def corpus_unlinked_pairs():
+    """Pairs of convex corpus fixtures with zero covariance and r = 0."""
+    return [
+        (u, v)
+        for _, u in QC_FIXTURES
+        for _, v in QC_FIXTURES
+        if u.arity == v.arity and covariance(u, v) == 0 and concordance(u, v).r == 0
+    ]
 
 
 def test_verify_unlinked_rotated_pair():
     transform = build_transform(concordance(ROT_U, ROT_V))
-    assert verify_unlinked(ROT_U, transform, {2}) <= 1e-9
+    assert verify_unlinked(ROT_U, transform, {2}) is True
+    assert verify_unlinked(ROT_U, transform, {1}) is False
 
 
 def test_verify_unlinked_empty_forbidden_set():
-    assert verify_unlinked(P("x1^2 + x2^2", 2), identity_transform(2), set()) == 0.0
+    assert verify_unlinked(P("x1^2 + x2^2", 2), identity_transform(2), set()) is True
 
 
 def test_verify_unlinked_full_dependence():
-    assert verify_unlinked(P("x1^2", 2), identity_transform(2), {1}) == 1.0
+    assert verify_unlinked(P("x1^2", 2), identity_transform(2), {1}) is False
+
+
+def test_certificate_agrees_with_float_composition():
+    pairs = corpus_unlinked_pairs()
+    assert pairs
+    for u, v in pairs + rotated_unlinked_pairs():
+        transform = build_transform(concordance(u, v))
+        assert separated(u, transform, transform.u_block)
+        assert separated(v, transform, transform.v_block)
+        for p in (u, v):
+            for j in range(1, transform.n + 1):
+                exact = verify_unlinked(p, transform, {j})
+                assert exact == (float_composition_residual(p, transform, {j}) <= 1e-9), j
+
+
+def test_certificate_rejects_swapped_columns():
+    for u, v in [(ROT_U, ROT_V)] + rotated_unlinked_pairs():
+        transform = build_transform(concordance(u, v))
+        forbidden = sorted(set(range(1, transform.n + 1)) - set(transform.u_block))
+        swapped = swap_columns(transform, transform.u_block[0], forbidden[0])
+        assert not separated(u, swapped, swapped.u_block)
+        assert float_composition_residual(u, swapped, forbidden) > 1e-9
+
+
+def test_unlink_decision_is_scale_invariant():
+    q = dense_rotation(4)
+    u, v = rotated("x1^2 + 2*x2^2", 4, q), rotated("3*x3^2", 4, q)
+    base = unlink_decision(u, v)
+    assert base.verdict == VERDICT_UNLINKED
+    assert (base.report.r, base.report.t, base.report.m) == (0, 2, 1)
+    for k in range(-12, 13):
+        scale = Fraction(10) ** k
+        result = unlink_decision(scale * u, scale * v)
+        assert result.verdict == base.verdict, k
+        assert (result.report.r, result.report.t, result.report.m) == (0, 2, 1), k
+        assert result.transform.matrix.tolist() == base.transform.matrix.tolist(), k
+        assert result.transform.columns == base.transform.columns, k
+        assert (result.transform.u_block, result.transform.v_block) == (
+            base.transform.u_block,
+            base.transform.v_block,
+        ), k
 
 
 # ---------------------------------------------------------------------------
