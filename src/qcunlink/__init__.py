@@ -18,35 +18,30 @@ from .exactla import (
 )
 from .gaussmeasure import (
     McEstimate,
-    MomentTable,
     covariance,
     expectation,
     gaussian_moment,
     mc_estimate,
     partial_expectation,
-    sublevel_probability_mc,
+    sample_values,
 )
 from .polyalg import (
     Polynomial,
     PolynomialSyntaxError,
     RationalMatrix,
-    combine,
     compose_linear,
-    directional_derivative,
     evaluate,
     evaluate_float,
     is_symmetric,
     parse_expression,
     partial_derivative,
     restrict_line,
-    symmetry_defect,
     to_expression,
 )
 from .structure import (
     QcVerdict,
     QcWitness,
     RayClass,
-    check_translation_invariance,
     classify_ray,
     invariance_subspace,
     qc_falsify,

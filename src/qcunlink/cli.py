@@ -208,15 +208,7 @@ def _cmd_cov(args) -> tuple[dict, int]:
 
 
 def _mc_covariance(u: Polynomial, v: Polynomial, samples: int, seed: int) -> dict:
-    from .polyalg import evaluate_float
-
-    su = np.empty(samples)
-    sv = np.empty(samples)
-    done = 0
-    for block in gaussmeasure.gaussian_sample_chunks(u.arity, samples, seed):
-        su[done : done + block.shape[0]] = evaluate_float(u, block)
-        sv[done : done + block.shape[0]] = evaluate_float(v, block)
-        done += block.shape[0]
+    su, sv = gaussmeasure.sample_values((u, v), samples, seed)
     centered = (su - su.mean()) * (sv - sv.mean())
     estimate = float(centered.sum() / (samples - 1))
     stderr = float(centered.std(ddof=1) / samples**0.5)
@@ -411,17 +403,19 @@ def main(argv=None) -> int:
             value = getattr(args, name, None)
             if value is not None and value < 1:
                 raise ValueError(f"--{name.replace('_', '-')} must be positive")
-        report, code = _COMMANDS[args.command](args)
-    except unlink.HypothesisFalsified as exc:
-        report = {
-            "error": "hypothesis_falsified",
-            "input": exc.which,
-            "kind": exc.kind,
-            "witness": exc.witness,
-            "seed": args.seed,
-        }
+        try:
+            report, code = _COMMANDS[args.command](args)
+        except unlink.HypothesisFalsified as exc:
+            report = {
+                "error": "hypothesis_falsified",
+                "input": exc.which,
+                "kind": exc.kind,
+                "witness": exc.witness,
+                "seed": args.seed,
+            }
+            code = EXIT_FALSIFIED
+        # inside the try: a report that cannot be rendered or written exits 2
         _emit(report, args.out)
-        return EXIT_FALSIFIED
     except (PolynomialSyntaxError, ValueError, OSError) as exc:
         print(f"qcunlink: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -431,5 +425,4 @@ def main(argv=None) -> int:
     except Exception:
         traceback.print_exc()
         return EXIT_INVARIANT
-    _emit(report, args.out)
     return code

@@ -307,8 +307,8 @@ def orthonormalize_nested(
         if any(u):
             ortho.append(_primitive(u))
 
-    columns = []
-    for w in ortho:
+    q = np.empty((ambient, ambient))
+    for j, w in enumerate(ortho):
         norm = math.sqrt(float(sum(x * x for x in w)))
-        columns.append([float(x) / norm for x in w])
-    return np.array(columns, dtype=float).T, tuple(tuple(w) for w in ortho)
+        q[:, j] = [float(x) / norm for x in w]
+    return q, tuple(tuple(w) for w in ortho)

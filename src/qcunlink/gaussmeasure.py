@@ -5,67 +5,52 @@ standard normal coordinates: E[Z^(2m)] = (2m-1)!!, odd moments vanish,
 and a monomial's expectation is the product of its per-coordinate
 moments.  Everything exact is computed over ``Fraction``.
 
-The Monte Carlo engine is deterministic: draws come from
-``numpy.random.Generator`` with the PCG64 bit generator, consumed in
-fixed-size chunks that are accumulated serially.  For a fixed (seed,
-samples, chunk) triple the estimates are bit-reproducible regardless of
-how callers schedule the work.
+The Monte Carlo side needs one thing: the values of a few polynomials at
+shared draws of a standard Gaussian vector.  ``sample_values`` is the one
+loop that produces them; the mean estimate here, the correlation and
+double-integral spot-checks in ``unlink`` and ``cov --mc`` all read its
+output.  Draws come in a fixed order from one ``numpy.random.Generator``
+with the PCG64 bit generator, so for a fixed (seed, samples) pair the
+values are bit-reproducible.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .polyalg import Polynomial, evaluate_float
 
 __all__ = [
-    "DEFAULT_CHUNK",
     "McEstimate",
-    "MomentTable",
     "covariance",
     "expectation",
     "gaussian_moment",
     "gaussian_sample_chunks",
     "mc_estimate",
     "partial_expectation",
-    "sublevel_probability_mc",
+    "sample_values",
 ]
 
-DEFAULT_CHUNK = 1 << 16
+# rows per block of draws: bounds the draw buffer, not the values drawn
+_CHUNK = 1 << 16
 
 
-class MomentTable:
-    """Memoized moments of the standard normal: entry(2m) = (2m-1)!!.
-
-    Odd orders are implicitly zero.  The table grows on demand via the
-    recurrence entry(2m) = (2m-1) * entry(2m-2), starting from entry(0)=1.
-    """
-
-    def __init__(self):
-        self._even: dict[int, Fraction] = {0: Fraction(1)}
-        self._highest = 0
-
-    def moment(self, order: int) -> Fraction:
-        if order < 0:
-            raise ValueError("moment order must be nonnegative")
-        if order % 2:
-            return Fraction(0)
-        while self._highest < order:
-            self._highest += 2
-            self._even[self._highest] = (self._highest - 1) * self._even[self._highest - 2]
-        return self._even[order]
-
-
-_TABLE = MomentTable()
-
-
+@functools.cache
 def gaussian_moment(order: int) -> Fraction:
-    """E[Z^order] for Z standard normal, exact."""
-    return _TABLE.moment(order)
+    """E[Z^order] for Z standard normal, exact: (order-1)!! for even orders, 0 for odd."""
+    if order < 0:
+        raise ValueError("moment order must be nonnegative")
+    if order % 2:
+        return Fraction(0)
+    moment = 1
+    for k in range(1, order, 2):
+        moment *= k
+    return Fraction(moment)
 
 
 def expectation(p: Polynomial) -> Fraction:
@@ -122,24 +107,43 @@ def partial_expectation(p: Polynomial, marginalized: Iterable[int]) -> Polynomia
     return Polynomial(p.arity, out)
 
 
-def gaussian_sample_chunks(
-    arity: int, samples: int, seed: int, chunk: int = DEFAULT_CHUNK
-) -> Iterator[np.ndarray]:
+def gaussian_sample_chunks(arity: int, samples: int, seed: int) -> Iterator[np.ndarray]:
     """Yield (m, arity) blocks of i.i.d. standard normal draws.
 
     One PCG64 stream, fixed chunk size, fixed order: the concatenated
-    output is a pure function of (seed, samples, chunk).
+    output is a pure function of (seed, samples).
     """
-    if arity < 1:
-        raise ValueError("sampling needs at least one coordinate")
-    if chunk < 1:
-        raise ValueError("chunk size must be positive")
     rng = np.random.default_rng(seed)
     remaining = samples
     while remaining > 0:
-        m = min(chunk, remaining)
+        m = min(_CHUNK, remaining)
         yield rng.standard_normal((m, arity))
         remaining -= m
+
+
+def sample_values(polys: Sequence[Polynomial], samples: int, seed: int) -> np.ndarray:
+    """Values of each polynomial at ``samples`` shared standard Gaussian draws.
+
+    Returns a (len(polys), samples) array whose row i holds polys[i] at
+    the draws, in draw order.  The polynomials must share an arity of at
+    least one.
+    """
+    if samples < 2:
+        raise ValueError("need at least 2 samples")
+    arity = polys[0].arity
+    for p in polys[1:]:
+        if p.arity != arity:
+            raise ValueError(f"arity mismatch: {arity} != {p.arity}")
+    if arity < 1:
+        raise ValueError("sampling needs at least one coordinate")
+    values = np.empty((len(polys), samples))
+    done = 0
+    for block in gaussian_sample_chunks(arity, samples, seed):
+        m = block.shape[0]
+        for row, p in zip(values, polys):
+            row[done : done + m] = evaluate_float(p, block)
+        done += m
+    return values
 
 
 @dataclass(frozen=True)
@@ -158,46 +162,19 @@ class McEstimate:
         }
 
 
-def _summarize(sum_x: float, sum_xx: float, samples: int, seed: int) -> McEstimate:
-    mean = sum_x / samples
-    variance = max(sum_xx - samples * mean * mean, 0.0) / (samples - 1)
-    return McEstimate(mean, (variance / samples) ** 0.5, samples, seed)
-
-
-def mc_estimate(expr, samples: int, seed: int, chunk: int = DEFAULT_CHUNK) -> McEstimate:
+def mc_estimate(expr, samples: int, seed: int) -> McEstimate:
     """Monte Carlo mean and standard error of p(X) or of u(X)*v(X).
 
     ``expr`` is a Polynomial, or a pair (u, v) whose pointwise product is
     averaged.
     """
-    if samples < 2:
-        raise ValueError("need at least 2 samples")
     if isinstance(expr, Polynomial):
         polys = (expr,)
     else:
         u, v = expr
-        if u.arity != v.arity:
-            raise ValueError(f"arity mismatch: {u.arity} != {v.arity}")
         polys = (u, v)
-    sum_x = 0.0
-    sum_xx = 0.0
-    for block in gaussian_sample_chunks(polys[0].arity, samples, seed, chunk):
-        values = evaluate_float(polys[0], block)
-        if len(polys) == 2:
-            values = values * evaluate_float(polys[1], block)
-        sum_x += float(values.sum())
-        sum_xx += float((values * values).sum())
-    return _summarize(sum_x, sum_xx, samples, seed)
-
-
-def sublevel_probability_mc(
-    p: Polynomial, k: float, samples: int, seed: int, chunk: int = DEFAULT_CHUNK
-) -> McEstimate:
-    """Monte Carlo estimate of P(p(Y) <= k) for Y ~ N(0, I)."""
-    if samples < 2:
-        raise ValueError("need at least 2 samples")
-    sum_x = 0.0
-    for block in gaussian_sample_chunks(p.arity, samples, seed, chunk):
-        sum_x += float((evaluate_float(p, block) <= k).sum())
-    # indicator variables: the sum of squares equals the sum
-    return _summarize(sum_x, sum_x, samples, seed)
+    values = sample_values(polys, samples, seed).prod(axis=0)
+    mean = float(values.sum()) / samples
+    sum_squares = float((values * values).sum())
+    variance = max(sum_squares - samples * mean * mean, 0.0) / (samples - 1)
+    return McEstimate(mean, (variance / samples) ** 0.5, samples, seed)

@@ -31,9 +31,7 @@ __all__ = [
     "Polynomial",
     "PolynomialSyntaxError",
     "RationalMatrix",
-    "combine",
     "compose_linear",
-    "directional_derivative",
     "evaluate",
     "evaluate_float",
     "from_json",
@@ -41,7 +39,6 @@ __all__ = [
     "parse_expression",
     "partial_derivative",
     "restrict_line",
-    "symmetry_defect",
     "to_expression",
     "to_json",
 ]
@@ -174,15 +171,6 @@ class Polynomial:
         return to_expression(self)
 
 
-def combine(p: Polynomial, q: Polynomial, op: str) -> Polynomial:
-    """Exact sum or product of two polynomials of equal arity."""
-    if op == "add":
-        return p + q
-    if op == "mul":
-        return p * q
-    raise ValueError(f"unknown operation {op!r}; expected 'add' or 'mul'")
-
-
 def evaluate(p: Polynomial, point: Sequence) -> Fraction:
     """Exact value of p at a rational point."""
     if len(point) != p.arity:
@@ -263,18 +251,6 @@ def partial_derivative(p: Polynomial, index: int) -> Polynomial:
             e[i] = k - 1
             out[tuple(e)] = coeff * k
     return Polynomial(p.arity, out)
-
-
-def directional_derivative(p: Polynomial, direction: Sequence) -> Polynomial:
-    """Exact derivative of p along a constant direction vector."""
-    if len(direction) != p.arity:
-        raise ValueError("direction length must equal the arity")
-    out = Polynomial.zero(p.arity)
-    for i, x in enumerate(direction, start=1):
-        v, _ = _as_fraction(x)
-        if v:
-            out = out + v * partial_derivative(p, i)
-    return out
 
 
 @dataclass(frozen=True)
@@ -371,11 +347,6 @@ def is_symmetric(p: Polynomial) -> bool:
     negating the point flips exactly the odd-degree terms.
     """
     return all(sum(e) % 2 == 0 for e in p.terms)
-
-
-def symmetry_defect(p: Polynomial) -> float:
-    """Largest |coefficient| among odd-total-degree terms (0.0 if none)."""
-    return max((abs(float(c)) for e, c in p.terms.items() if sum(e) % 2), default=0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -46,7 +46,6 @@ __all__ = [
     "QcVerdict",
     "QcWitness",
     "RayClass",
-    "check_translation_invariance",
     "classify_ray",
     "invariance_subspace",
     "qc_falsify",
@@ -60,6 +59,11 @@ CERTIFIED_CONVEX_QUADRATIC = "certified_convex_quadratic"
 CASE_A = "A"  # eventually increasing, diverges at +infinity
 CASE_B = "B"  # eventually increasing toward the left, diverges at -infinity
 CASE_CONST = "CONST"
+
+# the falsifier samples points with entries in [-POINT_BOUND, POINT_BOUND]
+# and denominators at most POINT_MAX_DENOMINATOR
+POINT_BOUND = 4
+POINT_MAX_DENOMINATOR = 16
 
 
 @dataclass(frozen=True)
@@ -103,14 +107,10 @@ class QcVerdict:
         }
 
 
-def _random_ratio(rng: random.Random, bound: int, max_denominator: int) -> tuple[int, int]:
-    """Numerator and denominator of a random rational in [-bound, bound]."""
-    denominator = rng.randint(1, max_denominator)
-    return rng.randint(-bound * denominator, bound * denominator), denominator
-
-
-def _random_fraction(rng: random.Random, bound: int, max_denominator: int) -> Fraction:
-    return Fraction(*_random_ratio(rng, bound, max_denominator))
+def _random_ratio(rng: random.Random) -> tuple[int, int]:
+    """Numerator and denominator of a random rational in [-POINT_BOUND, POINT_BOUND]."""
+    denominator = rng.randint(1, POINT_MAX_DENOMINATOR)
+    return rng.randint(-POINT_BOUND * denominator, POINT_BOUND * denominator), denominator
 
 
 def _combination(x, y, alpha: Fraction) -> tuple[Fraction, ...]:
@@ -160,22 +160,17 @@ def _quadratic_witness(p: Polynomial, direction: Sequence[Fraction]) -> QcWitnes
         s *= 2
 
 
-def qc_falsify(
-    p: Polynomial,
-    trials: int,
-    seed: int,
-    bound: int = 4,
-    max_denominator: int = 16,
-) -> QcVerdict:
+def qc_falsify(p: Polynomial, trials: int, seed: int) -> QcVerdict:
     """Search for a quasi-convexity violation of p.
 
-    Sample points have entries in [-bound, bound] with denominators at
-    most ``max_denominator``.  Each trial is screened in float with a
-    forward error bound and confirmed in exact arithmetic unless the
-    screen proves it is no violation, so the verdict is exact.  For
-    total degree <= 2 the answer is decided exactly instead of sampled:
-    the quadratic form is either positive semidefinite (certificate) or
-    it supplies a concave direction from which a witness is built.
+    Sample points have entries in [-POINT_BOUND, POINT_BOUND] with
+    denominators at most ``POINT_MAX_DENOMINATOR``.  Each trial is
+    screened in float with a forward error bound and confirmed in exact
+    arithmetic unless the screen proves it is no violation, so the
+    verdict is exact.  For total degree <= 2 the answer is decided
+    exactly instead of sampled: the quadratic form is either positive
+    semidefinite (certificate) or it supplies a concave direction from
+    which a witness is built.
     """
     if trials < 1:
         raise ValueError("trials must be positive")
@@ -184,7 +179,7 @@ def qc_falsify(
         if violation is None:
             return QcVerdict(CERTIFIED_CONVEX_QUADRATIC, None, 0, seed)
         return QcVerdict(FALSIFIED, _quadratic_witness(p, violation), 0, seed)
-    return _sample_violation(p, trials, seed, bound, max_denominator)
+    return _sample_violation(p, trials, seed)
 
 
 # Float screen of a sampled trial.
@@ -215,8 +210,8 @@ def qc_falsify(
 # likewise with y.  Any other trial, including one whose screen values
 # are not finite, is confirmed exactly.  The relative error model needs
 # every coefficient, power, partial product and sum to stay normal:
-# nonzero coordinates lie between 1/max_denominator**3 (a midpoint's
-# denominator divides d*dx*dy) and bound in magnitude, and when these
+# nonzero coordinates lie between 1/POINT_MAX_DENOMINATOR**3 (a midpoint's
+# denominator divides d*dx*dy) and POINT_BOUND in magnitude, and when these
 # extremes can leave [2**-1000, 2**1000] no trial is screened.
 
 _UNIT_ROUNDOFF = 2.0**-53
@@ -227,12 +222,12 @@ _NORMAL_RANGE = (Fraction(1, 2**1000), Fraction(2**1000))
 _Screen = tuple[list[tuple[float, tuple[tuple[int, int], ...]]], list[int], float]
 
 
-def _screen(p: Polynomial, bound: int, max_denominator: int) -> Optional[_Screen]:
+def _screen(p: Polynomial) -> Optional[_Screen]:
     """Float form of p for the screen, or None when every trial must be confirmed exactly."""
     degree = p.total_degree()
     magnitudes = [abs(c) for c in p.terms.values()]
-    smallest = min(min(magnitudes), 1) / Fraction(max_denominator) ** (3 * degree)
-    largest = max(max(magnitudes), 1) * len(magnitudes) * Fraction(max(bound, 1)) ** degree
+    smallest = min(min(magnitudes), 1) / Fraction(POINT_MAX_DENOMINATOR) ** (3 * degree)
+    largest = max(max(magnitudes), 1) * len(magnitudes) * Fraction(POINT_BOUND) ** degree
     low, high = _NORMAL_RANGE
     if smallest < low or largest > high:
         return None
@@ -281,16 +276,14 @@ def _screened_out(screen: _Screen, x, y, a: int, d: int) -> bool:
     return h_y - h_mid > gamma * m_y + gamma * m_mid
 
 
-def _sample_violation(
-    p: Polynomial, trials: int, seed: int, bound: int, max_denominator: int
-) -> QcVerdict:
+def _sample_violation(p: Polynomial, trials: int, seed: int) -> QcVerdict:
     """The sampled search: trials in order, float-screened, confirmed exactly."""
-    screen = _screen(p, bound, max_denominator)
+    screen = _screen(p)
     rng = random.Random(seed)
     for trial in range(1, trials + 1):
-        x = [_random_ratio(rng, bound, max_denominator) for _ in range(p.arity)]
-        y = [_random_ratio(rng, bound, max_denominator) for _ in range(p.arity)]
-        d = rng.randint(2, max_denominator)
+        x = [_random_ratio(rng) for _ in range(p.arity)]
+        y = [_random_ratio(rng) for _ in range(p.arity)]
+        d = rng.randint(2, POINT_MAX_DENOMINATOR)
         a = rng.randint(1, d - 1)
         if screen is not None and _screened_out(screen, x, y, a, d):
             continue
@@ -405,25 +398,3 @@ def ray_constant(p: Polynomial, direction: Sequence) -> bool:
     origin = (Fraction(0),) * p.arity
     return restrict_line(p, origin, direction).is_zero
 
-
-def check_translation_invariance(
-    p: Polynomial,
-    direction: Sequence,
-    trials: int,
-    seed: int = 0,
-    bound: int = 4,
-    max_denominator: int = 16,
-) -> bool:
-    """True iff p(b + t*v) is constant in t for ``trials`` random base points b.
-
-    Each check is exact: the restriction must have no term of degree >= 1.
-    """
-    if len(direction) != p.arity:
-        raise ValueError("direction length must equal the arity")
-    rng = random.Random(seed)
-    for _ in range(trials):
-        base = [_random_fraction(rng, bound, max_denominator) for _ in range(p.arity)]
-        line = restrict_line(p, base, direction)
-        if any(e[0] >= 1 for e in line.terms):
-            return False
-    return True

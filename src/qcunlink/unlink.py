@@ -48,12 +48,7 @@ import numpy as np
 
 from .errors import InvariantViolation
 from .exactla import Subspace, intersect, orthogonal_complement, orthonormalize_nested, subspace_sum
-from .gaussmeasure import (
-    DEFAULT_CHUNK,
-    covariance,
-    gaussian_sample_chunks,
-    partial_expectation,
-)
+from .gaussmeasure import covariance, partial_expectation, sample_values
 from .polyalg import (
     Polynomial,
     compose_linear,
@@ -96,6 +91,10 @@ VERDICT_CONTRADICTION = "theorem_contradiction_witness"
 # largest entry of |Q'Q - I| accepted for the float transform
 TOL_ORTHO = 1e-10
 
+# divergence_check evaluates at this many geometric scales from 1 to the maximum
+DIVERGENCE_STEPS = 200
+DIVERGENCE_LAMBDA_MAX = 1e6
+
 
 class HypothesisFalsified(Exception):
     """A hard hypothesis (symmetry or quasi-convexity) fails for an input.
@@ -123,18 +122,13 @@ class ConcordanceReport:
 
     ``overlap`` is (I_u complement) intersected with I_v; ``perp_sum`` is
     the sum of the two complements.  The counts satisfy
-    r = dim_inv_u_perp - t and r + t + m = dim(perp_sum).
+    r = dim(inv_u_perp) - t and r + t + m = dim(perp_sum).
     """
 
     n: int
     r: int
     t: int
     m: int
-    dim_inv_u: int
-    dim_inv_v: int
-    dim_inv_u_perp: int
-    dim_overlap: int
-    dim_perp_sum: int
     inv_u: Subspace
     inv_v: Subspace
     inv_u_perp: Subspace
@@ -147,11 +141,11 @@ class ConcordanceReport:
             "r": self.r,
             "t": self.t,
             "m": self.m,
-            "dim_inv_u": self.dim_inv_u,
-            "dim_inv_v": self.dim_inv_v,
-            "dim_inv_u_perp": self.dim_inv_u_perp,
-            "dim_overlap": self.dim_overlap,
-            "dim_perp_sum": self.dim_perp_sum,
+            "dim_inv_u": self.inv_u.dimension,
+            "dim_inv_v": self.inv_v.dimension,
+            "dim_inv_u_perp": self.inv_u_perp.dimension,
+            "dim_overlap": self.overlap.dimension,
+            "dim_perp_sum": self.perp_sum.dimension,
             "bases": {
                 "inv_u": self.inv_u.to_json(),
                 "inv_v": self.inv_v.to_json(),
@@ -190,11 +184,6 @@ def concordance(u: Polynomial, v: Polynomial) -> ConcordanceReport:
         r=r,
         t=t,
         m=m,
-        dim_inv_u=inv_u.dimension,
-        dim_inv_v=inv_v.dimension,
-        dim_inv_u_perp=inv_u_perp.dimension,
-        dim_overlap=t,
-        dim_perp_sum=perp_sum.dimension,
         inv_u=inv_u,
         inv_v=inv_v,
         inv_u_perp=inv_u_perp,
@@ -231,7 +220,7 @@ class OrthogonalTransform:
 
     def orthogonality_error(self) -> float:
         q = self.matrix
-        return float(np.max(np.abs(q.T @ q - np.eye(q.shape[0]))))
+        return float(np.max(np.abs(q.T @ q - np.eye(q.shape[0])), initial=0.0))
 
 
 def build_transform(report: ConcordanceReport) -> OrthogonalTransform:
@@ -385,8 +374,6 @@ class UnlinkResult:
 class UnlinkConfig:
     seed: int = 42
     qc_trials: int = 10_000
-    qc_bound: int = 4
-    qc_max_denominator: int = 16
 
 
 def unlink_decision(
@@ -413,10 +400,10 @@ def unlink_decision(
     if not symmetry_v:
         raise HypothesisFalsified("v", "symmetry", _asymmetry_witness(v0))
 
-    qc_u = qc_falsify(u0, config.qc_trials, config.seed, config.qc_bound, config.qc_max_denominator)
+    qc_u = qc_falsify(u0, config.qc_trials, config.seed)
     if qc_u.falsified:
         raise HypothesisFalsified("u", "quasi-convexity", qc_u.to_json())
-    qc_v = qc_falsify(v0, config.qc_trials, config.seed, config.qc_bound, config.qc_max_denominator)
+    qc_v = qc_falsify(v0, config.qc_trials, config.seed)
     if qc_v.falsified:
         raise HypothesisFalsified("v", "quasi-convexity", qc_v.to_json())
 
@@ -439,20 +426,6 @@ def unlink_decision(
 # ---------------------------------------------------------------------------
 # Numerical spot-checks
 # ---------------------------------------------------------------------------
-
-
-def _sample_values(
-    u: Polynomial, v: Polynomial, samples: int, seed: int, chunk: int = DEFAULT_CHUNK
-) -> tuple[np.ndarray, np.ndarray]:
-    su = np.empty(samples)
-    sv = np.empty(samples)
-    done = 0
-    for block in gaussian_sample_chunks(u.arity, samples, seed, chunk):
-        m = block.shape[0]
-        su[done : done + m] = evaluate_float(u, block)
-        sv[done : done + m] = evaluate_float(v, block)
-        done += m
-    return su, sv
 
 
 @dataclass(frozen=True)
@@ -492,13 +465,7 @@ def correlation_spotcheck(
     the product; the check passes when lhs >= rhs - 4 * combined stderr.
     All three probabilities are estimated from one shared sample set.
     """
-    if u_star.arity != v_star.arity:
-        raise ValueError(f"arity mismatch: {u_star.arity} != {v_star.arity}")
-    if u_star.arity < 1:
-        raise ValueError("spot-check needs at least one coordinate")
-    if samples < 2:
-        raise ValueError("need at least 2 samples")
-    su, sv = _sample_values(u_star, v_star, samples, seed)
+    su, sv = sample_values((u_star, v_star), samples, seed)
     in_a = su <= k1
     in_b = sv <= k2
     pa = float(in_a.mean())
@@ -581,14 +548,10 @@ def covariance_integral_check(
     is that of the direct Monte Carlo covariance estimator on the same
     samples (the two estimators target the same quantity).
     """
-    if u_star.arity != v_star.arity:
-        raise ValueError(f"arity mismatch: {u_star.arity} != {v_star.arity}")
     if u_star.arity not in (1, 2):
         raise ValueError("integral check supports arity 1 or 2 only")
-    if samples < 2:
-        raise ValueError("need at least 2 samples")
+    su, sv = sample_values((u_star, v_star), samples, seed)
     exact = covariance(u_star, v_star)
-    su, sv = _sample_values(u_star, v_star, samples, seed)
     if float(su.min()) < -1e-12 or float(sv.min()) < -1e-12:
         raise ValueError("negative sample value: inputs must be nonnegative polynomials")
 
@@ -614,27 +577,21 @@ def covariance_integral_check(
     return IntegralCheck(exact, estimate, stderr, passed, samples, seed)
 
 
-def divergence_check(
-    u_star: Polynomial,
-    y_star: Sequence[float],
-    lambda_max: float = 1e6,
-    steps: int = 200,
-) -> bool:
+def divergence_check(u_star: Polynomial, y_star: Sequence[float]) -> bool:
     """Sampled divergence of t -> u*(t * y) along a fixed nonzero direction.
 
-    Evaluates at ``steps`` geometric points from 1 to ``lambda_max`` and
-    requires the values to be strictly increasing over the last quarter
-    of the points and to end more than 1e3 above the starting value.
+    Evaluates at ``DIVERGENCE_STEPS`` geometric scales from 1 to
+    ``DIVERGENCE_LAMBDA_MAX`` and requires the values to be strictly
+    increasing over the last quarter of the points and to end more than
+    1e3 above the starting value.
     """
     direction = np.asarray(y_star, dtype=float)
     if direction.ndim != 1 or direction.shape[0] != u_star.arity:
         raise ValueError("direction length must equal the arity")
     if not np.any(direction):
         raise ValueError("direction must be nonzero")
-    if steps < 4:
-        raise ValueError("need at least 4 sample points")
-    scales = np.geomspace(1.0, lambda_max, steps)
+    scales = np.geomspace(1.0, DIVERGENCE_LAMBDA_MAX, DIVERGENCE_STEPS)
     values = evaluate_float(u_star, scales[:, None] * direction[None, :])
-    tail = max(2, steps // 4)
+    tail = DIVERGENCE_STEPS // 4
     increasing = bool(np.all(np.diff(values[-tail:]) > 0))
     return bool(increasing and values[-1] > values[0] + 1e3)

@@ -81,6 +81,21 @@ def test_exit_0_unlink_scaled_rotated_pair(capsys, tmp_path):
     assert (report["r"], report["t"], report["m"]) == (0, 2, 2)
 
 
+def test_exit_0_unlink_arity_zero(capsys, tmp_path):
+    # constants in no variables are trivially unlinked by the empty transform
+    paths = []
+    for name, text in (("u", "3"), ("v", "0")):
+        path = tmp_path / f"{name}.poly"
+        path.write_text(f"n=0\n{text}\n")
+        paths.append(str(path))
+    code, report, err = run_json(capsys, "unlink", "--u", paths[0], "--v", paths[1])
+    assert code == 0, err
+    assert report["verdict"] == "unlinked"
+    assert (report["r"], report["t"], report["m"]) == (0, 0, 0)
+    assert report["transform"] == []
+    assert (report["u_block"], report["v_block"]) == ([], [])
+
+
 def test_exit_2_syntax_error(capsys):
     code, out, err = run(capsys, "check", "--p", str(FIXTURES / "broken" / "bad_syntax.poly"))
     assert code == 2
@@ -126,6 +141,30 @@ def test_exit_2_invalid_seed(capsys):
     )
     assert code == 2
     assert "positive" in err
+
+
+@pytest.mark.parametrize(
+    "u, samples",
+    [
+        ("x1^2", "1"),  # no variance estimate from one sample
+        ("x1^400", "1000"),  # the sampled values overflow float64
+    ],
+)
+def test_exit_2_cov_mc_unreportable_estimate(capsys, tmp_path, u, samples):
+    paths = []
+    for name, text in (("u", u), ("v", "x1^2")):
+        path = tmp_path / f"{name}.poly"
+        path.write_text(f"n=1\n{text}\n")
+        paths.append(str(path))
+    argv = ["cov", "--u", paths[0], "--v", paths[1], "--mc", "--mc-samples", samples]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert "qcunlink: error:" in err and "Traceback" not in err
+    target = tmp_path / "report.json"
+    code, out, err = run(capsys, *argv, "--out", str(target))
+    assert (code, out) == (2, "")
+    assert "qcunlink: error:" in err
+    assert not target.exists()
 
 
 def test_exit_3_check_concave_input(capsys):
@@ -365,6 +404,19 @@ def test_out_flag_writes_file(capsys, tmp_path):
     assert code == 0
     assert out == ""
     assert json.loads(target.read_text())["cov_exact"] == "2"
+
+
+def test_exit_2_unwritable_out_path(capsys, tmp_path):
+    target = tmp_path / "missing" / "report.json"
+    code, out, err = run(
+        capsys,
+        "cov",
+        "--u", str(FIXTURES / "square.poly"),
+        "--v", str(FIXTURES / "square_sum.poly"),
+        "--out", str(target),
+    )
+    assert (code, out) == (2, "")
+    assert "qcunlink: error:" in err and "Traceback" not in err
 
 
 def test_env_seed_is_used(capsys, monkeypatch):

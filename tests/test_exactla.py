@@ -133,6 +133,14 @@ def test_orthonormalize_zero_chain():
     assert orthogonality_error(q) <= 1e-10
 
 
+@pytest.mark.parametrize("ambient", [0, 1, 3])
+def test_orthonormalize_shape_is_square(ambient):
+    for chain in ([], [Subspace.zero(ambient)], [Subspace.full(ambient)]):
+        q, columns = orthonormalize_nested(chain, ambient)
+        assert q.shape == (ambient, ambient)
+        assert len(columns) == ambient
+
+
 def test_orthonormalize_two_element_chain():
     chain = [span([(0, 0, 1)], 3), span([(0, 0, 1), (1, 1, 0)], 3)]
     q, _ = orthonormalize_nested(chain, 3)

@@ -5,26 +5,25 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qcunlink.gaussmeasure import (
-    MomentTable,
     covariance,
     expectation,
     gaussian_moment,
+    gaussian_sample_chunks,
     mc_estimate,
     partial_expectation,
-    sublevel_probability_mc,
+    sample_values,
 )
-from qcunlink.polyalg import Polynomial
+from qcunlink.polyalg import Polynomial, evaluate_float
 
 from corpus import P
 
 
 def double_factorial_oracle(order: int) -> int:
-    # product of odd numbers down from order-1; independent of the table
+    # product of odd numbers down from order-1; independent of gaussian_moment
     result = 1
     for k in range(1, order, 2):
         result *= k
@@ -37,17 +36,17 @@ def double_factorial_oracle(order: int) -> int:
 
 
 def test_moment_table_matches_double_factorial():
-    table = MomentTable()
     for m in range(0, 9):
-        assert table.moment(2 * m) == double_factorial_oracle(2 * m)
-        assert table.moment(2 * m + 1) == 0
+        assert gaussian_moment(2 * m) == double_factorial_oracle(2 * m)
+        assert gaussian_moment(2 * m + 1) == 0
 
 
 def test_moment_recurrence():
-    table = MomentTable()
-    assert table.moment(0) == 1
+    assert gaussian_moment(0) == 1
     for m in range(1, 8):
-        assert table.moment(2 * m) == (2 * m - 1) * table.moment(2 * m - 2)
+        assert gaussian_moment(2 * m) == (2 * m - 1) * gaussian_moment(2 * m - 2)
+    # a high order is computed without recursion on the order
+    assert gaussian_moment(6000) == 5999 * gaussian_moment(5998)
 
 
 def test_moment_negative_order_rejected():
@@ -117,6 +116,27 @@ def test_partial_expectation_index_out_of_range():
 # ---------------------------------------------------------------------------
 
 
+def test_sample_values_rows_are_values_at_shared_draws():
+    u, v = P("x1^2 + x2", 2), P("x1*x2^3 - 1/3", 2)
+    samples = 70_000  # more than one block of draws
+    values = sample_values((u, v), samples, seed=3)
+    assert values.shape == (2, samples)
+    draws = np.concatenate(list(gaussian_sample_chunks(2, samples, 3)))
+    assert draws.shape == (samples, 2)
+    assert np.array_equal(values[0], evaluate_float(u, draws))
+    assert np.array_equal(values[1], evaluate_float(v, draws))
+    assert np.array_equal(sample_values((v,), samples, seed=3)[0], values[1])
+
+
+def test_sample_values_rejects_bad_inputs():
+    with pytest.raises(ValueError, match="at least 2 samples"):
+        sample_values((P("x1", 1),), 1, seed=1)
+    with pytest.raises(ValueError, match="arity mismatch"):
+        sample_values((P("x1", 1), P("x1", 2)), 10, seed=1)
+    with pytest.raises(ValueError, match="at least one coordinate"):
+        sample_values((Polynomial.zero(0),), 10, seed=1)
+
+
 def test_mc_estimate_unit_variance():
     estimate = mc_estimate(P("x1^2", 1), 200_000, seed=42)
     assert abs(estimate.mean - 1.0) <= 4 * estimate.standard_error
@@ -125,10 +145,10 @@ def test_mc_estimate_unit_variance():
 
 
 def test_mc_estimate_rejects_tiny_sample_counts():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="at least 2 samples"):
         mc_estimate(P("x1", 1), 1, seed=1)
-    with pytest.raises(ValueError):
-        sublevel_probability_mc(P("x1", 1), 0.0, 1, seed=1)
+    with pytest.raises(ValueError, match="at least 2 samples"):
+        mc_estimate((P("x1", 1), P("x1^2", 1)), 1, seed=1)
 
 
 def test_mc_estimate_bit_reproducible():
@@ -137,19 +157,6 @@ def test_mc_estimate_bit_reproducible():
     assert (a.mean, a.standard_error) == (b.mean, b.standard_error)
     c = mc_estimate(P("x1^4 - x1^2", 1), 70_000, seed=10)
     assert (a.mean, a.standard_error) != (c.mean, c.standard_error)
-
-
-def test_sublevel_probability_chi_square_median():
-    median = scipy.stats.chi2.ppf(0.5, df=1)  # about 0.4549
-    estimate = sublevel_probability_mc(P("x1^2", 1), median, 200_000, seed=42)
-    assert abs(estimate.mean - 0.5) <= 4 * estimate.standard_error
-
-
-def test_sublevel_probability_edge_cases():
-    below = sublevel_probability_mc(P("x1^2", 1), -1.0, 10_000, seed=1)
-    assert below.mean == 0.0
-    always = sublevel_probability_mc(Polynomial.zero(1), 0.0, 10_000, seed=1)
-    assert always.mean == 1.0
 
 
 # ---------------------------------------------------------------------------

@@ -11,15 +11,13 @@ from qcunlink.polyalg import (
     Polynomial,
     PolynomialSyntaxError,
     RationalMatrix,
-    combine,
     compose_linear,
-    directional_derivative,
     evaluate,
     evaluate_float,
     is_symmetric,
     parse_expression,
+    partial_derivative,
     restrict_line,
-    symmetry_defect,
     to_expression,
     to_json,
     from_json,
@@ -27,6 +25,15 @@ from qcunlink.polyalg import (
 from qcunlink.polyalg import _tokenize
 
 from corpus import P
+
+
+def directional_derivative(p, direction):
+    """Derivative of p along a constant direction: sum_i direction_i * dp/dx_i."""
+    out = Polynomial.zero(p.arity)
+    for i, x in enumerate(direction, start=1):
+        if x:
+            out = out + Fraction(x) * partial_derivative(p, i)
+    return out
 
 
 def uni(coeffs: dict[int, object]) -> Polynomial:
@@ -96,17 +103,17 @@ def test_parse_rejects_trailing_garbage():
 
 def test_combine_add_cancellation():
     p = P("x1^2", 2)
-    assert combine(p, -p, "add").is_zero
+    assert (p + -p).is_zero
 
 
 def test_combine_mul_difference_of_squares():
-    product = combine(P("x1 + x2", 2), P("x1 - x2", 2), "mul")
+    product = P("x1 + x2", 2) * P("x1 - x2", 2)
     assert product == P("x1^2 - x2^2", 2)
 
 
 def test_combine_mul_squared_pair():
     # ((x1+x2)^2) * ((x1-x2)^2) expands to x1^4 - 2 x1^2 x2^2 + x2^4
-    product = combine(P("x1^2 + 2*x1*x2 + x2^2", 2), P("x1^2 - 2*x1*x2 + x2^2", 2), "mul")
+    product = P("x1^2 + 2*x1*x2 + x2^2", 2) * P("x1^2 - 2*x1*x2 + x2^2", 2)
     assert product.terms == {(4, 0): 1, (2, 2): -2, (0, 4): 1}
 
 
@@ -122,12 +129,9 @@ def test_mul_agrees_with_pointwise_products():
 
 def test_combine_arity_mismatch():
     with pytest.raises(ValueError, match="arity"):
-        combine(P("x1", 1), P("x1", 2), "add")
-
-
-def test_combine_unknown_op():
-    with pytest.raises(ValueError, match="unknown operation"):
-        combine(P("x1", 1), P("x1", 1), "sub")
+        P("x1", 1) + P("x1", 2)
+    with pytest.raises(ValueError, match="arity"):
+        P("x1", 1) * P("x1", 2)
 
 
 def test_evaluate_examples():
@@ -227,11 +231,6 @@ def test_is_symmetric_examples():
     assert is_symmetric(P("x1^2 + x1*x2", 2))
     assert not is_symmetric(P("x1^3", 1))
     assert is_symmetric(Polynomial.zero(2))
-
-
-def test_symmetry_defect():
-    assert symmetry_defect(P("x1^2", 1)) == 0.0
-    assert symmetry_defect(P("x1^2 + 1/4*x1", 1)) == 0.25
 
 
 # ---------------------------------------------------------------------------

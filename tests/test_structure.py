@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from qcunlink import structure
 from qcunlink.errors import InvariantViolation
 from qcunlink.exactla import Subspace
-from qcunlink.polyalg import Polynomial, evaluate
+from qcunlink.polyalg import Polynomial, evaluate, restrict_line
 from qcunlink.structure import (
     CASE_A,
     CASE_B,
@@ -24,7 +24,6 @@ from qcunlink.structure import (
     NOT_FALSIFIED,
     QcVerdict,
     QcWitness,
-    check_translation_invariance,
     classify_ray,
     invariance_subspace,
     qc_falsify,
@@ -41,7 +40,11 @@ def exact_violation(p, witness):
     return evaluate(p, mid) - max(evaluate(p, witness.x), evaluate(p, witness.y))
 
 
-def exact_reference_falsify(p, trials, seed, bound=4, max_denominator=16):
+def random_fraction(rng):
+    return Fraction(*structure._random_ratio(rng))
+
+
+def exact_reference_falsify(p, trials, seed):
     """Reference oracle for the sampled falsifier: every trial checked exactly.
 
     Draws the same random stream as ``qc_falsify`` and accepts the first
@@ -49,15 +52,32 @@ def exact_reference_falsify(p, trials, seed, bound=4, max_denominator=16):
     """
     rng = random.Random(seed)
     for trial in range(1, trials + 1):
-        x = [structure._random_fraction(rng, bound, max_denominator) for _ in range(p.arity)]
-        y = [structure._random_fraction(rng, bound, max_denominator) for _ in range(p.arity)]
-        d = rng.randint(2, max_denominator)
+        x = [random_fraction(rng) for _ in range(p.arity)]
+        y = [random_fraction(rng) for _ in range(p.arity)]
+        d = rng.randint(2, structure.POINT_MAX_DENOMINATOR)
         alpha = Fraction(rng.randint(1, d - 1), d)
         mid = [alpha * a + (1 - alpha) * b for a, b in zip(x, y)]
         px, py, pmid = evaluate(p, x), evaluate(p, y), evaluate(p, mid)
         if pmid > max(px, py):
             return QcVerdict(FALSIFIED, QcWitness(tuple(x), tuple(y), alpha, (px, py, pmid)), trial, seed)
     return QcVerdict(NOT_FALSIFIED, None, trials, seed)
+
+
+def check_translation_invariance(p, direction, trials, seed=0):
+    """True iff p(b + t*v) is constant in t for ``trials`` random base points b.
+
+    Each check is exact: the restriction must have no term of degree >= 1.
+    Base points come from the falsifier's point sampler.
+    """
+    if len(direction) != p.arity:
+        raise ValueError("direction length must equal the arity")
+    rng = random.Random(seed)
+    for _ in range(trials):
+        base = [random_fraction(rng) for _ in range(p.arity)]
+        line = restrict_line(p, base, direction)
+        if any(e[0] >= 1 for e in line.terms):
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -148,7 +168,7 @@ def test_falsify_rejects_nonpositive_trials():
 )
 def test_screened_trials_match_exact_reference_on_corpus(p, seed):
     # the sampled loop itself, also on the quadratics that qc_falsify decides exactly
-    assert structure._sample_violation(p, 300, seed, 4, 16) == exact_reference_falsify(p, 300, seed)
+    assert structure._sample_violation(p, 300, seed) == exact_reference_falsify(p, 300, seed)
 
 
 def test_screen_skips_most_trials_of_a_convex_input(monkeypatch):
@@ -168,7 +188,7 @@ def test_screen_skips_most_trials_of_a_convex_input(monkeypatch):
 def test_screen_off_outside_normal_range_still_exact():
     # coefficients far below the float range: every trial is confirmed exactly
     p = P("x1^4 + x2^4", 2) * Fraction(1, 2**1100)
-    assert structure._screen(p, 4, 16) is None
+    assert structure._screen(p) is None
     assert qc_falsify(p, 50, 3) == exact_reference_falsify(p, 50, 3)
     q = P("x1^2*x2^2", 2) * Fraction(1, 2**1100)
     assert qc_falsify(q, 300, 42) == exact_reference_falsify(q, 300, 42)

@@ -10,7 +10,7 @@ import scipy.stats
 
 from qcunlink.exactla import Subspace
 from qcunlink.gaussmeasure import covariance, expectation
-from qcunlink.polyalg import Polynomial, compose_linear, symmetry_defect
+from qcunlink.polyalg import Polynomial, compose_linear, is_symmetric
 from qcunlink.unlink import (
     GridSpec,
     HypothesisFalsified,
@@ -74,7 +74,7 @@ def test_concordance_rotated_pair():
     report = concordance(ROT_U, ROT_V)
     assert report.inv_u.same_space(span([(1, -1)], 2))
     assert report.inv_v.same_space(span([(1, 1)], 2))
-    assert report.dim_inv_u_perp == 1
+    assert report.inv_u_perp.dimension == 1
     assert (report.r, report.t, report.m) == (0, 1, 1)
 
 
@@ -124,8 +124,8 @@ def test_concordance_counts_are_consistent():
         v = random_psd_quadratic(rng, arity)
         report = concordance(u, v)
         assert report.r >= 0 and report.t >= 0 and report.m >= 0
-        assert report.r == report.dim_inv_u_perp - report.dim_overlap
-        assert report.r + report.t + report.m == report.dim_perp_sum
+        assert report.r == report.inv_u_perp.dimension - report.overlap.dimension
+        assert report.r + report.t + report.m == report.perp_sum.dimension
 
 
 # ---------------------------------------------------------------------------
@@ -179,11 +179,11 @@ def test_build_transform_columns_span_declared_subspaces():
         report = concordance(u, v)
         transform = build_transform(report)
         r, t, m = report.r, report.t, report.m
-        if report.dim_inv_u_perp:
+        if report.inv_u_perp.dimension:
             assert block_span_residual(transform.matrix, range(r + t), report.inv_u_perp) <= 1e-9
         if t:
             assert block_span_residual(transform.matrix, range(r, r + t), report.overlap) <= 1e-9
-        if report.dim_perp_sum:
+        if report.perp_sum.dimension:
             assert block_span_residual(transform.matrix, range(r + t + m), report.perp_sum) <= 1e-9
 
 
@@ -232,8 +232,9 @@ def test_marginalized_outputs_are_symmetric():
     for u, v in pairs:
         transform = build_transform(concordance(u, v))
         u_star, v_star = marginalized_polys(u, v, transform)
-        assert symmetry_defect(u_star) <= 1e-9
-        assert symmetry_defect(v_star) <= 1e-9
+        # composition and marginalization keep every term's total-degree parity
+        assert is_symmetric(u_star)
+        assert is_symmetric(v_star)
 
 
 # ---------------------------------------------------------------------------
