@@ -60,7 +60,6 @@ from .unlink import (
     correlation_spotcheck,
     covariance_integral_check,
     divergence_check,
-    marginalized_polys,
     normalize_at_origin,
     unlink_decision,
     verify_unlinked,

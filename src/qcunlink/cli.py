@@ -209,9 +209,11 @@ def _cmd_cov(args) -> tuple[dict, int]:
 
 def _mc_covariance(u: Polynomial, v: Polynomial, samples: int, seed: int) -> dict:
     su, sv = gaussmeasure.sample_values((u, v), samples, seed)
-    centered = (su - su.mean()) * (sv - sv.mean())
-    estimate = float(centered.sum() / (samples - 1))
-    stderr = float(centered.std(ddof=1) / samples**0.5)
+    # an overflow leaves a non-finite estimate, which the report writer rejects
+    with np.errstate(over="ignore", invalid="ignore"):
+        centered = (su - su.mean()) * (sv - sv.mean())
+        estimate = float(centered.sum() / (samples - 1))
+        stderr = float(centered.std(ddof=1) / samples**0.5)
     return {
         "mean": estimate,
         "stderr": stderr,

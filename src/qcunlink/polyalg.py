@@ -2,10 +2,11 @@
 
 A polynomial in n variables x1..xn is stored sparsely as a mapping from
 exponent tuples (length n) to nonzero ``Fraction`` coefficients; the empty
-mapping is the zero polynomial.  All arithmetic is exact.  Floating-point
-inputs are allowed only in ``compose_linear`` and ``evaluate_float``; a
-float is converted to the exact binary rational it denotes, so even
-"float" results are carried without further rounding.
+mapping is the zero polynomial.  All arithmetic is exact.  Wherever a
+number is accepted (coefficients, points, directions, matrix entries), a
+float is read as the exact binary rational it denotes, so float inputs
+are carried without further rounding.  Only ``evaluate_float`` computes
+in floating point.
 
 Variables are numbered 1-based throughout the public API, matching the
 text syntax (``x1``, ``x2``, ...).  Exponent tuples are positional:
@@ -55,15 +56,14 @@ class PolynomialSyntaxError(ValueError):
         self.position = position
 
 
-def _as_fraction(value) -> tuple[Fraction, bool]:
-    """Convert a number to Fraction; the flag reports an inexact source."""
+def _as_fraction(value) -> Fraction:
+    """Convert a number to Fraction; a float becomes the binary rational it denotes."""
     if isinstance(value, Fraction):
-        return value, False
+        return value
     if isinstance(value, numbers.Integral):
-        return Fraction(int(value)), False
+        return Fraction(int(value))
     if isinstance(value, numbers.Real):
-        # float -> exact binary rational, no additional rounding
-        return Fraction(float(value)), True
+        return Fraction(float(value))
     raise TypeError(f"cannot interpret {value!r} as a rational number")
 
 
@@ -95,7 +95,7 @@ class Polynomial:
                 )
             if any(k < 0 for k in exponent):
                 raise ValueError(f"negative exponent in {exponent}")
-            coeff, _ = _as_fraction(coeff)
+            coeff = _as_fraction(coeff)
             if coeff:
                 canon[exponent] = coeff
         object.__setattr__(self, "terms", canon)
@@ -154,7 +154,7 @@ class Polynomial:
                     e = tuple(i + j for i, j in zip(ea, eb))
                     out[e] = out.get(e, Fraction(0)) + ca * cb
             return Polynomial(self.arity, out)
-        scalar, _ = _as_fraction(other)
+        scalar = _as_fraction(other)
         return Polynomial(self.arity, {e: c * scalar for e, c in self.terms.items()})
 
     __rmul__ = __mul__
@@ -175,7 +175,7 @@ def evaluate(p: Polynomial, point: Sequence) -> Fraction:
     """Exact value of p at a rational point."""
     if len(point) != p.arity:
         raise ValueError(f"point length {len(point)} != arity {p.arity}")
-    values = [_as_fraction(x)[0] for x in point]
+    values = [_as_fraction(x) for x in point]
     total = Fraction(0)
     for exponent, coeff in p.terms.items():
         term = coeff
@@ -209,6 +209,27 @@ def evaluate_float(p: Polynomial, points) -> np.ndarray | float:
     return float(acc[0]) if single else acc
 
 
+def _substitute(p: Polynomial, forms: Sequence[Polynomial], arity: int) -> Polynomial:
+    """p with each x_i replaced by forms[i] (of the given arity); each power is built once."""
+    powers: dict[tuple[int, int], Polynomial] = {}
+
+    def form_power(i: int, k: int) -> Polynomial:
+        key = (i, k)
+        if key not in powers:
+            powers[key] = forms[i] if k == 1 else form_power(i, k - 1) * forms[i]
+        return powers[key]
+
+    acc: dict[Exponent, Fraction] = {}
+    for exponent, coeff in p.terms.items():
+        term = Polynomial.constant(arity, coeff)
+        for i, k in enumerate(exponent):
+            if k:
+                term = term * form_power(i, k)
+        for e, c in term.terms.items():
+            acc[e] = acc.get(e, Fraction(0)) + c
+    return Polynomial(arity, acc)
+
+
 def restrict_line(p: Polynomial, base: Sequence, direction: Sequence) -> Polynomial:
     """The univariate polynomial t -> p(base + t * direction), exact.
 
@@ -216,26 +237,9 @@ def restrict_line(p: Polynomial, base: Sequence, direction: Sequence) -> Polynom
     """
     if len(base) != p.arity or len(direction) != p.arity:
         raise ValueError("base and direction must have length equal to the arity")
-    b = [_as_fraction(x)[0] for x in base]
-    v = [_as_fraction(x)[0] for x in direction]
     # x_i substituted by the degree<=1 polynomial b_i + t*v_i
-    lines = [Polynomial(1, {(0,): b_i, (1,): v_i}) for b_i, v_i in zip(b, v)]
-    powers: dict[tuple[int, int], Polynomial] = {}
-
-    def line_power(i: int, k: int) -> Polynomial:
-        key = (i, k)
-        if key not in powers:
-            powers[key] = lines[i] if k == 1 else line_power(i, k - 1) * lines[i]
-        return powers[key]
-
-    out = Polynomial.zero(1)
-    for exponent, coeff in p.terms.items():
-        term = Polynomial.constant(1, coeff)
-        for i, k in enumerate(exponent):
-            if k:
-                term = term * line_power(i, k)
-        out = out + term
-    return out
+    lines = [Polynomial(1, {(0,): b_i, (1,): v_i}) for b_i, v_i in zip(base, direction)]
+    return _substitute(p, lines, 1)
 
 
 def partial_derivative(p: Polynomial, index: int) -> Polynomial:
@@ -270,7 +274,7 @@ class RationalMatrix:
         for row in self.entries:
             if len(row) != self.cols:
                 raise ValueError("entry grid is not rectangular")
-            grid.append(tuple(_as_fraction(x)[0] for x in row))
+            grid.append(tuple(_as_fraction(x) for x in row))
         object.__setattr__(self, "entries", tuple(grid))
 
     @classmethod
@@ -280,64 +284,20 @@ class RationalMatrix:
         return cls(len(grid), cols, tuple(grid))
 
 
-def _matrix_entries(matrix, n: int) -> tuple[list[list[Fraction]], bool]:
-    """Read an n-by-n matrix of numbers; flag whether any entry was inexact."""
-    if isinstance(matrix, RationalMatrix):
-        if matrix.rows != n or matrix.cols != n:
-            raise ValueError(f"matrix must be {n}x{n}, got {matrix.rows}x{matrix.cols}")
-        return [list(row) for row in matrix.entries], False
-    if isinstance(matrix, np.ndarray):
-        rows = matrix.tolist()
-    else:
-        rows = [list(row) for row in matrix]
-    if len(rows) != n or any(len(row) != n for row in rows):
-        raise ValueError(f"matrix must be {n}x{n}")
-    inexact = False
-    grid = []
-    for row in rows:
-        out_row = []
-        for x in row:
-            value, was_float = _as_fraction(x)
-            inexact = inexact or was_float
-            out_row.append(value)
-        grid.append(out_row)
-    return grid, inexact
-
-
-_CLEANUP_THRESHOLD = Fraction(1, 10**12)
-
-
 def compose_linear(p: Polynomial, matrix) -> Polynomial:
-    """Coefficients of x -> p(M x) for a square matrix M.
+    """Coefficients of x -> p(M x) for a square matrix M, exact.
 
-    Rational matrices give an exact result.  Float entries are converted
-    to the exact binary rationals they denote and composed exactly; in
-    that case coefficients of magnitude <= 1e-12 are dropped afterwards
-    to restore sparsity.
+    ``matrix`` is a ``RationalMatrix`` or a nested sequence (or array) of
+    numbers; float entries are read as the binary rationals they denote,
+    so the result is the exact composition with that matrix.
     """
     n = p.arity
-    grid, inexact = _matrix_entries(matrix, n)
+    rows = [list(row) for row in (matrix.entries if isinstance(matrix, RationalMatrix) else matrix)]
+    if len(rows) != n or any(len(row) != n for row in rows):
+        raise ValueError(f"matrix must be {n}x{n}")
     # x_i becomes the linear form sum_j M[i][j] * y_j
-    forms = [Polynomial(n, {tuple(int(j == k) for k in range(n)): grid[i][j] for j in range(n)}) for i in range(n)]
-    powers: dict[tuple[int, int], Polynomial] = {}
-
-    def form_power(i: int, k: int) -> Polynomial:
-        key = (i, k)
-        if key not in powers:
-            powers[key] = forms[i] if k == 1 else form_power(i, k - 1) * forms[i]
-        return powers[key]
-
-    acc: dict[Exponent, Fraction] = {}
-    for exponent, coeff in p.terms.items():
-        term = Polynomial.constant(n, coeff)
-        for i, k in enumerate(exponent):
-            if k:
-                term = term * form_power(i, k)
-        for e, c in term.terms.items():
-            acc[e] = acc.get(e, Fraction(0)) + c
-    if inexact:
-        acc = {e: c for e, c in acc.items() if abs(c) > _CLEANUP_THRESHOLD}
-    return Polynomial(n, acc)
+    forms = [Polynomial(n, {tuple(int(j == k) for k in range(n)): x for j, x in enumerate(row)}) for row in rows]
+    return _substitute(p, forms, n)
 
 
 def is_symmetric(p: Polynomial) -> bool:

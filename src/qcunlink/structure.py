@@ -24,6 +24,7 @@ quasi-convex inputs the two coincide.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -349,15 +350,19 @@ def classify_ray(g: Polynomial) -> RayClass:
         cases.add(CASE_B)
     derivative = partial_derivative(g, 1)
     bound = _root_bound(derivative)
+    try:
+        threshold = float(bound)
+    except OverflowError:  # a bound beyond the float range reads as infinite
+        threshold = math.inf
     estimates: dict[str, float] = {}
     if CASE_A in cases:
         if any(evaluate(derivative, (bound + k,)) <= 0 for k in range(1, 51)):
             raise InvariantViolation("derivative sign unstable beyond the root bound (case A)")
-        estimates[CASE_A] = float(bound)
+        estimates[CASE_A] = threshold
     if CASE_B in cases:
         if any(evaluate(derivative, (-bound - k,)) >= 0 for k in range(1, 51)):
             raise InvariantViolation("derivative sign unstable beyond the root bound (case B)")
-        estimates[CASE_B] = float(-bound)
+        estimates[CASE_B] = -threshold
     return RayClass(frozenset(cases), estimates)
 
 

@@ -30,11 +30,11 @@ reported as a contradiction witness rather than an error: in practice it
 means quasi-convexity of an input was assumed but does not actually
 hold, and such inputs are worth surfacing.
 
-The module also carries the numerical spot-checks used to exercise the
-probabilistic identities behind the decision: sublevel-set correlation
+The module also carries the spot-checks used to exercise the identities
+behind the decision: two Monte Carlo checks, of sublevel-set correlation
 (which must be nonnegative for symmetric convex sets, by the Gaussian
-correlation inequality), the double-integral identity for the covariance
-of the marginalized pair, and pointwise divergence along rays.
+correlation inequality) and of the double-integral identity for the
+covariance of a pair, and an exact check of divergence along a ray.
 """
 
 from __future__ import annotations
@@ -48,16 +48,9 @@ import numpy as np
 
 from .errors import InvariantViolation
 from .exactla import Subspace, intersect, orthogonal_complement, orthonormalize_nested, subspace_sum
-from .gaussmeasure import covariance, partial_expectation, sample_values
-from .polyalg import (
-    Polynomial,
-    compose_linear,
-    evaluate,
-    evaluate_float,
-    is_symmetric,
-    partial_derivative,
-)
-from .structure import QcVerdict, invariance_subspace, qc_falsify
+from .gaussmeasure import covariance, sample_values
+from .polyalg import Polynomial, evaluate, is_symmetric, partial_derivative, restrict_line
+from .structure import CASE_A, QcVerdict, classify_ray, invariance_subspace, qc_falsify
 
 __all__ = [
     "ConcordanceReport",
@@ -78,7 +71,6 @@ __all__ = [
     "correlation_spotcheck",
     "covariance_integral_check",
     "divergence_check",
-    "marginalized_polys",
     "normalize_at_origin",
     "unlink_decision",
     "verify_unlinked",
@@ -90,10 +82,6 @@ VERDICT_CONTRADICTION = "theorem_contradiction_witness"
 
 # largest entry of |Q'Q - I| accepted for the float transform
 TOL_ORTHO = 1e-10
-
-# divergence_check evaluates at this many geometric scales from 1 to the maximum
-DIVERGENCE_STEPS = 200
-DIVERGENCE_LAMBDA_MAX = 1e6
 
 
 class HypothesisFalsified(Exception):
@@ -254,37 +242,6 @@ def build_transform(report: ConcordanceReport) -> OrthogonalTransform:
     if transform.orthogonality_error() > TOL_ORTHO:
         raise InvariantViolation("assembled transform is not orthonormal within tolerance")
     return transform
-
-
-def _reindex(p: Polynomial, keep: int) -> Polynomial:
-    """Shrink arity to the first ``keep`` variables; the rest must be absent."""
-    terms = {}
-    for exponent, coeff in p.terms.items():
-        if any(exponent[keep:]):
-            raise InvariantViolation("marginalized polynomial still uses a dropped variable")
-        terms[exponent[:keep]] = coeff
-    return Polynomial(keep, terms)
-
-
-def marginalized_polys(
-    u: Polynomial, v: Polynomial, transform: OrthogonalTransform
-) -> tuple[Polynomial, Polynomial]:
-    """Averages of u and v over all new coordinates beyond the first r.
-
-    Composes each polynomial with the transform and integrates out the
-    coordinates r+1..n, leaving polynomials in the first r coordinates
-    (constants when r = 0).  Coefficients may carry float rounding from
-    the transform; magnitudes at or below 1e-12 have been dropped by the
-    composition cleanup.
-    """
-    r = transform.r
-    n = transform.n
-    marginal = range(r + 1, n + 1)
-    composed_u = compose_linear(u, transform.matrix)
-    composed_v = compose_linear(v, transform.matrix)
-    u_star = _reindex(partial_expectation(composed_u, marginal), r)
-    v_star = _reindex(partial_expectation(composed_v, marginal), r)
-    return u_star, v_star
 
 
 def verify_unlinked(p: Polynomial, transform: OrthogonalTransform, forbidden) -> bool:
@@ -578,20 +535,16 @@ def covariance_integral_check(
 
 
 def divergence_check(u_star: Polynomial, y_star: Sequence[float]) -> bool:
-    """Sampled divergence of t -> u*(t * y) along a fixed nonzero direction.
+    """Whether t -> u*(t * y) eventually increases to +infinity, decided exactly.
 
-    Evaluates at ``DIVERGENCE_STEPS`` geometric scales from 1 to
-    ``DIVERGENCE_LAMBDA_MAX`` and requires the values to be strictly
-    increasing over the last quarter of the points and to end more than
-    1e3 above the starting value.
+    The direction must be nonzero and of length equal to the arity;
+    float entries are read as the binary rationals they denote.  True
+    iff the exact restriction to the ray is in case A of ``classify_ray``,
+    i.e. has positive leading coefficient, whatever the coefficients' scale.
     """
-    direction = np.asarray(y_star, dtype=float)
-    if direction.ndim != 1 or direction.shape[0] != u_star.arity:
+    if len(y_star) != u_star.arity:
         raise ValueError("direction length must equal the arity")
-    if not np.any(direction):
+    if not any(y_star):
         raise ValueError("direction must be nonzero")
-    scales = np.geomspace(1.0, DIVERGENCE_LAMBDA_MAX, DIVERGENCE_STEPS)
-    values = evaluate_float(u_star, scales[:, None] * direction[None, :])
-    tail = DIVERGENCE_STEPS // 4
-    increasing = bool(np.all(np.diff(values[-tail:]) > 0))
-    return bool(increasing and values[-1] > values[0] + 1e3)
+    ray = restrict_line(u_star, (0,) * u_star.arity, y_star)
+    return CASE_A in classify_ray(ray).cases

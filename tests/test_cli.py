@@ -159,11 +159,11 @@ def test_exit_2_cov_mc_unreportable_estimate(capsys, tmp_path, u, samples):
     argv = ["cov", "--u", paths[0], "--v", paths[1], "--mc", "--mc-samples", samples]
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
-    assert "qcunlink: error:" in err and "Traceback" not in err
+    assert err.startswith("qcunlink: error:") and err.count("\n") == 1
     target = tmp_path / "report.json"
     code, out, err = run(capsys, *argv, "--out", str(target))
     assert (code, out) == (2, "")
-    assert "qcunlink: error:" in err
+    assert err.startswith("qcunlink: error:") and err.count("\n") == 1
     assert not target.exists()
 
 

@@ -13,7 +13,6 @@ from qcunlink.polyalg import (
     RationalMatrix,
     compose_linear,
     evaluate,
-    evaluate_float,
     is_symmetric,
     parse_expression,
     partial_derivative,
@@ -215,6 +214,12 @@ def test_compose_orthogonal_preserves_square_sum():
         assert abs(float(composed.terms.get(e, 0)) - 1.0) <= 1e-9
     off_diag = [c for e, c in composed.terms.items() if sum(e) == 2 and max(e) == 1]
     assert all(abs(float(c)) <= 1e-9 for c in off_diag)
+
+
+def test_compose_float_matrix_keeps_small_coefficients():
+    q = [[0.0, 1.0], [-1.0, 0.0]]
+    composed = compose_linear(P("1/10000000000000*x1^2 + x2^2", 2), q)
+    assert composed == P("x1^2 + 1/10000000000000*x2^2", 2)
 
 
 def test_compose_dimension_mismatch():
@@ -433,10 +438,11 @@ def test_compose_consistent_with_evaluate(p, seed):
     a = rng.standard_normal((n, n))
     q, _ = np.linalg.qr(a)
     composed = compose_linear(p, q)
-    y = rng.uniform(-10, 10, size=n)
-    lhs = evaluate_float(composed, y)
-    rhs = evaluate_float(p, q @ y)
-    assert abs(lhs - rhs) <= 1e-9 * max(1.0, abs(rhs))
+    # the composition is exact in the binary rationals the float entries denote
+    exact_q = [[Fraction(x) for x in row] for row in q.tolist()]
+    y = [Fraction(int(a), int(b)) for a, b in zip(rng.integers(-10, 11, n), rng.integers(1, 8, n))]
+    moved = [sum((qi * yi for qi, yi in zip(row, y)), Fraction(0)) for row in exact_q]
+    assert evaluate(composed, y) == evaluate(p, moved)
 
 
 @settings(max_examples=60, deadline=None)

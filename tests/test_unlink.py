@@ -10,7 +10,7 @@ import scipy.stats
 
 from qcunlink.exactla import Subspace
 from qcunlink.gaussmeasure import covariance, expectation
-from qcunlink.polyalg import Polynomial, compose_linear, is_symmetric
+from qcunlink.polyalg import Polynomial, compose_linear
 from qcunlink.unlink import (
     GridSpec,
     HypothesisFalsified,
@@ -24,7 +24,6 @@ from qcunlink.unlink import (
     correlation_spotcheck,
     covariance_integral_check,
     divergence_check,
-    marginalized_polys,
     normalize_at_origin,
     unlink_decision,
     verify_unlinked,
@@ -185,56 +184,6 @@ def test_build_transform_columns_span_declared_subspaces():
             assert block_span_residual(transform.matrix, range(r, r + t), report.overlap) <= 1e-9
         if report.perp_sum.dimension:
             assert block_span_residual(transform.matrix, range(r + t + m), report.perp_sum) <= 1e-9
-
-
-# ---------------------------------------------------------------------------
-# Marginalized polynomials
-# ---------------------------------------------------------------------------
-
-
-def test_marginalized_rotated_pair_constants():
-    report = concordance(ROT_U, ROT_V)
-    transform = build_transform(report)
-    u_star, v_star = marginalized_polys(ROT_U, ROT_V, transform)
-    assert u_star.arity == 0 and v_star.arity == 0
-    assert abs(float(u_star.constant_term()) - 2.0) <= 1e-9
-    assert abs(float(v_star.constant_term()) - 2.0) <= 1e-9
-
-
-def test_marginalized_nested_pair():
-    u, v = P("x1^2", 2), P("x1^2 + x2^2", 2)
-    transform = build_transform(concordance(u, v))
-    u_star, v_star = marginalized_polys(u, v, transform)
-    assert u_star.arity == 1 and v_star.arity == 1
-    assert abs(float(u_star.terms.get((2,), 0)) - 1.0) <= 1e-9
-    assert abs(float(v_star.terms.get((2,), 0)) - 1.0) <= 1e-9
-    assert abs(float(v_star.constant_term()) - 1.0) <= 1e-9
-
-
-def test_marginalized_identical_inputs():
-    u = P("x1^2", 2)
-    transform = build_transform(concordance(u, u))
-    u_star, v_star = marginalized_polys(u, u, transform)
-    assert u_star == v_star
-    assert abs(float(u_star.terms.get((2,), 0)) - 1.0) <= 1e-9
-
-
-def test_marginalized_outputs_are_symmetric():
-    pairs = [
-        (ROT_U, ROT_V),
-        (P("x1^4", 2), P("x2^4", 2)),
-        (P("x1^2", 2), P("x1^2 + x2^2", 2)),
-        (
-            P("x1^2 + 2*x1*x2 + x2^2", 3),
-            P("x1^2 + 2*x2^2 + 2*x3^2 + 2*x1*x2 + 2*x1*x3", 3),
-        ),
-    ]
-    for u, v in pairs:
-        transform = build_transform(concordance(u, v))
-        u_star, v_star = marginalized_polys(u, v, transform)
-        # composition and marginalization keep every term's total-degree parity
-        assert is_symmetric(u_star)
-        assert is_symmetric(v_star)
 
 
 # ---------------------------------------------------------------------------
@@ -525,11 +474,22 @@ def test_integral_check_rejects_large_arity():
 
 
 def test_divergence_check_examples():
-    assert divergence_check(P("x1^2", 1), (1.0,)) is True
-    assert divergence_check(P("x1^4 + x2^2", 2), (1.0, 1.0)) is True
-    assert divergence_check(P("5", 1), (1.0,)) is False
-    results = [divergence_check(P("x1^2", 1), (1.0,)), divergence_check(P("5", 1), (1.0,))]
-    assert json.dumps(results) == "[true, false]"
+    cases = [
+        (P("x1^2", 1), (1.0,), True),
+        (P("x1^4 + x2^2", 2), (1.0, 1.0), True),
+        # a float direction with a zero entry, read as the binary rational it denotes
+        (P("x1^4 + x2^2", 2), (0.0, 0.1), True),
+        (P("5", 1), (1.0,), False),
+        # the derivative's root bound, about 10^400, lies beyond the float range
+        (P(f"x1^4 + {10**400}*x1^2", 1), (1.0,), True),
+    ]
+    # the decision is exact, so the coefficients' scale cannot change it
+    for k in range(-12, 13):
+        square = P(f"{Fraction(10) ** k}*x1^2", 1)
+        cases += [(square, (1.0,), True), (-square, (1.0,), False)]
+    results = [divergence_check(p, direction) for p, direction, _ in cases]
+    assert results == [expected for _, _, expected in cases]
+    assert json.dumps(results[:4]) == "[true, true, true, false]"
 
 
 def test_divergence_check_decaying_direction():
