@@ -9,7 +9,6 @@ polynomials depend on disjoint sets of coordinates.
 
 from .exactla import (
     Subspace,
-    intersect,
     kernel,
     orthogonal_complement,
     orthonormalize_nested,

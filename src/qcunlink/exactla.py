@@ -1,13 +1,19 @@
 """Exact rational linear algebra for subspaces of R^n.
 
-Every dimension-bearing computation here (kernel, complement,
-intersection, sum, containment, the sign of a quadratic form) is done
-over ``Fraction`` so that ranks are exact integers.  Floating point
-appears only in ``orthonormalize_nested``, and even there the
-Gram-Schmidt sweep runs over the rationals and yields exactly orthogonal
-integer columns; each column is converted to float only when it is
-normalized, so prefix spans are exact by construction, and the integer
-columns are handed back for exact checks downstream.
+Every dimension-bearing computation here (kernel, complement, sum,
+containment, the sign of a quadratic form) is exact, so ranks are exact
+integers.  The eliminations run fraction-free: each row or vector is
+scaled by a positive integer to clear its denominators, and every step
+works over ``int``, dividing out the content (gcd) of what it produces.
+Positive scaling changes no zero pattern and no sign, so the pivots,
+ranks and sign decisions are those of the rational computation, and the
+``Fraction`` results (RREF rows, PSD witnesses) are recovered by one
+division at the end.  Floating point appears only in
+``orthonormalize_nested``, and even there the Gram-Schmidt sweep is
+exact and yields exactly orthogonal integer columns; each column is
+converted to float only when it is normalized, so prefix spans are exact
+by construction, and the integer columns are handed back for exact
+checks downstream.
 
 Subspace bases are canonicalized to reduced row echelon form (pivot
 order, leading entry 1), which is unique for a given row space, so all
@@ -29,7 +35,6 @@ from .polyalg import RationalMatrix
 
 __all__ = [
     "Subspace",
-    "intersect",
     "kernel",
     "orthogonal_complement",
     "orthonormalize_nested",
@@ -41,46 +46,70 @@ Vector = tuple[Fraction, ...]
 IntVector = tuple[int, ...]
 
 
-def _unit(index: int, length: int) -> list[Fraction]:
+def _unit(index: int, length: int) -> list[int]:
     """The standard basis vector e_index (0-based) of the given length."""
-    return [Fraction(int(j == index)) for j in range(length)]
+    return [int(j == index) for j in range(length)]
 
 
-def _to_vector(values: Sequence, length: int | None = None) -> Vector:
-    out = []
-    for x in values:
-        if isinstance(x, Fraction):
-            out.append(x)
-        elif isinstance(x, int):
-            out.append(Fraction(x))
-        else:
+def _to_vector(values: Sequence, length: int | None = None) -> tuple:
+    """The entries as a tuple, checked to be exact (int or Fraction)."""
+    out = tuple(values)
+    for x in out:
+        if not isinstance(x, (int, Fraction)):
             raise TypeError(f"exact vectors take int or Fraction entries, got {type(x).__name__}")
     if length is not None and len(out) != length:
         raise ValueError(f"vector length {len(out)} != ambient dimension {length}")
-    return tuple(out)
+    return out
 
 
-def _rref(rows: Iterable[Sequence[Fraction]], cols: int) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form; returns nonzero rows and pivot columns."""
-    work = [list(row) for row in rows]
+def _integer_row(row: Sequence) -> list[int]:
+    """The row times the lcm of its denominators: a positive multiple over ``int``."""
+    scale = math.lcm(*(x.denominator for x in row))
+    return [x.numerator * (scale // x.denominator) for x in row]
+
+
+def _content_free(row: list[int]) -> list[int]:
+    """The row divided by the gcd of its entries (a zero row is returned as is)."""
+    g = math.gcd(*row)
+    return row if g <= 1 else [x // g for x in row]
+
+
+def _echelon(rows: Iterable[Sequence], cols: int) -> tuple[list[list[int]], list[int]]:
+    """Fraction-free Gauss-Jordan elimination; returns nonzero rows and pivot columns.
+
+    The rows are scaled to integers.  A row i is cleared at the pivot
+    column by i <- d * i - f * pivot_row, with d the pivot and f the
+    entry of i, then divided by its content.  Every row stays a nonzero
+    multiple of the rational row it stands for, so the pivots are those
+    of rational elimination, and each returned row vanishes on the other
+    rows' pivot columns: divided by its pivot, it is a row of the unique
+    reduced row echelon form.
+    """
+    work = [_content_free(_integer_row(row)) for row in rows]
     pivots: list[int] = []
     rank = 0
     for col in range(cols):
-        pivot_row = next((i for i in range(rank, len(work)) if work[i][col] != 0), None)
+        pivot_row = next((i for i in range(rank, len(work)) if work[i][col]), None)
         if pivot_row is None:
             continue
         work[rank], work[pivot_row] = work[pivot_row], work[rank]
-        inv = work[rank][col]
-        work[rank] = [x / inv for x in work[rank]]
-        for i in range(len(work)):
-            if i != rank and work[i][col] != 0:
-                factor = work[i][col]
-                work[i] = [a - factor * b for a, b in zip(work[i], work[rank])]
+        pivot = work[rank]
+        d = pivot[col]
+        for i, row in enumerate(work):
+            f = row[col]
+            if f and i != rank:
+                work[i] = _content_free([d * a - f * b for a, b in zip(row, pivot)])
         pivots.append(col)
         rank += 1
         if rank == len(work):
             break
     return work[:rank], pivots
+
+
+def _rref(rows: Iterable[Sequence], cols: int) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row echelon form; returns nonzero rows and pivot columns."""
+    work, pivots = _echelon(rows, cols)
+    return [[Fraction(x, row[col]) for x in row] for row, col in zip(work, pivots)], pivots
 
 
 @dataclass(frozen=True)
@@ -149,17 +178,21 @@ class Subspace:
 def kernel(matrix: RationalMatrix) -> Subspace:
     """Exact basis of the null space {v : Mv = 0}.
 
-    Free columns are taken in increasing index order; the resulting
-    vectors are then canonicalized like any other basis.
+    Each free column, in increasing order, gives the null vector that is
+    1 there and 0 at the other free columns, scaled to integers by the
+    lcm of the pivots; the vectors are then canonicalized like any other
+    basis.
     """
-    rows, pivots = _rref(matrix.entries, matrix.cols)
-    free = [c for c in range(matrix.cols) if c not in pivots]
+    rows, pivots = _echelon(matrix.entries, matrix.cols)
+    scale = math.lcm(*(row[p] for row, p in zip(rows, pivots)))
     vectors = []
-    for f in free:
-        v = [Fraction(0)] * matrix.cols
-        v[f] = Fraction(1)
-        for row, pivot in zip(rows, pivots):
-            v[pivot] = -row[f]
+    for f in range(matrix.cols):
+        if f in pivots:
+            continue
+        v = [0] * matrix.cols
+        v[f] = scale
+        for row, p in zip(rows, pivots):
+            v[p] = -row[f] * (scale // row[p])
         vectors.append(v)
     return Subspace.span(vectors, matrix.cols)
 
@@ -170,16 +203,6 @@ def orthogonal_complement(space: Subspace) -> Subspace:
         0, space.ambient, ()
     )
     return kernel(constraints)
-
-
-def intersect(first: Subspace, second: Subspace) -> Subspace:
-    """Exact intersection via the stacked constraint systems of both complements."""
-    if first.ambient != second.ambient:
-        raise ValueError("ambient dimension mismatch")
-    constraints = orthogonal_complement(first).basis + orthogonal_complement(second).basis
-    if not constraints:
-        return Subspace.full(first.ambient)
-    return kernel(RationalMatrix.from_rows(constraints))
 
 
 def subspace_sum(first: Subspace, second: Subspace) -> Subspace:
@@ -194,6 +217,15 @@ def psd_violation(entries: Sequence[Sequence]) -> Optional[Vector]:
     Decides positive semidefiniteness exactly by pivoted symmetric
     elimination (congruence with Schur complements).  The returned
     witness is verified before being handed back.
+
+    The elimination runs on L*A for a positive integer L.  A Schur step
+    on the pivot row p with pivot d replaces the active block g by
+    d*g - p p', a positive multiple of the rational Schur complement, and
+    the block is then divided by its content; so every sign, and hence
+    every pivot and witness choice, is the rational one.  Each change of
+    basis vector is kept as an integer multiple of the rational vector,
+    whose own coordinate is exactly 1; dividing by that entry recovers
+    the rational witness.
     """
     grid = [list(_to_vector(row)) for row in entries]
     n = len(grid)
@@ -204,34 +236,47 @@ def psd_violation(entries: Sequence[Sequence]) -> Optional[Vector]:
             if grid[i][j] != grid[j][i]:
                 raise ValueError("matrix must be symmetric")
 
-    original = [row[:] for row in grid]
-    # basis[j] expresses the current j-th coordinate direction in original coordinates
+    scale = math.lcm(*(x.denominator for row in grid for x in row))
+    original = [[x.numerator * (scale // x.denominator) for x in row] for row in grid]
+    grid = [row[:] for row in original]
+    # basis[j] is a multiple of the current j-th coordinate direction in original coordinates
     basis = [_unit(j, n) for j in range(n)]
     active = list(range(n))
 
-    def _check(v: list[Fraction]) -> Vector:
+    def _checked(v: list[int], denominator: int) -> Vector:
         value = sum(v[i] * original[i][j] * v[j] for i in range(n) for j in range(n))
-        if value >= 0:
+        if value >= 0 or denominator <= 0:
             raise InvariantViolation("PSD witness is not a violating direction")
-        return tuple(v)
+        return tuple(Fraction(x, denominator) for x in v)
 
     while active:
         negative = next((i for i in active if grid[i][i] < 0), None)
         if negative is not None:
-            return _check(basis[negative])
+            return _checked(basis[negative], basis[negative][negative])
         pivot = next((i for i in active if grid[i][i] > 0), None)
         if pivot is not None:
             active.remove(pivot)
-            pivot_row = grid[pivot][:]
-            pivot_basis = basis[pivot][:]
+            pivot_row = grid[pivot]
+            pivot_basis = basis[pivot]
             d = pivot_row[pivot]
+            # basis[j] - (p_j / d) basis[pivot] over the own coordinates of both vectors
+            s_p = d * pivot_basis[pivot]
             for j in active:
-                factor = pivot_row[j] / d
-                if factor:
-                    basis[j] = [a - factor * b for a, b in zip(basis[j], pivot_basis)]
+                s_j = basis[j][j] * pivot_row[j]
+                if s_j:
+                    update = [s_p * a - s_j * b for a, b in zip(basis[j], pivot_basis)]
+                    basis[j] = _content_free(update)
             for j in active:
+                row = grid[j]
+                p_j = pivot_row[j]
                 for k in active:
-                    grid[j][k] -= pivot_row[j] * pivot_row[k] / d
+                    row[k] = d * row[k] - p_j * pivot_row[k]
+            g = math.gcd(*(grid[j][k] for j in active for k in active))
+            if g > 1:
+                for j in active:
+                    row = grid[j]
+                    for k in active:
+                        row[k] //= g
             continue
         # all active diagonal entries are zero
         off = next(
@@ -241,32 +286,35 @@ def psd_violation(entries: Sequence[Sequence]) -> Optional[Vector]:
             return None
         i, j = off
         sign = 1 if grid[i][j] > 0 else -1
-        v = [a - sign * b for a, b in zip(basis[i], basis[j])]
-        return _check(v)
+        # basis[i] / s_i - sign * basis[j] / s_j, over the common denominator s_i * s_j
+        s_i, s_j = basis[i][i], basis[j][j]
+        v = [s_j * a - sign * s_i * b for a, b in zip(basis[i], basis[j])]
+        return _checked(v, s_i * s_j)
     return None
 
 
-def _primitive(vector: list[Fraction]) -> list[int]:
+def _primitive(vector: list[int]) -> list[int]:
     """Rescale to the integer vector with coprime entries and positive lead."""
-    denominator = math.lcm(*(x.denominator for x in vector))
-    ints = [int(x * denominator) for x in vector]
-    g = math.gcd(*ints)
-    if g:
-        ints = [x // g for x in ints]
+    ints = _content_free(vector)
     lead = next((x for x in ints if x), 0)
     if lead < 0:
         ints = [-x for x in ints]
     return ints
 
 
-def _orthogonalize_exact(vector: Sequence, ortho: list[list[int]]) -> list[Fraction]:
-    u = list(vector)
+def _orthogonalize_exact(vector: Sequence, ortho: list[list[int]]) -> list[int]:
+    """A positive integer multiple of vector minus its projections onto ``ortho``.
+
+    Each step u <- ww*u - uw*w is ww times the rational step
+    u - (uw/ww) w, and ww > 0, so ``_primitive`` of the result is that
+    of the rational Gram-Schmidt vector.
+    """
+    u = _integer_row(vector)
     for w in ortho:
         uw = sum(a * b for a, b in zip(u, w))
         if uw:
             ww = sum(x * x for x in w)
-            factor = uw / ww
-            u = [a - factor * b for a, b in zip(u, w)]
+            u = _content_free([ww * a - uw * b for a, b in zip(u, w)])
     return u
 
 

@@ -3,7 +3,9 @@
 Exact operations use the classical moment formula for independent
 standard normal coordinates: E[Z^(2m)] = (2m-1)!!, odd moments vanish,
 and a monomial's expectation is the product of its per-coordinate
-moments.  Everything exact is computed over ``Fraction``.
+moments.  Everything exact is computed without rounding: sums run over
+``int`` with the coefficients brought to a common denominator, and the
+result is one ``Fraction``.
 
 The Monte Carlo side needs one thing: the values of a few polynomials at
 shared draws of a standard Gaussian vector.  ``sample_values`` is the one
@@ -17,6 +19,7 @@ values are bit-reproducible.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
@@ -41,37 +44,67 @@ _CHUNK = 1 << 16
 
 
 @functools.cache
+def _moment(order: int) -> int:
+    """(order-1)!! for even orders, 0 for odd; order must be nonnegative."""
+    if order % 2:
+        return 0
+    moment = 1
+    for k in range(1, order, 2):
+        moment *= k
+    return moment
+
+
 def gaussian_moment(order: int) -> Fraction:
     """E[Z^order] for Z standard normal, exact: (order-1)!! for even orders, 0 for odd."""
     if order < 0:
         raise ValueError("moment order must be nonnegative")
-    if order % 2:
-        return Fraction(0)
-    moment = 1
-    for k in range(1, order, 2):
-        moment *= k
-    return Fraction(moment)
+    return Fraction(_moment(order))
+
+
+def _scaled_terms(p: Polynomial) -> tuple[int, list[tuple[tuple[int, ...], int]]]:
+    """(D, [(e, D*c)]): p's terms over the lcm D of its denominators."""
+    scale = math.lcm(*(c.denominator for c in p.terms.values()))
+    return scale, [(e, c.numerator * (scale // c.denominator)) for e, c in p.terms.items()]
 
 
 def expectation(p: Polynomial) -> Fraction:
     """Exact E[p(X)] for X ~ N(0, I)."""
-    total = Fraction(0)
-    for exponent, coeff in p.terms.items():
-        if any(k % 2 for k in exponent):
-            continue
-        term = coeff
+    scale, terms = _scaled_terms(p)
+    total = 0
+    for exponent, coeff in terms:
         for k in exponent:
             if k:
-                term *= gaussian_moment(k)
-        total += term
-    return total
+                coeff *= _moment(k)
+        total += coeff
+    return Fraction(total, scale)
 
 
 def covariance(u: Polynomial, v: Polynomial) -> Fraction:
-    """Exact Cov(u(X), v(X)) = E[uv] - E[u]E[v] for X ~ N(0, I)."""
+    """Exact Cov(u(X), v(X)) = E[uv] - E[u]E[v] for X ~ N(0, I).
+
+    E[uv] is summed over pairs of terms c_a x^a, d_b x^b without forming
+    the product u*v: E[x^(a+b)] vanishes unless every a_i + b_i is even,
+    i.e. unless a and b have the same exponent parity, so v's terms are
+    bucketed by parity and each term of u meets only its own bucket.  The
+    sum runs over ``int`` with the coefficients over common denominators.
+    """
     if u.arity != v.arity:
         raise ValueError(f"arity mismatch: {u.arity} != {v.arity}")
-    return expectation(u * v) - expectation(u) * expectation(v)
+    u_scale, u_terms = _scaled_terms(u)
+    v_scale, v_terms = _scaled_terms(v)
+    buckets: dict[tuple[int, ...], list[tuple[tuple[int, ...], int]]] = {}
+    for b, d in v_terms:
+        buckets.setdefault(tuple(k & 1 for k in b), []).append((b, d))
+    total = 0
+    for a, c in u_terms:
+        inner = 0
+        for b, d in buckets.get(tuple(k & 1 for k in a), ()):
+            for i, j in zip(a, b):
+                if i or j:
+                    d *= _moment(i + j)
+            inner += d
+        total += c * inner
+    return Fraction(total, u_scale * v_scale) - expectation(u) * expectation(v)
 
 
 def partial_expectation(p: Polynomial, marginalized: Iterable[int]) -> Polynomial:
@@ -166,15 +199,22 @@ def mc_estimate(expr, samples: int, seed: int) -> McEstimate:
     """Monte Carlo mean and standard error of p(X) or of u(X)*v(X).
 
     ``expr`` is a Polynomial, or a pair (u, v) whose pointwise product is
-    averaged.
+    averaged.  Raises ``ValueError`` when the mean or the standard error
+    is not a finite float (the sampled values or their squares overflow).
     """
     if isinstance(expr, Polynomial):
         polys = (expr,)
     else:
         u, v = expr
         polys = (u, v)
-    values = sample_values(polys, samples, seed).prod(axis=0)
-    mean = float(values.sum()) / samples
-    sum_squares = float((values * values).sum())
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = sample_values(polys, samples, seed).prod(axis=0)
+        mean = float(values.sum()) / samples
+        sum_squares = float((values * values).sum())
     variance = max(sum_squares - samples * mean * mean, 0.0) / (samples - 1)
-    return McEstimate(mean, (variance / samples) ** 0.5, samples, seed)
+    standard_error = (variance / samples) ** 0.5
+    if not (math.isfinite(mean) and math.isfinite(standard_error)):
+        raise ValueError(
+            f"Monte Carlo estimate is not finite (mean {mean}, stderr {standard_error})"
+        )
+    return McEstimate(mean, standard_error, samples, seed)

@@ -14,6 +14,12 @@ position 0 holds the exponent of x1.
 
 All values are immutable after construction and safe to share between
 threads.
+
+The text parser and ``from_json`` read untrusted input, so they enforce
+the limits ``MAX_ARITY`` (variables), ``MAX_EXPONENT`` (exponent of one
+variable in one term) and ``MAX_TERMS`` (terms as written), raising
+``ValueError`` before any work grows with the offending size.  The
+constructors and arithmetic take polynomials of any size.
 """
 
 from __future__ import annotations
@@ -29,6 +35,9 @@ Exponent = tuple[int, ...]
 
 __all__ = [
     "Exponent",
+    "MAX_ARITY",
+    "MAX_EXPONENT",
+    "MAX_TERMS",
     "Polynomial",
     "PolynomialSyntaxError",
     "RationalMatrix",
@@ -43,6 +52,17 @@ __all__ = [
     "to_expression",
     "to_json",
 ]
+
+
+# limits of parsed input; every fixture and benchmark input is far below them
+MAX_ARITY = 256
+MAX_EXPONENT = 1000
+MAX_TERMS = 20_000
+
+
+def _check_arity_limit(arity: int):
+    if arity > MAX_ARITY:
+        raise ValueError(f"arity {arity} exceeds the limit of {MAX_ARITY} variables")
 
 
 class PolynomialSyntaxError(ValueError):
@@ -367,8 +387,11 @@ def from_json(obj) -> Polynomial:
     arity = obj["n"]
     if not isinstance(arity, int) or arity < 0:
         raise ValueError("'n' must be a nonnegative integer")
+    _check_arity_limit(arity)
     if not isinstance(obj["terms"], list):
         raise ValueError("'terms' must be a list")
+    if len(obj["terms"]) > MAX_TERMS:
+        raise ValueError(f"{len(obj['terms'])} terms exceed the limit of {MAX_TERMS}")
     terms: dict[Exponent, Fraction] = {}
     for index, item in enumerate(obj["terms"]):
         exponent, coeff = _json_term(item, arity, index)
@@ -387,6 +410,8 @@ def _json_term(item, arity: int, index: int) -> tuple[Exponent, Fraction]:
         or not all(type(k) is int and k >= 0 for k in exponent)
     ):
         raise ValueError(f"term {index}: 'e' must be a list of {arity} nonnegative integers")
+    if any(k > MAX_EXPONENT for k in exponent):
+        raise ValueError(f"term {index}: an exponent exceeds the limit of {MAX_EXPONENT}")
     coeff = item["c"]
     try:
         if isinstance(coeff, bool):
@@ -448,7 +473,11 @@ class _Parser:
         # the polynomial is built once, so parsing is linear in the input
         acc: dict[Exponent, Fraction] = {}
         op = self.take()[0] if self.peek()[0] in "+-" else "+"
+        count = 0
         while True:
+            count += 1
+            if count > MAX_TERMS:
+                raise PolynomialSyntaxError(f"more than {MAX_TERMS} terms", self.peek()[2])
             exponent, coeff = self.term()
             acc[exponent] = acc.get(exponent, 0) + (coeff if op == "+" else -coeff)
             if self.peek()[0] not in "+-":
@@ -498,6 +527,10 @@ class _Parser:
                 if power < 1:
                     raise PolynomialSyntaxError("exponent must be a positive integer", epos)
             exponent[value - 1] += power
+            if exponent[value - 1] > MAX_EXPONENT:
+                raise PolynomialSyntaxError(
+                    f"exponent of x{value} exceeds the limit of {MAX_EXPONENT}", position
+                )
             return Fraction(1)
         raise PolynomialSyntaxError("expected a coefficient or a variable", position)
 
@@ -506,4 +539,5 @@ def parse_expression(text: str, arity: int) -> Polynomial:
     """Parse expression text into a canonical polynomial of the given arity."""
     if arity < 0:
         raise ValueError("arity must be nonnegative")
+    _check_arity_limit(arity)
     return _Parser(_tokenize(text), arity).expression()

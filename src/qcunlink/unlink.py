@@ -47,7 +47,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import InvariantViolation
-from .exactla import Subspace, intersect, orthogonal_complement, orthonormalize_nested, subspace_sum
+from .exactla import Subspace, orthogonal_complement, orthonormalize_nested, subspace_sum
 from .gaussmeasure import covariance, sample_values
 from .polyalg import Polynomial, evaluate, is_symmetric, partial_derivative, restrict_line
 from .structure import CASE_A, QcVerdict, classify_ray, invariance_subspace, qc_falsify
@@ -157,10 +157,12 @@ def concordance(u: Polynomial, v: Polynomial) -> ConcordanceReport:
     inv_v = invariance_subspace(v)
     inv_u_perp = orthogonal_complement(inv_u)
     inv_v_perp = orthogonal_complement(inv_v)
-    overlap = intersect(inv_u_perp, inv_v)
+    # A^perp intersected with B is (A + B^perp)^perp, from complements already in hand
+    overlap = orthogonal_complement(subspace_sum(inv_u, inv_v_perp))
     t = overlap.dimension
     r = inv_u_perp.dimension - t
-    r_other = inv_v_perp.dimension - intersect(inv_v_perp, inv_u).dimension
+    other_overlap = orthogonal_complement(subspace_sum(inv_v, inv_u_perp))
+    r_other = inv_v_perp.dimension - other_overlap.dimension
     if r != r_other:
         raise InvariantViolation(
             f"concordance order disagrees between sides: {r} vs {r_other}"

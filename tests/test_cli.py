@@ -135,6 +135,23 @@ def test_exit_2_malformed_json_term(capsys, tmp_path, terms, message):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "name, content, message",
+    [
+        ("wide.poly", "n=100000\nx1^2\n", "arity 100000 exceeds the limit"),
+        ("steep.poly", "n=1\nx1^100000\n", "exponent of x1 exceeds the limit"),
+        ("wide.json", json.dumps({"n": 100000, "terms": []}), "arity 100000 exceeds the limit"),
+        ("steep.json", json.dumps({"n": 1, "terms": [{"c": "1", "e": [100000]}]}), "term 0"),
+    ],
+)
+def test_exit_2_input_over_limits(capsys, tmp_path, name, content, message):
+    path = tmp_path / name
+    path.write_text(content)
+    code, out, err = run(capsys, "unlink", "--u", str(path), "--v", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("qcunlink: error:") and message in err
+
+
 def test_exit_2_invalid_seed(capsys):
     code, _, err = run(
         capsys, "check", "--p", str(FIXTURES / "square.poly"), "--seed", "0"

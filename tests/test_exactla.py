@@ -6,14 +6,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qcunlink import exactla
 from qcunlink.errors import InvariantViolation
 from qcunlink.exactla import (
     Subspace,
-    intersect,
     kernel,
     orthogonal_complement,
     orthonormalize_nested,
@@ -21,6 +20,14 @@ from qcunlink.exactla import (
     subspace_sum,
 )
 from qcunlink.polyalg import RationalMatrix
+
+from exact_oracles import (
+    intersect,
+    kernel_fraction,
+    nested_columns_fraction,
+    psd_violation_fraction,
+    rref_fraction,
+)
 
 
 def span(vectors, ambient):
@@ -308,3 +315,100 @@ def test_psd_unverified_witness_raises(monkeypatch):
     monkeypatch.setattr(exactla, "_unit", lambda index, length: [Fraction(0)] * length)
     with pytest.raises(InvariantViolation, match="PSD witness"):
         psd_violation([[-1]])
+
+
+# ---------------------------------------------------------------------------
+# Fraction-free paths against the rational reference (tests/exact_oracles.py)
+# ---------------------------------------------------------------------------
+
+fractions = st.fractions(min_value=-6, max_value=6, max_denominator=12)
+
+
+@st.composite
+def rational_rows(draw, max_rows=6, max_cols=6):
+    """(rows, cols): random rows plus zero rows and combinations of drawn rows, shuffled."""
+    cols = draw(st.integers(0, max_cols))
+    row = st.lists(fractions, min_size=cols, max_size=cols)
+    rows = draw(st.lists(row, max_size=max_rows))
+    for _ in range(draw(st.integers(0, 3))):
+        if rows and draw(st.booleans()):
+            a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            s, t = draw(fractions), draw(fractions)
+            rows.append([s * x + t * y for x, y in zip(a, b)])
+        else:
+            rows.append([Fraction(0)] * cols)
+    return draw(st.permutations(rows)), cols
+
+
+def rows_of(*rows):
+    return [[Fraction(x) for x in row] for row in rows]
+
+
+@settings(max_examples=150, deadline=None)
+@given(rational_rows())
+@example(([], 0))
+@example(([], 3))
+@example((rows_of([], []), 0))
+@example((rows_of([0, 0, 0]), 3))
+@example((rows_of([2, 4], [3, 6]), 2))
+@example((rows_of([Fraction(1, 3), Fraction(-2, 5), 7], [0, Fraction(4, 9), 1]), 3))
+def test_rref_and_kernel_match_fraction_reference(shape):
+    rows, cols = shape
+    reduced, pivots = exactla._rref(rows, cols)
+    assert (reduced, pivots) == rref_fraction(rows, cols)
+    assert all(type(x) is Fraction for row in reduced for x in row)
+    null = kernel(RationalMatrix(len(rows), cols, tuple(map(tuple, rows))))
+    assert null.basis == tuple(tuple(row) for row in kernel_fraction(rows, cols))
+
+
+@st.composite
+def symmetric_matrices(draw, max_n=5):
+    """Symmetric rational matrices: random, low-rank Gram forms, zero or boosted diagonals.
+
+    A "late" matrix has its leading diagonal raised, so several Schur
+    steps run before a negative pivot or a zero diagonal shows.
+    """
+    n = draw(st.integers(0, max_n))
+    kind = draw(st.sampled_from(["random", "gram", "hollow", "late"]))
+    if kind == "gram":
+        k = draw(st.integers(0, n))
+        b = [draw(st.lists(fractions, min_size=n, max_size=n)) for _ in range(k)]
+        signs = [draw(st.sampled_from([1, 1, -1])) for _ in range(k)]
+        return [
+            [sum(s * r[i] * r[j] for s, r in zip(signs, b)) for j in range(n)] for i in range(n)
+        ]
+    a = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            if i != j or kind != "hollow":
+                a[i][j] = a[j][i] = draw(fractions)
+        if kind == "late" and i < n - 1:
+            a[i][i] += 6
+    return a
+
+
+@settings(max_examples=200, deadline=None)
+@given(symmetric_matrices())
+@example(rows_of([0, 1], [1, 0]))
+@example(rows_of([4, 6], [6, 5]))
+@example(rows_of([Fraction(1, 3), Fraction(1, 2)], [Fraction(1, 2), 0]))
+@example(rows_of([9, -3, -2], [-3, 5, -3], [-2, -3, 1]))  # negative after two Schur steps
+def test_psd_violation_matches_fraction_reference(a):
+    witness = psd_violation(a)
+    assert witness == psd_violation_fraction(a)
+    assert witness is None or all(type(x) is Fraction for x in witness)
+
+
+@settings(max_examples=100, deadline=None)
+@given(rational_rows(max_rows=5, max_cols=5), st.data())
+def test_orthonormalize_columns_match_fraction_reference(shape, data):
+    rows, ambient = shape
+    outer = Subspace.span(rows, ambient)
+    cut = data.draw(st.integers(0, outer.dimension))
+    inner = Subspace.span(outer.basis[:cut], ambient)
+    chain = [space for space in (inner, outer) if space.dimension]
+    if len(chain) == 2 and inner.dimension == outer.dimension:
+        chain = [outer]
+    _, columns = orthonormalize_nested(chain, ambient)
+    assert columns == nested_columns_fraction(chain, ambient)
+    assert all(type(x) is int for w in columns for x in w)

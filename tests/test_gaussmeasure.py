@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qcunlink.gaussmeasure import (
@@ -20,6 +20,7 @@ from qcunlink.gaussmeasure import (
 from qcunlink.polyalg import Polynomial, evaluate_float
 
 from corpus import P
+from exact_oracles import covariance_by_product, expectation_fraction
 
 
 def double_factorial_oracle(order: int) -> int:
@@ -151,6 +152,14 @@ def test_mc_estimate_rejects_tiny_sample_counts():
         mc_estimate((P("x1", 1), P("x1^2", 1)), 1, seed=1)
 
 
+def test_mc_estimate_rejects_non_finite_estimates():
+    # the values are finite but their squares overflow float64; no warning may escape
+    with pytest.raises(ValueError, match="not finite"):
+        mc_estimate(P("x1^400", 1), 1000, seed=1)
+    with pytest.raises(ValueError, match="not finite"):
+        mc_estimate((P("x1^200", 1), P("x1^200", 1)), 1000, seed=1)
+
+
 def test_mc_estimate_bit_reproducible():
     a = mc_estimate(P("x1^4 - x1^2", 1), 70_000, seed=9)
     b = mc_estimate(P("x1^4 - x1^2", 1), 70_000, seed=9)
@@ -174,6 +183,26 @@ def polynomials(draw, max_arity=3, max_exponent=3, max_terms=5):
         exponent = tuple(draw(st.integers(0, max_exponent)) for _ in range(arity))
         terms[exponent] = draw(coefficients)
     return Polynomial(arity, terms)
+
+
+@st.composite
+def polynomial_pairs(draw):
+    u = draw(polynomials(max_arity=4, max_exponent=4, max_terms=8))
+    v = draw(polynomials(max_arity=u.arity, max_exponent=4, max_terms=8))
+    return u, Polynomial(u.arity, {e + (0,) * (u.arity - v.arity): c for e, c in v.terms.items()})
+
+
+@settings(max_examples=150, deadline=None)
+@given(polynomial_pairs())
+@example((P("x1*x2 + x1^2 + 1/3*x2^3 + 2", 2), P("x1*x2 - x2 + 5*x1^2*x2^2", 2)))
+@example((P("x1 + x2 + x1*x2^2", 2), P("x1^3 + 1/2*x2 + x1^2*x2^3", 2)))
+@example((P("x1^2*x2 + x2^3", 2), P("x2 + 7/3*x1^2*x2", 2)))
+def test_covariance_matches_expanded_product(pair):
+    # exponents of both parities, odd-only terms and constants all occur
+    u, v = pair
+    assert expectation(u) == expectation_fraction(u)
+    assert covariance(u, v) == covariance_by_product(u, v)
+    assert covariance(v, u) == covariance_by_product(v, u)
 
 
 @settings(max_examples=80, deadline=None)

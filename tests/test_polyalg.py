@@ -8,6 +8,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from qcunlink.polyalg import (
+    MAX_ARITY,
+    MAX_EXPONENT,
+    MAX_TERMS,
     Polynomial,
     PolynomialSyntaxError,
     RationalMatrix,
@@ -250,6 +253,36 @@ def test_json_round_trip():
     assert from_json(obj) == p
     degrees = [sum(t["e"]) for t in obj["terms"]]
     assert degrees == sorted(degrees)  # graded order
+
+
+def test_parse_input_limits():
+    # each limit is admitted exactly and refused one past it
+    assert parse_expression("x1", MAX_ARITY).arity == MAX_ARITY
+    assert parse_expression(f"x1^{MAX_EXPONENT}", 1).total_degree() == MAX_EXPONENT
+    assert parse_expression(" + ".join(["x1"] * MAX_TERMS), 1) == P(f"{MAX_TERMS}*x1", 1)
+    with pytest.raises(ValueError, match=f"limit of {MAX_ARITY} variables"):
+        parse_expression("x1", MAX_ARITY + 1)
+    with pytest.raises(PolynomialSyntaxError, match="exponent of x1 exceeds") as info:
+        parse_expression(f"x2 + x1^{MAX_EXPONENT + 1}", 2)
+    assert info.value.position == 5
+    with pytest.raises(PolynomialSyntaxError, match="exponent of x1 exceeds"):
+        parse_expression(f"x1^{MAX_EXPONENT}*x1", 1)
+    with pytest.raises(PolynomialSyntaxError, match=f"more than {MAX_TERMS} terms"):
+        parse_expression(" + ".join(["x1"] * (MAX_TERMS + 1)), 1)
+
+
+def test_from_json_input_limits():
+    term = {"c": "1", "e": [MAX_EXPONENT]}
+    full = from_json({"n": 1, "terms": [term] * MAX_TERMS})
+    assert full == P(f"{MAX_TERMS}*x1^{MAX_EXPONENT}", 1)
+    assert from_json({"n": MAX_ARITY, "terms": []}).arity == MAX_ARITY
+    with pytest.raises(ValueError, match=f"limit of {MAX_ARITY} variables"):
+        from_json({"n": MAX_ARITY + 1, "terms": []})
+    steep = f"term 1: an exponent exceeds the limit of {MAX_EXPONENT}"
+    with pytest.raises(ValueError, match=steep):
+        from_json({"n": 1, "terms": [term, {"c": "1", "e": [MAX_EXPONENT + 1]}]})
+    with pytest.raises(ValueError, match=f"exceed the limit of {MAX_TERMS}"):
+        from_json({"n": 1, "terms": [term] * (MAX_TERMS + 1)})
 
 
 def test_rational_matrix_validation():

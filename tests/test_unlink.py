@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from qcunlink.exactla import Subspace
+from qcunlink.exactla import Subspace, orthogonal_complement, subspace_sum
 from qcunlink.gaussmeasure import covariance, expectation
 from qcunlink.polyalg import Polynomial, compose_linear
 from qcunlink.unlink import (
@@ -37,6 +37,7 @@ from corpus import (
     random_psd_quadratic,
     swap_columns,
 )
+from exact_oracles import intersect
 
 ROT_U = P("x1^2 + 2*x1*x2 + x2^2", 2)
 ROT_V = P("x1^2 - 2*x1*x2 + x2^2", 2)
@@ -125,6 +126,24 @@ def test_concordance_counts_are_consistent():
         assert report.r >= 0 and report.t >= 0 and report.m >= 0
         assert report.r == report.inv_u_perp.dimension - report.overlap.dimension
         assert report.r + report.t + report.m == report.perp_sum.dimension
+
+
+def test_concordance_overlap_matches_stacked_intersection():
+    # (U + V^perp)^perp against the intersection through both complements
+    rng = random.Random(43)
+    pairs = [(u, v) for _, u in QC_FIXTURES for _, v in QC_FIXTURES if u.arity == v.arity]
+    for _ in range(40):
+        arity = rng.randint(1, 6)
+        pairs.append((random_psd_quadratic(rng, arity), random_psd_quadratic(rng, arity)))
+    for _ in range(10):
+        u, v, _ = overlapping_convex_pair(rng)
+        pairs.append((u, v))
+    for u, v in pairs:
+        report = concordance(u, v)
+        assert report.overlap.basis == intersect(report.inv_u_perp, report.inv_v).basis
+        inv_v_perp = orthogonal_complement(report.inv_v)
+        other = orthogonal_complement(subspace_sum(report.inv_v, report.inv_u_perp))
+        assert other.basis == intersect(inv_v_perp, report.inv_u).basis
 
 
 # ---------------------------------------------------------------------------
