@@ -12,8 +12,13 @@ shared draws of a standard Gaussian vector.  ``sample_values`` is the one
 loop that produces them; the mean estimate here, the correlation and
 double-integral spot-checks in ``unlink`` and ``cov --mc`` all read its
 output.  Draws come in a fixed order from one ``numpy.random.Generator``
-with the PCG64 bit generator, so for a fixed (seed, samples) pair the
-values are bit-reproducible.
+with the PCG64 bit generator.  Each block of draws is evaluated by
+``evaluate_float`` for all the polynomials at once, from one table of
+the powers they use; the powers are float64 products, not ``pow``
+calls.  So for a fixed (seed, samples) pair the values are
+bit-reproducible, and given the draws they do not depend on which libm
+or SIMD ``pow`` the machine has.  Sums over the samples (means, standard
+deviations) run in numpy's summation order.
 """
 
 from __future__ import annotations
@@ -159,7 +164,8 @@ def sample_values(polys: Sequence[Polynomial], samples: int, seed: int) -> np.nd
 
     Returns a (len(polys), samples) array whose row i holds polys[i] at
     the draws, in draw order.  The polynomials must share an arity of at
-    least one.
+    least one.  Each block of draws is evaluated for all of them at once,
+    so they share one table of powers per block.
     """
     if samples < 2:
         raise ValueError("need at least 2 samples")
@@ -173,8 +179,7 @@ def sample_values(polys: Sequence[Polynomial], samples: int, seed: int) -> np.nd
     done = 0
     for block in gaussian_sample_chunks(arity, samples, seed):
         m = block.shape[0]
-        for row, p in zip(values, polys):
-            row[done : done + m] = evaluate_float(p, block)
+        values[:, done : done + m] = evaluate_float(polys, block)
         done += m
     return values
 

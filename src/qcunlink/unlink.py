@@ -39,6 +39,7 @@ covariance of a pair, and an exact check of divergence along a ray.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -455,6 +456,10 @@ class GridSpec:
     points: int = 80
     quantile_cap: float = 1.0 - 1e-4
 
+    def __post_init__(self):
+        if self.points < 2:
+            raise ValueError("the grid needs at least 2 points per axis")
+
 
 @dataclass(frozen=True)
 class IntegralCheck:
@@ -481,11 +486,10 @@ def _threshold_grid(values: np.ndarray, grid: GridSpec) -> np.ndarray:
     # squared Gaussian near 0); evenly spaced values keep the decaying
     # tail finely resolved, where pure quantile spacing leaves one huge
     # interval and the trapezoid rule overshoots
-    cap = float(np.quantile(values, grid.quantile_cap))
-    levels = np.linspace(0.0, grid.quantile_cap, grid.points)
-    nodes = np.concatenate(
-        ([0.0], np.quantile(values, levels), np.linspace(0.0, cap, grid.points))
-    )
+    # (linspace ends exactly at its stop, so the last quantile is the cap)
+    quantiles = np.quantile(values, np.linspace(0.0, grid.quantile_cap, grid.points))
+    cap = float(quantiles[-1])
+    nodes = np.concatenate(([0.0], quantiles, np.linspace(0.0, cap, grid.points)))
     return np.unique(np.clip(nodes, 0.0, cap))
 
 
@@ -514,25 +518,37 @@ def covariance_integral_check(
     if float(su.min()) < -1e-12 or float(sv.min()) < -1e-12:
         raise ValueError("negative sample value: inputs must be nonnegative polynomials")
 
-    g1 = _threshold_grid(su, grid)
-    g2 = _threshold_grid(sv, grid)
-    # joint counts per grid cell; index len(g) collects values beyond the cap
-    b1 = np.searchsorted(g1, su, side="left")
-    b2 = np.searchsorted(g2, sv, side="left")
-    flat = b1 * (len(g2) + 1) + b2
-    counts = np.bincount(flat, minlength=(len(g1) + 1) * (len(g2) + 1)).reshape(
-        len(g1) + 1, len(g2) + 1
-    )
-    joint = counts.cumsum(axis=0).cumsum(axis=1)[: len(g1), : len(g2)] / samples
-    f1 = np.searchsorted(np.sort(su), g1, side="right") / samples
-    f2 = np.searchsorted(np.sort(sv), g2, side="right") / samples
-    integrand = joint - np.outer(f1, f2)
-    estimate = float(np.trapezoid(np.trapezoid(integrand, x=g2, axis=1), x=g1))
+    # an overflow leaves a non-finite estimate or stderr, rejected below
+    with np.errstate(over="ignore", invalid="ignore"):
+        g1 = _threshold_grid(su, grid)
+        g2 = _threshold_grid(sv, grid)
+        # joint counts per grid cell; index len(g) collects values beyond the cap
+        b1 = np.searchsorted(g1, su, side="left")
+        b2 = np.searchsorted(g2, sv, side="left")
+        flat = b1 * (len(g2) + 1) + b2
+        counts = np.bincount(flat, minlength=(len(g1) + 1) * (len(g2) + 1)).reshape(
+            len(g1) + 1, len(g2) + 1
+        )
+        cumulative = counts.cumsum(axis=0).cumsum(axis=1) / samples
+        # the last row and column count every value of the other coordinate
+        joint = cumulative[: len(g1), : len(g2)]
+        f1 = cumulative[: len(g1), len(g2)]
+        f2 = cumulative[len(g1), : len(g2)]
+        integrand = joint - np.outer(f1, f2)
+        estimate = float(np.trapezoid(np.trapezoid(integrand, x=g2, axis=1), x=g1))
 
-    centered = (su - su.mean()) * (sv - sv.mean())
-    stderr = float(centered.std(ddof=1) / samples**0.5)
-    tolerance = max(0.05 * abs(float(exact)), 5.0 * stderr)
-    passed = abs(estimate - float(exact)) <= tolerance
+        centered = (su - su.mean()) * (sv - sv.mean())
+        stderr = float(centered.std(ddof=1) / samples**0.5)
+    try:
+        exact_float = float(exact)
+    except OverflowError:
+        exact_float = math.inf
+    quantities = {"exact covariance": exact_float, "integral estimate": estimate, "stderr": stderr}
+    overflowed = ", ".join(name for name, value in quantities.items() if not math.isfinite(value))
+    if overflowed:
+        raise ValueError(f"integral check is not finite: float64 overflow in {overflowed}")
+    tolerance = max(0.05 * abs(exact_float), 5.0 * stderr)
+    passed = abs(estimate - exact_float) <= tolerance
     return IntegralCheck(exact, estimate, stderr, passed, samples, seed)
 
 

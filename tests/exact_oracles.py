@@ -1,8 +1,12 @@
-"""Reference implementations over ``Fraction`` for the integer fast paths.
+"""Reference implementations of code paths the package replaced.
 
-Each function is the straightforward rational computation that a
+Most functions are the straightforward rational computation that a
 fraction-free routine in the package replaces; the differential tests
-compare the two exactly.  Nothing here is used by the package.
+compare the two exactly.  ``evaluate_float_pow`` is the float evaluator
+that took powers with ``pow``, compared within a rounding bound, and
+``covariance_integral_check_reference`` is the integral check that
+sorted the samples again for its marginals, compared bit for bit.
+Nothing here is used by the package.
 """
 
 from __future__ import annotations
@@ -10,9 +14,12 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+import numpy as np
+
 from qcunlink.exactla import Subspace, kernel, orthogonal_complement
-from qcunlink.gaussmeasure import gaussian_moment
+from qcunlink.gaussmeasure import covariance, gaussian_moment, sample_values
 from qcunlink.polyalg import Polynomial, RationalMatrix
+from qcunlink.unlink import GridSpec, IntegralCheck
 
 
 def rref_fraction(rows, cols):
@@ -144,3 +151,51 @@ def expectation_fraction(p: Polynomial) -> Fraction:
 def covariance_by_product(u: Polynomial, v: Polynomial) -> Fraction:
     """Cov(u, v) from the expanded product u * v."""
     return expectation_fraction(u * v) - expectation_fraction(u) * expectation_fraction(v)
+
+
+def evaluate_float_pow(p: Polynomial, points) -> np.ndarray:
+    """p at the rows of an (m, n) array, each power taken by numpy ``x ** k``."""
+    x = np.asarray(points, dtype=float)
+    acc = np.zeros(x.shape[0])
+    for exponent, coeff in p.terms.items():
+        term = np.full(x.shape[0], float(coeff))
+        for i, k in enumerate(exponent):
+            if k:
+                term = term * x[:, i] ** k
+        acc += term
+    return acc
+
+
+def _threshold_grid_reference(values, grid: GridSpec):
+    cap = float(np.quantile(values, grid.quantile_cap))
+    levels = np.linspace(0.0, grid.quantile_cap, grid.points)
+    nodes = np.concatenate(
+        ([0.0], np.quantile(values, levels), np.linspace(0.0, cap, grid.points))
+    )
+    return np.unique(np.clip(nodes, 0.0, cap))
+
+
+def covariance_integral_check_reference(
+    u_star: Polynomial, v_star: Polynomial, samples: int, grid: GridSpec = GridSpec(), seed: int = 42
+) -> IntegralCheck:
+    """The integral check with a separate cap quantile and marginals from sorted samples."""
+    su, sv = sample_values((u_star, v_star), samples, seed)
+    exact = covariance(u_star, v_star)
+    g1 = _threshold_grid_reference(su, grid)
+    g2 = _threshold_grid_reference(sv, grid)
+    b1 = np.searchsorted(g1, su, side="left")
+    b2 = np.searchsorted(g2, sv, side="left")
+    flat = b1 * (len(g2) + 1) + b2
+    counts = np.bincount(flat, minlength=(len(g1) + 1) * (len(g2) + 1)).reshape(
+        len(g1) + 1, len(g2) + 1
+    )
+    joint = counts.cumsum(axis=0).cumsum(axis=1)[: len(g1), : len(g2)] / samples
+    f1 = np.searchsorted(np.sort(su), g1, side="right") / samples
+    f2 = np.searchsorted(np.sort(sv), g2, side="right") / samples
+    integrand = joint - np.outer(f1, f2)
+    estimate = float(np.trapezoid(np.trapezoid(integrand, x=g2, axis=1), x=g1))
+    centered = (su - su.mean()) * (sv - sv.mean())
+    stderr = float(centered.std(ddof=1) / samples**0.5)
+    tolerance = max(0.05 * abs(float(exact)), 5.0 * stderr)
+    passed = abs(estimate - float(exact)) <= tolerance
+    return IntegralCheck(exact, estimate, stderr, passed, samples, seed)

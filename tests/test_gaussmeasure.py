@@ -1,6 +1,7 @@
 """Exact Gaussian expectations and the deterministic Monte Carlo engine."""
 
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -17,6 +18,7 @@ from qcunlink.gaussmeasure import (
     partial_expectation,
     sample_values,
 )
+from qcunlink import gaussmeasure, polyalg
 from qcunlink.polyalg import Polynomial, evaluate_float
 
 from corpus import P
@@ -127,6 +129,55 @@ def test_sample_values_rows_are_values_at_shared_draws():
     assert np.array_equal(values[0], evaluate_float(u, draws))
     assert np.array_equal(values[1], evaluate_float(v, draws))
     assert np.array_equal(sample_values((v,), samples, seed=3)[0], values[1])
+
+
+def test_sample_values_builds_one_power_table_per_block(monkeypatch):
+    # three distinct powers over three variables fit one table per block,
+    # and u and v read the same table
+    tables = []
+    build = polyalg._power_table
+
+    def counted(x, columns, table):
+        tables.append((x.shape, tuple(columns)))
+        build(x, columns, table)
+
+    monkeypatch.setattr(polyalg, "_power_table", counted)
+    u, v = P("x1^3 + x2", 3), P("x2*x3^5 - x1^3", 3)
+    sample_values((u, v), 70_000, seed=3)
+    assert tables == [
+        ((65_536, 3), ((0, 3), (1, 1), (2, 5))),
+        ((70_000 - 65_536, 3), ((0, 3), (1, 1), (2, 5))),
+    ]
+
+
+def test_sample_values_slices_wide_tables(monkeypatch):
+    # 96 distinct powers over 32 variables: each block is evaluated in
+    # three row slices, so the table never outgrows the block
+    arity, samples, chunk = 32, 10_000, 4096
+    monkeypatch.setattr(gaussmeasure, "_CHUNK", chunk)
+    u = Polynomial(arity, {tuple(4 * (j == i) for j in range(arity)): Fraction(1) for i in range(arity)})
+    v = Polynomial(
+        arity,
+        {
+            tuple(3 * (j == i) + (j == (i + 1) % arity) for j in range(arity)): Fraction(i + 1, 3)
+            for i in range(arity)
+        },
+    )
+    draws = np.concatenate(list(gaussian_sample_chunks(arity, samples, 11)))
+    tracemalloc.start()
+    try:
+        values = sample_values((u, v), samples, seed=11)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(values, evaluate_float((u, v), draws))
+    assert np.array_equal(values[0], evaluate_float(u, draws))
+    assert np.array_equal(values[1], evaluate_float(v, draws))
+    # besides the output: the block being evaluated (or two while the next
+    # one is drawn) and a table of at most one block; a table of all 96
+    # powers would hold three blocks on its own
+    block_bytes = chunk * arity * 8
+    assert peak <= values.nbytes + 3.5 * block_bytes
 
 
 def test_sample_values_rejects_bad_inputs():

@@ -1,5 +1,6 @@
 """Exact polynomial arithmetic, parsing, and linear composition."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -16,6 +17,7 @@ from qcunlink.polyalg import (
     RationalMatrix,
     compose_linear,
     evaluate,
+    evaluate_float,
     is_symmetric,
     parse_expression,
     partial_derivative,
@@ -27,6 +29,7 @@ from qcunlink.polyalg import (
 from qcunlink.polyalg import _tokenize
 
 from corpus import P
+from exact_oracles import evaluate_float_pow
 
 
 def directional_derivative(p, direction):
@@ -146,6 +149,29 @@ def test_evaluate_examples():
 def test_evaluate_length_mismatch():
     with pytest.raises(ValueError, match="length"):
         evaluate(P("x1", 1), (1, 2))
+
+
+def test_evaluate_float_shapes():
+    p, q = P("x1^3*x2 + 1/2", 2), P("x2^5 - x1", 2)
+    points = np.array([[1.5, -2.0], [0.25, 3.0], [0.0, 1.0]])
+    assert evaluate_float(p, (1.5, -2.0)) == -6.25
+    assert evaluate_float(p, points).shape == (3,)
+    both = evaluate_float((p, q), points)
+    assert both.shape == (2, 3)
+    assert np.array_equal(both[0], evaluate_float(p, points))
+    assert np.array_equal(both[1], evaluate_float(q, points))
+    assert np.array_equal(evaluate_float([p, q], (1.5, -2.0)), both[:, 0])
+    assert evaluate_float(Polynomial.constant(0, 3), np.empty((4, 0))).tolist() == [3.0] * 4
+    assert evaluate_float(p, np.empty((0, 2))).shape == (0,)
+
+
+def test_evaluate_float_rejects_bad_inputs():
+    with pytest.raises(ValueError, match="arity mismatch"):
+        evaluate_float((P("x1", 1), P("x1", 2)), (1.0,))
+    with pytest.raises(ValueError, match="no polynomial"):
+        evaluate_float((), (1.0,))
+    with pytest.raises(ValueError, match="arity 2"):
+        evaluate_float(P("x1", 2), (1.0, 2.0, 3.0))
 
 
 # ---------------------------------------------------------------------------
@@ -523,3 +549,104 @@ def test_zero_derivative_implies_constant_lines(arity, seed):
         base = [Fraction(int(x)) for x in rng.integers(-5, 6, size=arity)]
         line = restrict_line(p, base, direction)
         assert all(e == (0,) for e in line.terms)
+
+
+# Differential test of the power-table evaluator against the ``pow`` one.
+#
+# With gamma_k as in the bound comment next to ``polyalg._evaluate_rows``,
+# the power-table value h satisfies |h - p(x)| <= gamma_(D+t) * M, where
+# D is the total degree, t the number of terms and M = sum |c_e| |x|^e.
+# The replaced evaluator rounds float(c) once, multiplies once per
+# variable present, and takes x ** k from numpy: exact for k = 1, one
+# product for k = 2 and libm ``pow`` for k >= 3.  Granting ``pow`` an
+# error of 4 ulp, at most 8u relative, i.e. within gamma_8, each term
+# carries at most 1 + 9*D factors before the t - 1 additions, so its
+# value g satisfies |g - p(x)| <= gamma_(9D+t) * M.  Hence
+#     |h - g| <= (gamma_(D+t) + gamma_(9D+t)) * M.
+# Coordinates are 0 or lie in [1/64, 4] in magnitude and coefficients in
+# [1/16, 8], so with degree at most 4*12 every power, product and sum
+# stays in the normal range the model needs.
+
+_UNIT_ROUNDOFF = Fraction(1, 2**53)
+
+
+def _gamma(k: int) -> Fraction:
+    return k * _UNIT_ROUNDOFF / (1 - k * _UNIT_ROUNDOFF)
+
+
+coordinates = st.one_of(
+    st.just(0.0), st.floats(1 / 64, 4.0), st.floats(-4.0, -1 / 64)
+)
+
+
+@st.composite
+def float_evaluation_cases(draw):
+    arity = draw(st.integers(1, 4))
+    terms = {}
+    for _ in range(draw(st.integers(1, 8))):
+        exponent = tuple(draw(st.integers(0, 12)) for _ in range(arity))
+        terms[exponent] = draw(st.fractions(Fraction(1, 16), 8, max_denominator=16)) * draw(
+            st.sampled_from((1, -1))
+        )
+    p = Polynomial(arity, terms)
+    rows = draw(st.integers(1, 12))
+    points = [[draw(coordinates) for _ in range(arity)] for _ in range(rows)]
+    return p, np.array(points)
+
+
+@settings(max_examples=200, deadline=None)
+@given(float_evaluation_cases())
+def test_evaluate_float_matches_pow_evaluator(case):
+    p, points = case
+    new = evaluate_float(p, points)
+    old = evaluate_float_pow(p, points)
+    gamma = _gamma(p.total_degree() + len(p.terms)) + _gamma(9 * p.total_degree() + len(p.terms))
+    for h, g, point in zip(new, old, points):
+        x = [abs(Fraction(c)) for c in point]
+        magnitude = sum(abs(c) * math.prod(v**k for v, k in zip(x, e)) for e, c in p.terms.items())
+        assert abs(Fraction(h) - Fraction(g)) <= gamma * magnitude
+
+
+@st.composite
+def dyadic_cases(draw):
+    # points j/4 with |j| <= 8, integer coefficients, total degree <= 6:
+    # every power, product and sum is a multiple of 4**-6 below 2**20 in
+    # magnitude, so float64 holds each one exactly
+    arity = draw(st.integers(1, 4))
+    terms = {}
+    for _ in range(draw(st.integers(0, 8))):
+        budget = 6
+        exponent = []
+        for _ in range(arity):
+            k = draw(st.integers(0, budget))
+            exponent.append(k)
+            budget -= k
+        terms[tuple(exponent)] = Fraction(draw(st.integers(-50, 50)))
+    p = Polynomial(arity, terms)
+    rows = draw(st.integers(1, 10))
+    points = [[Fraction(draw(st.integers(-8, 8)), 4) for _ in range(arity)] for _ in range(rows)]
+    return p, points
+
+
+@settings(max_examples=200, deadline=None)
+@given(dyadic_cases())
+def test_evaluate_float_is_exact_on_dyadic_points(case):
+    p, points = case
+    values = evaluate_float(p, np.array([[float(x) for x in point] for point in points]))
+    assert values.tolist() == [float(evaluate(p, point)) for point in points]
+
+
+@settings(max_examples=80, deadline=None)
+@given(polynomials(max_exponent=9), st.data())
+def test_evaluate_float_rows_do_not_depend_on_the_other_polynomials(p, data):
+    # a shared table changes which powers are built and how rows are sliced
+    q = data.draw(polynomials(min_arity=p.arity, max_arity=p.arity, max_exponent=9))
+    points = np.array(
+        data.draw(st.lists(st.lists(coordinates, min_size=p.arity, max_size=p.arity), min_size=1, max_size=9))
+    )
+    both = evaluate_float((p, q, p), points)
+    assert np.array_equal(both[0], evaluate_float(p, points))
+    assert np.array_equal(both[1], evaluate_float(q, points))
+    assert np.array_equal(both[2], both[0])
+    for row, point in zip(both.T, points):
+        assert np.array_equal(row, evaluate_float((p, q, p), point))

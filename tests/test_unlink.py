@@ -1,5 +1,6 @@
 """Concordance, transform assembly, the unlink pipeline, and spot-checks."""
 
+import dataclasses
 import json
 import random
 from fractions import Fraction
@@ -37,7 +38,7 @@ from corpus import (
     random_psd_quadratic,
     swap_columns,
 )
-from exact_oracles import intersect
+from exact_oracles import covariance_integral_check_reference, intersect
 
 ROT_U = P("x1^2 + 2*x1*x2 + x2^2", 2)
 ROT_V = P("x1^2 - 2*x1*x2 + x2^2", 2)
@@ -490,6 +491,37 @@ def test_integral_check_rejects_negative_values():
 def test_integral_check_rejects_large_arity():
     with pytest.raises(ValueError, match="arity"):
         covariance_integral_check(P("x1^2", 3), P("x2^2", 3), 10_000, seed=42)
+
+
+@pytest.mark.parametrize(
+    "u, v, samples, grid",
+    [
+        (P("x1^2", 1), P("x1^2", 1), 300_000, GridSpec(points=120)),
+        (P("x1^2", 2), P("x2^2", 2), 300_000, GridSpec(points=120)),
+        (P("x1^2", 1), P("x1^2 + 1", 1), 300_000, GridSpec(points=120)),
+        (P("3/2*x1^2", 1), P("2*x1^4 + 1/2*x1^2", 1), 200_000, GridSpec()),
+        (P("x1^2 + 3*x2^2", 2), P("3/2*x2^4", 2), 200_000, GridSpec()),
+        (P("x1^4", 1), P("x1^2", 1), 1000, GridSpec(points=2)),
+    ],
+)
+def test_integral_check_matches_reference(u, v, samples, grid):
+    # the cap taken from the quantile grid and the marginals read off the
+    # joint counts leave every field bit-identical
+    result = covariance_integral_check(u, v, samples, grid, seed=42)
+    reference = covariance_integral_check_reference(u, v, samples, grid, seed=42)
+    assert dataclasses.astuple(result) == dataclasses.astuple(reference)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_integral_check_rejects_overflow():
+    # the exact covariance and the squares of the centered products overflow
+    with pytest.raises(ValueError, match="not finite.*exact covariance.*stderr"):
+        covariance_integral_check(P("x1^400", 1), P("x1^2", 1), 1000, seed=1)
+
+
+def test_grid_needs_two_points():
+    with pytest.raises(ValueError, match="at least 2 points"):
+        GridSpec(points=1)
 
 
 def test_divergence_check_examples():
