@@ -165,7 +165,9 @@ def sample_values(polys: Sequence[Polynomial], samples: int, seed: int) -> np.nd
     Returns a (len(polys), samples) array whose row i holds polys[i] at
     the draws, in draw order.  The polynomials must share an arity of at
     least one.  Each block of draws is evaluated for all of them at once,
-    so they share one table of powers per block.
+    so they share one table of powers per block, and only one block is
+    held at a time.  Values that overflow float64 come back as inf or nan
+    without a warning; each caller decides what a non-finite value means.
     """
     if samples < 2:
         raise ValueError("need at least 2 samples")
@@ -177,10 +179,13 @@ def sample_values(polys: Sequence[Polynomial], samples: int, seed: int) -> np.nd
         raise ValueError("sampling needs at least one coordinate")
     values = np.empty((len(polys), samples))
     done = 0
-    for block in gaussian_sample_chunks(arity, samples, seed):
-        m = block.shape[0]
-        values[:, done : done + m] = evaluate_float(polys, block)
-        done += m
+    with np.errstate(over="ignore", invalid="ignore"):
+        for block in gaussian_sample_chunks(arity, samples, seed):
+            m = block.shape[0]
+            values[:, done : done + m] = evaluate_float(polys, block)
+            done += m
+            # drop this block before the generator draws the next one
+            del block
     return values
 
 

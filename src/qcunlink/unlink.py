@@ -459,6 +459,8 @@ class GridSpec:
     def __post_init__(self):
         if self.points < 2:
             raise ValueError("the grid needs at least 2 points per axis")
+        if not 0.0 < self.quantile_cap <= 1.0:
+            raise ValueError(f"quantile_cap must be in (0, 1], got {self.quantile_cap}")
 
 
 @dataclass(frozen=True)
@@ -481,16 +483,35 @@ class IntegralCheck:
         }
 
 
-def _threshold_grid(values: np.ndarray, grid: GridSpec) -> np.ndarray:
+def _axis_bins(values: np.ndarray, grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
+    """(nodes, bins) for one threshold axis, from one sort of the values.
+
+    ``nodes`` is the threshold grid; ``bins[i]`` is the number of nodes
+    strictly below ``values[i]``, so ``len(nodes)`` marks a value beyond
+    the cap.  Raises ``ValueError`` for a negative or non-finite value.
+    """
+    order = np.argsort(values)
+    ordered = values[order]
+    # NaN sorts last and +inf just before it
+    if float(ordered[0]) < -1e-12:
+        raise ValueError("negative sample value: inputs must be nonnegative polynomials")
+    if not math.isfinite(float(ordered[-1])):
+        raise ValueError("integral check is not finite: float64 overflow in the sampled values")
     # quantile nodes track steep CDF regions (e.g. the sqrt blow-up of a
     # squared Gaussian near 0); evenly spaced values keep the decaying
     # tail finely resolved, where pure quantile spacing leaves one huge
     # interval and the trapezoid rule overshoots
     # (linspace ends exactly at its stop, so the last quantile is the cap)
-    quantiles = np.quantile(values, np.linspace(0.0, grid.quantile_cap, grid.points))
+    quantiles = np.quantile(ordered, np.linspace(0.0, grid.quantile_cap, grid.points))
     cap = float(quantiles[-1])
     nodes = np.concatenate(([0.0], quantiles, np.linspace(0.0, cap, grid.points)))
-    return np.unique(np.clip(nodes, 0.0, cap))
+    nodes = np.unique(np.clip(nodes, 0.0, cap))
+    # the values at most nodes[j] are those in bins 0..j
+    at_most = np.searchsorted(ordered, nodes, side="right")
+    per_bin = np.diff(at_most, prepend=0, append=len(values))
+    bins = np.empty(len(values), dtype=np.min_scalar_type(len(nodes)))
+    bins[order] = np.repeat(np.arange(len(nodes) + 1, dtype=bins.dtype), per_bin)
+    return nodes, bins
 
 
 def covariance_integral_check(
@@ -506,29 +527,32 @@ def covariance_integral_check(
     thresholds (k1, k2) of P(both sublevel events) minus the product of
     the marginals.  The integral is estimated by a trapezoid rule on an
     adaptive quantile grid, with all probabilities read off one shared
-    sample set.  Passes when the estimate is within
+    sample set: one sort per axis gives that axis's grid and each
+    sample's grid cell.  Passes when the estimate is within
     max(5% of |exact|, 5 * stderr) of the exact covariance, where stderr
     is that of the direct Monte Carlo covariance estimator on the same
-    samples (the two estimators target the same quantity).
+    samples (the two estimators target the same quantity).  Raises
+    ``ValueError`` for negative or non-finite sampled values, and when
+    the exact covariance, the estimate or the stderr is not finite.
     """
     if u_star.arity not in (1, 2):
         raise ValueError("integral check supports arity 1 or 2 only")
     su, sv = sample_values((u_star, v_star), samples, seed)
     exact = covariance(u_star, v_star)
-    if float(su.min()) < -1e-12 or float(sv.min()) < -1e-12:
-        raise ValueError("negative sample value: inputs must be nonnegative polynomials")
+    g1, b1 = _axis_bins(su, grid)
+    g2, b2 = _axis_bins(sv, grid)
 
     # an overflow leaves a non-finite estimate or stderr, rejected below
     with np.errstate(over="ignore", invalid="ignore"):
-        g1 = _threshold_grid(su, grid)
-        g2 = _threshold_grid(sv, grid)
         # joint counts per grid cell; index len(g) collects values beyond the cap
-        b1 = np.searchsorted(g1, su, side="left")
-        b2 = np.searchsorted(g2, sv, side="left")
-        flat = b1 * (len(g2) + 1) + b2
+        # (widened first: the bins may be as narrow as uint8)
+        flat = b1.astype(np.intp)
+        flat *= len(g2) + 1
+        flat += b2
         counts = np.bincount(flat, minlength=(len(g1) + 1) * (len(g2) + 1)).reshape(
             len(g1) + 1, len(g2) + 1
         )
+        del flat  # not held through the stderr temporaries below
         cumulative = counts.cumsum(axis=0).cumsum(axis=1) / samples
         # the last row and column count every value of the other coordinate
         joint = cumulative[: len(g1), : len(g2)]

@@ -164,7 +164,8 @@ def test_exit_2_invalid_seed(capsys):
     "u, samples",
     [
         ("x1^2", "1"),  # no variance estimate from one sample
-        ("x1^400", "1000"),  # the sampled values overflow float64
+        ("x1^400", "1000"),  # the sampled products are finite, their squares overflow float64
+        ("x1^1000", "1000"),  # the sampled values themselves overflow float64
     ],
 )
 def test_exit_2_cov_mc_unreportable_estimate(capsys, tmp_path, u, samples):

@@ -180,6 +180,34 @@ def test_sample_values_slices_wide_tables(monkeypatch):
     assert peak <= values.nbytes + 3.5 * block_bytes
 
 
+def test_sample_values_holds_one_block_of_draws(monkeypatch):
+    # x1 alone needs a table of one column, a small part of a block, so
+    # more than 1.5 blocks beyond the output means that two blocks of
+    # draws were resident at once
+    arity, chunk = 32, 4096
+    monkeypatch.setattr(gaussmeasure, "_CHUNK", chunk)
+    u = P("x1", arity)
+    sample_values((u,), 100, seed=5)  # what drawing imports is not counted
+    tracemalloc.start()
+    try:
+        values = sample_values((u,), 10 * chunk, seed=5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - values.nbytes <= 1.5 * chunk * arity * 8
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_sample_values_overflow_is_silent():
+    # x1^1000 overflows for |x1| above about 2.03 and stays finite below
+    # 2 (2^1000 < 1.8e308); the caller sees inf and no warning
+    values = sample_values((P("x1^1000", 1), P("x1^2", 1)), 1000, seed=1)
+    overflowed = np.isinf(values[0])
+    assert overflowed.any()
+    assert (values[1][overflowed] > 4.0).all()
+    assert np.isfinite(values[0][values[1] < 4.0]).all()
+
+
 def test_sample_values_rejects_bad_inputs():
     with pytest.raises(ValueError, match="at least 2 samples"):
         sample_values((P("x1", 1),), 1, seed=1)

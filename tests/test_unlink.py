@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -512,6 +513,61 @@ def test_integral_check_matches_reference(u, v, samples, grid):
     assert dataclasses.astuple(result) == dataclasses.astuple(reference)
 
 
+@pytest.mark.parametrize("seed", [1, 7, 2024])
+@pytest.mark.parametrize(
+    "u, v, samples, grid",
+    [
+        # over 255 nodes per axis, and values beyond the 0.99 cap
+        (P("3/2*x1^2", 1), P("2*x1^4 + 1/2*x1^2", 1), 200_000, GridSpec(points=200, quantile_cap=0.99)),
+        (P("x1^2 + 3*x2^2", 2), P("3/2*x2^4", 2), 200_000, GridSpec(points=200, quantile_cap=0.99)),
+        (P("x1^4", 1), P("x1^2", 1), 200_000, GridSpec(points=2)),
+        (P("x1^2", 1), P("x1^2 + 1", 1), 50_000, GridSpec()),
+    ],
+)
+def test_integral_check_matches_reference_on_other_seeds(u, v, samples, grid, seed):
+    result = covariance_integral_check(u, v, samples, grid, seed=seed)
+    reference = covariance_integral_check_reference(u, v, samples, grid, seed=seed)
+    assert dataclasses.astuple(result) == dataclasses.astuple(reference)
+
+
+def test_integral_check_memory():
+    # one sort per axis: the peak stays within 3x the sampled values
+    u, v, samples = P("3/2*x1^2", 1), P("2*x1^4 + 1/2*x1^2", 1), 200_000
+    covariance_integral_check(u, v, 1000)  # what the check imports is not counted
+    tracemalloc.start()
+    try:
+        covariance_integral_check(u, v, samples)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * (2 * samples * 8)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("swap", [False, True])
+def test_integral_check_rejects_non_finite_samples(swap):
+    # 10^300 * (x1^300 - 1)^2 >= 0, but its sampled values include inf and nan
+    big = 10**300
+    u = P(f"{big}*x1^600 - {2 * big}*x1^300 + {big}", 1)
+    v = P("x1^2", 1)
+    if swap:
+        u, v = v, u
+    with pytest.raises(ValueError, match="not finite: float64 overflow in the sampled values"):
+        covariance_integral_check(u, v, 20_000, seed=1)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_spotchecks_with_overflowing_samples():
+    # x1^1000 overflows to inf for |x1| above about 2.03: the correlation check
+    # counts those draws outside the sublevel set, as the exact value
+    # would be, and the integral check rejects them
+    huge, square = P("x1^1000", 1), P("x1^2", 1)
+    check = correlation_spotcheck(huge, square, 1.0, 1.0, 1000, seed=1)
+    assert check == correlation_spotcheck(square, square, 1.0, 1.0, 1000, seed=1)
+    with pytest.raises(ValueError, match="sampled values"):
+        covariance_integral_check(huge, square, 1000, seed=1)
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_integral_check_rejects_overflow():
     # the exact covariance and the squares of the centered products overflow
@@ -522,6 +578,13 @@ def test_integral_check_rejects_overflow():
 def test_grid_needs_two_points():
     with pytest.raises(ValueError, match="at least 2 points"):
         GridSpec(points=1)
+
+
+@pytest.mark.parametrize("cap", [0.0, -0.5, 1.5, float("nan")])
+def test_grid_quantile_cap_in_unit_interval(cap):
+    with pytest.raises(ValueError, match="quantile_cap must be in \\(0, 1\\]"):
+        GridSpec(quantile_cap=cap)
+    assert GridSpec(quantile_cap=1.0).quantile_cap == 1.0
 
 
 def test_divergence_check_examples():
