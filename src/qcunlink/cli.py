@@ -209,11 +209,11 @@ def _cmd_cov(args) -> tuple[dict, int]:
 
 def _mc_covariance(u: Polynomial, v: Polynomial, samples: int, seed: int) -> dict:
     su, sv = gaussmeasure.sample_values((u, v), samples, seed)
-    # an overflow leaves a non-finite estimate, which the report writer rejects
-    with np.errstate(over="ignore", invalid="ignore"):
-        centered = (su - su.mean()) * (sv - sv.mean())
-        estimate = float(centered.sum() / (samples - 1))
-        stderr = float(centered.std(ddof=1) / samples**0.5)
+    estimate, stderr = gaussmeasure.sample_covariance(su, sv)
+    quantities = {"mean": estimate, "stderr": stderr}
+    overflowed = ", ".join(name for name, value in quantities.items() if not math.isfinite(value))
+    if overflowed:
+        raise ValueError(f"Monte Carlo covariance is not finite: float64 overflow in {overflowed}")
     return {
         "mean": estimate,
         "stderr": stderr,

@@ -11,7 +11,8 @@ The Monte Carlo side needs one thing: the values of a few polynomials at
 shared draws of a standard Gaussian vector.  ``sample_values`` is the one
 loop that produces them; the mean estimate here, the correlation and
 double-integral spot-checks in ``unlink`` and ``cov --mc`` all read its
-output.  Draws come in a fixed order from one ``numpy.random.Generator``
+output, and ``sample_covariance`` is the one covariance estimator over
+it.  Draws come in a fixed order from one ``numpy.random.Generator``
 with the PCG64 bit generator.  Each block of draws is evaluated by
 ``evaluate_float`` for all the polynomials at once, from one table of
 the powers they use; the powers are float64 products, not ``pow``
@@ -31,7 +32,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .polyalg import Polynomial, evaluate_float
+from .polyalg import Polynomial, _scaled_terms, evaluate_float
 
 __all__ = [
     "McEstimate",
@@ -41,6 +42,7 @@ __all__ = [
     "gaussian_sample_chunks",
     "mc_estimate",
     "partial_expectation",
+    "sample_covariance",
     "sample_values",
 ]
 
@@ -64,12 +66,6 @@ def gaussian_moment(order: int) -> Fraction:
     if order < 0:
         raise ValueError("moment order must be nonnegative")
     return Fraction(_moment(order))
-
-
-def _scaled_terms(p: Polynomial) -> tuple[int, list[tuple[tuple[int, ...], int]]]:
-    """(D, [(e, D*c)]): p's terms over the lcm D of its denominators."""
-    scale = math.lcm(*(c.denominator for c in p.terms.values()))
-    return scale, [(e, c.numerator * (scale // c.denominator)) for e, c in p.terms.items()]
 
 
 def expectation(p: Polynomial) -> Fraction:
@@ -187,6 +183,20 @@ def sample_values(polys: Sequence[Polynomial], samples: int, seed: int) -> np.nd
             # drop this block before the generator draws the next one
             del block
     return values
+
+
+def sample_covariance(su: np.ndarray, sv: np.ndarray) -> tuple[float, float]:
+    """Covariance estimate of paired samples and its standard error.
+
+    The estimate is the mean of the centered products (su - mean) *
+    (sv - mean) over n - 1, the standard error their sample standard
+    deviation over sqrt(n).  A float64 overflow leaves either one inf or
+    nan, without a warning; each caller decides what that means.
+    """
+    samples = len(su)
+    with np.errstate(over="ignore", invalid="ignore"):
+        centered = (su - su.mean()) * (sv - sv.mean())
+        return float(centered.sum() / (samples - 1)), float(centered.std(ddof=1) / samples**0.5)
 
 
 @dataclass(frozen=True)

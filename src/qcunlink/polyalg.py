@@ -27,6 +27,7 @@ constructors and arithmetic take polynomials of any size.
 from __future__ import annotations
 
 import itertools
+import math
 import numbers
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -207,6 +208,12 @@ def evaluate(p: Polynomial, point: Sequence) -> Fraction:
                 term *= value**k
         total += term
     return total
+
+
+def _scaled_terms(p: Polynomial) -> tuple[int, list[tuple[Exponent, int]]]:
+    """(C, [(e, C*c)]): p's terms over the lcm C of its coefficient denominators."""
+    scale = math.lcm(*(c.denominator for c in p.terms.values()))
+    return scale, [(e, c.numerator * (scale // c.denominator)) for e, c in p.terms.items()]
 
 
 def evaluate_float(p: Polynomial | Sequence[Polynomial], points) -> np.ndarray | float:
@@ -525,7 +532,12 @@ def _json_term(item, arity: int, index: int) -> tuple[Exponent, Fraction]:
         raise ValueError(f"term {index}: 'c' is not a rational number: {coeff!r}") from None
 
 
+_DIGITS = frozenset("0123456789")
+
+
 def _tokenize(text: str) -> list[tuple[str, object, int]]:
+    # only ASCII digits: str.isdigit also accepts other scripts' digits and
+    # superscripts, which int() reads differently or rejects
     tokens: list[tuple[str, object, int]] = []
     i = 0
     while i < len(text):
@@ -537,16 +549,16 @@ def _tokenize(text: str) -> list[tuple[str, object, int]]:
             tokens.append((ch, ch, i))
             i += 1
             continue
-        if ch.isdigit():
+        if ch in _DIGITS:
             j = i
-            while j < len(text) and text[j].isdigit():
+            while j < len(text) and text[j] in _DIGITS:
                 j += 1
             tokens.append(("int", int(text[i:j]), i))
             i = j
             continue
         if ch == "x":
             j = i + 1
-            while j < len(text) and text[j].isdigit():
+            while j < len(text) and text[j] in _DIGITS:
                 j += 1
             if j == i + 1:
                 raise PolynomialSyntaxError("expected a variable index after 'x'", i)

@@ -3,17 +3,15 @@
 Quasi-convexity of a general polynomial is only falsified here, never
 certified: the sampler hunts for rational points x, y and a weight alpha
 where the value at alpha*x + (1-alpha)*y strictly exceeds both endpoint
-values.  Each trial is first screened in float64: p is evaluated at the
-three points together with a forward error bound (Higham's gamma_K times
-the sum of |coefficient| * |point|^exponent), and a trial whose float
-upper bound of p(mid) - max(p(x), p(y)) is below zero cannot be a
-violation and is skipped.  Every other trial is confirmed in exact
-rational arithmetic, in trial order, so the verdict and witness are
-those of an all-exact search and there are no floating-point false
-positives or negatives.  The one decidable case is total degree at most
-two, where convexity (equivalently quasi-convexity) reduces to an exact
-positive-semidefiniteness test of the quadratic form; a failed test
-yields a deterministic witness instead of relying on sampling luck.
+values.  Each trial is decided exactly over ``int``: p is brought to
+integer coefficients and homogenized, and the three points to one
+common denominator, so comparing p(mid) with p(x) and p(y) is comparing
+integers, whatever the scale of the coefficients.  There is no floating
+point in the search and no false positive or negative; the witness is
+the first violating trial.  The one decidable case is total degree at
+most two, where convexity (equivalently quasi-convexity) reduces to an
+exact positive-semidefiniteness test of the quadratic form; a failed
+test yields a deterministic witness instead of relying on sampling luck.
 
 The invariance subspace of p (all directions a with p(t*a) = 0 for every
 t, for normalized p with p(0) = 0) is computed as the kernel of the
@@ -35,6 +33,7 @@ from .exactla import Subspace, kernel, psd_violation
 from .polyalg import (
     Polynomial,
     RationalMatrix,
+    _scaled_terms,
     evaluate,
     partial_derivative,
     restrict_line,
@@ -166,12 +165,11 @@ def qc_falsify(p: Polynomial, trials: int, seed: int) -> QcVerdict:
 
     Sample points have entries in [-POINT_BOUND, POINT_BOUND] with
     denominators at most ``POINT_MAX_DENOMINATOR``.  Each trial is
-    screened in float with a forward error bound and confirmed in exact
-    arithmetic unless the screen proves it is no violation, so the
-    verdict is exact.  For total degree <= 2 the answer is decided
-    exactly instead of sampled: the quadratic form is either positive
-    semidefinite (certificate) or it supplies a concave direction from
-    which a witness is built.
+    decided in exact integer arithmetic, so the verdict is exact and the
+    witness is the first violating trial.  For total degree <= 2 the
+    answer is decided exactly instead of sampled: the quadratic form is
+    either positive semidefinite (certificate) or it supplies a concave
+    direction from which a witness is built.
     """
     if trials < 1:
         raise ValueError("trials must be positive")
@@ -183,116 +181,79 @@ def qc_falsify(p: Polynomial, trials: int, seed: int) -> QcVerdict:
     return _sample_violation(p, trials, seed)
 
 
-# Float screen of a sampled trial.
+# Exact integer test of a sampled trial.
 #
-# Write u = 2**-53 for the unit roundoff of float64 and
-# gamma_k = k*u / (1 - k*u) (Higham, Accuracy and Stability of Numerical
-# Algorithms, section 3.1).  A coordinate of x, y or the midpoint is an
-# exact integer ratio rounded once to float.  A term c * x1^e1 * ... *
-# xn^en of degree D is then formed from the rounded coefficient (one
-# rounding) and the rounded coordinates, which enter it D times; x^k
-# takes k - 1 multiplications and the term one more per variable present,
-# D multiplications in all.  Summing t terms from 0.0 rounds each term at
-# most t - 1 more times.  So each term carries at most
-#     K = 1 + D + D + (t - 1) <= 2*deg(p) + t
-# factors (1 + delta), |delta| <= u, and Lemma 3.1 gives for the float
-# value h of p at a point x
-#     |h - p(x)| <= gamma_K * M,     M = sum over terms of |c_e| * |x|^e.
-# The same operations on the magnitudes give the float m with
-# |m - M| <= gamma_K * M (rounding to nearest is symmetric, so m sums the
-# |term| of h), hence
-#     |h - p(x)| <= gamma_K / (1 - gamma_K) * m <= gamma_2K * m.
-# The screen computes err = gamma * m with gamma = gamma_(2K+4) in float;
-# the four extra roundings cover forming gamma, the product gamma * m, the
-# sum err(x) + err(mid) and the difference h(x) - h(mid).  So
-#     h(x) - h(mid) > err(x) + err(mid)   (computed in float)
-# proves p(x) > p(mid) exactly, the float upper bound of
-# p(mid) - max(p(x), p(y)) is below zero, and the trial is no violation;
-# likewise with y.  Any other trial, including one whose screen values
-# are not finite, is confirmed exactly.  The relative error model needs
-# every coefficient, power, partial product and sum to stay normal:
-# nonzero coordinates lie between 1/POINT_MAX_DENOMINATOR**3 (a midpoint's
-# denominator divides d*dx*dy) and POINT_BOUND in magnitude, and when these
-# extremes can leave [2**-1000, 2**1000] no trial is screened.
+# Write p = (1/C) * sum over terms of c_e * x^e with integers c_e, where C
+# is the lcm of p's coefficient denominators, and D for its total degree.
+# The homogenization of C*p in one more variable s,
+#     V(Z, s) = sum over terms of c_e * Z^e * s^(D - |e|),
+# has integer coefficients, and p(Z / L) = V(Z, L) / (C * L^D) for L > 0.
+# Over the common denominator L of x and y, x = X / L, y = Y / L and the
+# midpoint with weight a/d is M / (d*L) with M = a*X + (d - a)*Y, all
+# integer vectors.  Multiplying through by the positive C * (d*L)^D gives
+#     p(mid) > p(x)  iff  V(M, d*L) > d^D * V(X, L),
+# and likewise for y, so a trial is decided over ``int`` alone.
 
-_UNIT_ROUNDOFF = 2.0**-53
-_NORMAL_RANGE = (Fraction(1, 2**1000), Fraction(2**1000))
-
-# float coefficient and (variable index, exponent) factors per term, the
-# largest exponent of each variable, and the error factor gamma_(2K+4)
-_Screen = tuple[list[tuple[float, tuple[tuple[int, int], ...]]], list[int], float]
+# the distinct powers (variable index, exponent) that V uses, with s at
+# index n, and per term its integer coefficient and the positions of its
+# factors among those powers
+_IntegerForm = tuple[list[tuple[int, int]], list[tuple[int, tuple[int, ...]]]]
 
 
-def _screen(p: Polynomial) -> Optional[_Screen]:
-    """Float form of p for the screen, or None when every trial must be confirmed exactly."""
+def _homogenized(p: Polynomial) -> tuple[int, _IntegerForm]:
+    """C and the integer form of V, as defined above."""
+    scale, terms = _scaled_terms(p)
     degree = p.total_degree()
-    magnitudes = [abs(c) for c in p.terms.values()]
-    smallest = min(min(magnitudes), 1) / Fraction(POINT_MAX_DENOMINATOR) ** (3 * degree)
-    largest = max(max(magnitudes), 1) * len(magnitudes) * Fraction(POINT_BOUND) ** degree
-    low, high = _NORMAL_RANGE
-    if smallest < low or largest > high:
-        return None
-    terms = [
-        (float(c), tuple((i, k) for i, k in enumerate(exponent) if k))
-        for exponent, c in p.terms.items()
-    ]
-    tops = [max(exponent[i] for exponent in p.terms) for i in range(p.arity)]
-    k = 2 * (2 * degree + len(terms)) + 4
-    gamma = k * _UNIT_ROUNDOFF / (1 - k * _UNIT_ROUNDOFF)
-    return terms, tops, gamma
+    homogeneous = [(e + (degree - sum(e),), c) for e, c in terms]
+    powers = sorted({(i, k) for e, _ in homogeneous for i, k in enumerate(e) if k})
+    index = {power: j for j, power in enumerate(powers)}
+    form = [(c, tuple(index[(i, k)] for i, k in enumerate(e) if k)) for e, c in homogeneous]
+    return scale, (powers, form)
 
 
-def _float_value(screen: _Screen, point: Sequence[float]) -> tuple[float, float]:
-    """Float p(point) and the float sum of its term magnitudes."""
-    terms, tops, _ = screen
-    powers = []
-    for x, top in zip(point, tops):
-        row = [1.0, x]
-        for _ in range(top - 1):
-            row.append(row[-1] * x)
-        powers.append(row)
-    value = magnitude = 0.0
+def _integer_value(form: _IntegerForm, point: Sequence[int]) -> int:
+    """Value of an integer form at an integer point, each power formed once."""
+    powers, terms = form
+    values = [point[i] ** k for i, k in powers]
+    total = 0
     for term, factors in terms:
-        for i, k in factors:
-            term *= powers[i][k]
-        value += term
-        magnitude += abs(term)
-    return value, magnitude
-
-
-def _screened_out(screen: _Screen, x, y, a: int, d: int) -> bool:
-    """True when the float screen proves the trial is no violation.
-
-    ``x`` and ``y`` hold (numerator, denominator) pairs and the weight is a/d.
-    """
-    gamma = screen[2]
-    mid = [
-        (a * nx * dy + (d - a) * ny * dx) / (d * dx * dy) for (nx, dx), (ny, dy) in zip(x, y)
-    ]
-    h_mid, m_mid = _float_value(screen, mid)
-    h_x, m_x = _float_value(screen, [n / den for n, den in x])
-    if h_x - h_mid > gamma * m_x + gamma * m_mid:
-        return True
-    h_y, m_y = _float_value(screen, [n / den for n, den in y])
-    return h_y - h_mid > gamma * m_y + gamma * m_mid
+        for j in factors:
+            term *= values[j]
+        total += term
+    return total
 
 
 def _sample_violation(p: Polynomial, trials: int, seed: int) -> QcVerdict:
-    """The sampled search: trials in order, float-screened, confirmed exactly."""
-    screen = _screen(p)
+    """The sampled search: trials in order, each decided exactly over the integers."""
+    scale, form = _homogenized(p)
+    degree = p.total_degree()
     rng = random.Random(seed)
     for trial in range(1, trials + 1):
         x = [_random_ratio(rng) for _ in range(p.arity)]
         y = [_random_ratio(rng) for _ in range(p.arity)]
         d = rng.randint(2, POINT_MAX_DENOMINATOR)
         a = rng.randint(1, d - 1)
-        if screen is not None and _screened_out(screen, x, y, a, d):
+        common = math.lcm(*[den for _, den in x], *[den for _, den in y])
+        # the points (X, L), (Y, L) and (M, d*L) of V
+        big_x = [n * (common // den) for n, den in x] + [common]
+        big_y = [n * (common // den) for n, den in y] + [common]
+        mid = [a * u + (d - a) * w for u, w in zip(big_x, big_y)]
+        v_mid = _integer_value(form, mid)
+        weight = d**degree
+        v_x = weight * _integer_value(form, big_x)
+        if v_mid <= v_x:
             continue
-        witness = _witness_if_violation(
-            p, [Fraction(*r) for r in x], [Fraction(*r) for r in y], Fraction(a, d)
+        v_y = weight * _integer_value(form, big_y)
+        if v_mid <= v_y:
+            continue
+        denominator = scale * (d * common) ** degree
+        witness = QcWitness(
+            tuple(Fraction(*r) for r in x),
+            tuple(Fraction(*r) for r in y),
+            Fraction(a, d),
+            (Fraction(v_x, denominator), Fraction(v_y, denominator), Fraction(v_mid, denominator)),
         )
-        if witness is not None:
-            return QcVerdict(FALSIFIED, witness, trial, seed)
+        return QcVerdict(FALSIFIED, witness, trial, seed)
     return QcVerdict(NOT_FALSIFIED, None, trials, seed)
 
 

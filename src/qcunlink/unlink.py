@@ -49,7 +49,7 @@ import numpy as np
 
 from .errors import InvariantViolation
 from .exactla import Subspace, orthogonal_complement, orthonormalize_nested, subspace_sum
-from .gaussmeasure import covariance, sample_values
+from .gaussmeasure import covariance, sample_covariance, sample_values
 from .polyalg import Polynomial, evaluate, is_symmetric, partial_derivative, restrict_line
 from .structure import CASE_A, QcVerdict, classify_ray, invariance_subspace, qc_falsify
 
@@ -271,11 +271,18 @@ def verify_unlinked(p: Polynomial, transform: OrthogonalTransform, forbidden) ->
 
 
 def _asymmetry_witness(p: Polynomial) -> dict:
-    """A point where p(x) != p(-x), found deterministically."""
+    """A point where p(x) != p(-x), found deterministically.
+
+    p(x) - p(-x) is twice the odd part of p, a nonzero polynomial of some
+    degree k.  Integer coordinates are drawn from [-b, b] with b >= k, so
+    by Schwartz-Zippel one draw is a root with probability at most
+    k / (2b + 1) < 1/2.
+    """
     odd = Polynomial(p.arity, {e: c for e, c in p.terms.items() if sum(e) % 2})
+    bound = max(9, odd.total_degree())
     rng = random.Random(0xA5)
     for _ in range(200):
-        point = [Fraction(rng.randint(-9, 9)) for _ in range(p.arity)]
+        point = [Fraction(rng.randint(-bound, bound)) for _ in range(p.arity)]
         if evaluate(odd, point) != 0:
             mirrored = [-c for c in point]
             return {
@@ -560,9 +567,7 @@ def covariance_integral_check(
         f2 = cumulative[len(g1), : len(g2)]
         integrand = joint - np.outer(f1, f2)
         estimate = float(np.trapezoid(np.trapezoid(integrand, x=g2, axis=1), x=g1))
-
-        centered = (su - su.mean()) * (sv - sv.mean())
-        stderr = float(centered.std(ddof=1) / samples**0.5)
+    stderr = sample_covariance(su, sv)[1]
     try:
         exact_float = float(exact)
     except OverflowError:

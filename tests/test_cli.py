@@ -169,6 +169,12 @@ def test_exit_2_invalid_seed(capsys):
     ],
 )
 def test_exit_2_cov_mc_unreportable_estimate(capsys, tmp_path, u, samples):
+    # the message names what could not be reported
+    cause = {
+        "x1^2": "need at least 2 samples",
+        "x1^400": "float64 overflow in stderr\n",
+        "x1^1000": "float64 overflow in mean, stderr\n",
+    }[u]
     paths = []
     for name, text in (("u", u), ("v", "x1^2")):
         path = tmp_path / f"{name}.poly"
@@ -178,10 +184,12 @@ def test_exit_2_cov_mc_unreportable_estimate(capsys, tmp_path, u, samples):
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
     assert err.startswith("qcunlink: error:") and err.count("\n") == 1
+    assert cause in err
     target = tmp_path / "report.json"
     code, out, err = run(capsys, *argv, "--out", str(target))
     assert (code, out) == (2, "")
     assert err.startswith("qcunlink: error:") and err.count("\n") == 1
+    assert cause in err
     assert not target.exists()
 
 
@@ -227,6 +235,18 @@ def test_exit_3_unlink_tiny_non_quasi_convex(capsys, tmp_path):
     values = [evaluate(p, x), evaluate(p, y), evaluate(p, mid)]
     assert [Fraction(c) for c in witness["values"]] == values
     assert values[2] > max(values[:2])
+
+
+def test_exit_3_unlink_asymmetric_many_variables(capsys, tmp_path):
+    # a product of 255 variables vanishes on most points with one zero coordinate in [-9, 9]
+    u = tmp_path / "u.poly"
+    u.write_text("n=256\n" + "*".join(f"x{i}" for i in range(1, 256)) + "\n")
+    v = tmp_path / "v.poly"
+    v.write_text("n=256\nx256^2\n")
+    code, report, _ = run_json(capsys, "unlink", "--u", str(u), "--v", str(v))
+    assert code == 3
+    assert (report["input"], report["kind"]) == ("u", "symmetry")
+    assert report["witness"]["p_x"] != report["witness"]["p_minus_x"]
 
 
 def test_exit_4_nonzero_covariance(capsys):

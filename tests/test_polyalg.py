@@ -81,6 +81,19 @@ def test_parse_syntax_error_has_position():
     assert err.value.position == 4
 
 
+@pytest.mark.parametrize(
+    "text, position",
+    [
+        ("x1 + x\u0661", 5),  # an Arabic-Indic digit one is no variable index
+        ("x1^\u00b2", 3),  # a superscript two is no exponent
+    ],
+)
+def test_parse_accepts_ascii_digits_only(text, position):
+    with pytest.raises(PolynomialSyntaxError) as err:
+        parse_expression(text, 1)
+    assert err.value.position == position
+
+
 def test_parse_variable_out_of_range():
     with pytest.raises(PolynomialSyntaxError, match="out of range"):
         parse_expression("x3", 2)

@@ -1,0 +1,19 @@
+"""Properties of the package source itself."""
+
+import ast
+from pathlib import Path
+
+import qcunlink
+
+SOURCES = sorted(Path(qcunlink.__file__).parent.glob("*.py"))
+
+
+def test_no_assert_statements():
+    # python -O strips assert statements, so runtime invariants raise instead
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Assert)
+    ]
+    assert SOURCES and found == []
