@@ -19,7 +19,6 @@ from .gaussmeasure import (
     McEstimate,
     covariance,
     expectation,
-    gaussian_moment,
     mc_estimate,
     partial_expectation,
     sample_values,
@@ -27,14 +26,12 @@ from .gaussmeasure import (
 from .polyalg import (
     Polynomial,
     PolynomialSyntaxError,
-    RationalMatrix,
-    compose_linear,
     evaluate,
     evaluate_float,
     is_symmetric,
     parse_expression,
     partial_derivative,
-    restrict_line,
+    restrict_ray,
     to_expression,
 )
 from .structure import (

@@ -126,10 +126,16 @@ def _load_polynomial(path: str) -> Polynomial:
     header = lines[0].replace(" ", "")
     if not header.startswith("n="):
         raise ValueError(f"{path}: first line must be 'n=<int>'")
+    invalid = ValueError(f"{path}: invalid arity in header {lines[0]!r}")
+    # ASCII digits only, as in the expression grammar: int() also reads
+    # underscores, signs and other scripts' digits
+    digits = header[2:].strip()
+    if not (digits.isascii() and digits.isdigit()):
+        raise invalid
     try:
-        arity = int(header[2:])
-    except ValueError:
-        raise ValueError(f"{path}: invalid arity in header {lines[0]!r}") from None
+        arity = int(digits)
+    except ValueError:  # more digits than int() converts
+        raise invalid from None
     return parse_expression(" ".join(lines[1:]), arity)
 
 

@@ -15,10 +15,12 @@ converted to float only when it is normalized, so prefix spans are exact
 by construction, and the integer columns are handed back for exact
 checks downstream.
 
-Subspace bases are canonicalized to reduced row echelon form (pivot
-order, leading entry 1), which is unique for a given row space, so all
-operations return reproducible bases.  Set equality is nevertheless
-decided by mutual containment, never by comparing bases.
+Matrices are plain sequences of rows: ``kernel`` takes the rows of the
+constraint matrix and the column count, each entry an ``int`` or a
+``Fraction``.  Subspace bases are canonicalized to reduced row echelon
+form (pivot order, leading entry 1), which is unique for a given row
+space, so all operations return reproducible bases.  Relations between
+subspaces are decided by containment, never by comparing bases.
 """
 
 from __future__ import annotations
@@ -31,7 +33,6 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .errors import InvariantViolation
-from .polyalg import RationalMatrix
 
 __all__ = [
     "Subspace",
@@ -130,14 +131,6 @@ class Subspace:
     def span(cls, vectors: Iterable[Sequence], ambient: int) -> "Subspace":
         return cls(ambient, tuple(tuple(v) for v in vectors))
 
-    @classmethod
-    def zero(cls, ambient: int) -> "Subspace":
-        return cls(ambient, ())
-
-    @classmethod
-    def full(cls, ambient: int) -> "Subspace":
-        return cls(ambient, tuple(tuple(_unit(i, ambient)) for i in range(ambient)))
-
     @property
     def dimension(self) -> int:
         return len(self.basis)
@@ -157,52 +150,39 @@ class Subspace:
             raise ValueError("ambient dimension mismatch")
         return all(self.contains_vector(v) for v in other.basis)
 
-    def same_space(self, other: "Subspace") -> bool:
-        """Set equality via mutual containment."""
-        return self.contains(other) and other.contains(self)
-
     def to_json(self) -> dict:
         return {
             "n": self.ambient,
             "basis": [[str(x) for x in row] for row in self.basis],
         }
 
-    @classmethod
-    def from_json(cls, obj) -> "Subspace":
-        if not isinstance(obj, dict) or "n" not in obj or "basis" not in obj:
-            raise ValueError("subspace JSON must be an object with keys 'n' and 'basis'")
-        vectors = [[Fraction(x) for x in row] for row in obj["basis"]]
-        return cls.span(vectors, obj["n"])
 
+def kernel(rows: Sequence[Sequence], cols: int) -> Subspace:
+    """Exact basis of the null space {v : Mv = 0} of the matrix with the given rows.
 
-def kernel(matrix: RationalMatrix) -> Subspace:
-    """Exact basis of the null space {v : Mv = 0}.
-
-    Each free column, in increasing order, gives the null vector that is
-    1 there and 0 at the other free columns, scaled to integers by the
-    lcm of the pivots; the vectors are then canonicalized like any other
+    Each row must have ``cols`` exact (int or Fraction) entries.  Each
+    free column, in increasing order, gives the null vector that is 1
+    there and 0 at the other free columns, scaled to integers by the lcm
+    of the pivots; the vectors are then canonicalized like any other
     basis.
     """
-    rows, pivots = _echelon(matrix.entries, matrix.cols)
-    scale = math.lcm(*(row[p] for row, p in zip(rows, pivots)))
+    work, pivots = _echelon([_to_vector(row, cols) for row in rows], cols)
+    scale = math.lcm(*(row[p] for row, p in zip(work, pivots)))
     vectors = []
-    for f in range(matrix.cols):
+    for f in range(cols):
         if f in pivots:
             continue
-        v = [0] * matrix.cols
+        v = [0] * cols
         v[f] = scale
-        for row, p in zip(rows, pivots):
+        for row, p in zip(work, pivots):
             v[p] = -row[f] * (scale // row[p])
         vectors.append(v)
-    return Subspace.span(vectors, matrix.cols)
+    return Subspace.span(vectors, cols)
 
 
 def orthogonal_complement(space: Subspace) -> Subspace:
     """All vectors orthogonal to the given subspace (standard inner product)."""
-    constraints = RationalMatrix.from_rows(space.basis) if space.basis else RationalMatrix(
-        0, space.ambient, ()
-    )
-    return kernel(constraints)
+    return kernel(space.basis, space.ambient)
 
 
 def subspace_sum(first: Subspace, second: Subspace) -> Subspace:

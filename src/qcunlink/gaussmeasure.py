@@ -38,7 +38,6 @@ __all__ = [
     "McEstimate",
     "covariance",
     "expectation",
-    "gaussian_moment",
     "gaussian_sample_chunks",
     "mc_estimate",
     "partial_expectation",
@@ -59,13 +58,6 @@ def _moment(order: int) -> int:
     for k in range(1, order, 2):
         moment *= k
     return moment
-
-
-def gaussian_moment(order: int) -> Fraction:
-    """E[Z^order] for Z standard normal, exact: (order-1)!! for even orders, 0 for odd."""
-    if order < 0:
-        raise ValueError("moment order must be nonnegative")
-    return Fraction(_moment(order))
 
 
 def expectation(p: Polynomial) -> Fraction:
@@ -132,7 +124,7 @@ def partial_expectation(p: Polynomial, marginalized: Iterable[int]) -> Polynomia
                 dead = True
                 break
             if k:
-                factor *= gaussian_moment(k)
+                factor *= _moment(k)
             kept[i] = 0
         if dead:
             continue

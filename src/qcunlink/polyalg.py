@@ -3,12 +3,12 @@
 A polynomial in n variables x1..xn is stored sparsely as a mapping from
 exponent tuples (length n) to nonzero ``Fraction`` coefficients; the empty
 mapping is the zero polynomial.  All arithmetic is exact.  Wherever a
-number is accepted (coefficients, points, directions, matrix entries), a
-float is read as the exact binary rational it denotes, so float inputs
-are carried without further rounding.  Only ``evaluate_float`` computes
-in floating point, with IEEE-754 multiplication and addition alone: a
-power x_i^k is a product of squares, never a call to ``pow``, so its
-values do not depend on the platform's libm or SIMD ``pow``.
+number is accepted (coefficients, points, directions), a float is read
+as the exact binary rational it denotes, so float inputs are carried
+without further rounding.  Only ``evaluate_float`` computes in floating
+point, with IEEE-754 multiplication and addition alone: a power x_i^k is
+a product of squares, never a call to ``pow``, so its values do not
+depend on the platform's libm or SIMD ``pow``.
 
 Variables are numbered 1-based throughout the public API, matching the
 text syntax (``x1``, ``x2``, ...).  Exponent tuples are positional:
@@ -31,7 +31,7 @@ import math
 import numbers
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -44,15 +44,13 @@ __all__ = [
     "MAX_TERMS",
     "Polynomial",
     "PolynomialSyntaxError",
-    "RationalMatrix",
-    "compose_linear",
     "evaluate",
     "evaluate_float",
     "from_json",
     "is_symmetric",
     "parse_expression",
     "partial_derivative",
-    "restrict_line",
+    "restrict_ray",
     "to_expression",
     "to_json",
 ]
@@ -195,19 +193,36 @@ class Polynomial:
         return to_expression(self)
 
 
-def evaluate(p: Polynomial, point: Sequence) -> Fraction:
-    """Exact value of p at a rational point."""
+def _term_values(p: Polynomial, point: Sequence) -> Iterator[tuple[Exponent, Fraction]]:
+    """(e, c * point^e) for each term c * x^e of p, exact."""
     if len(point) != p.arity:
         raise ValueError(f"point length {len(point)} != arity {p.arity}")
     values = [_as_fraction(x) for x in point]
-    total = Fraction(0)
     for exponent, coeff in p.terms.items():
         term = coeff
         for value, k in zip(values, exponent):
             if k:
                 term *= value**k
-        total += term
-    return total
+        yield exponent, term
+
+
+def evaluate(p: Polynomial, point: Sequence) -> Fraction:
+    """Exact value of p at a rational point."""
+    return sum((term for _, term in _term_values(p, point)), Fraction(0))
+
+
+def restrict_ray(p: Polynomial, direction: Sequence) -> Polynomial:
+    """The univariate polynomial t -> p(t * direction), exact.
+
+    A term c * x^e contributes c * direction^e to the coefficient of
+    t^|e|, so this is one pass over p's terms.  A zero direction yields
+    the constant p(0).
+    """
+    out: dict[Exponent, Fraction] = {}
+    for exponent, term in _term_values(p, direction):
+        degree = (sum(exponent),)
+        out[degree] = out.get(degree, Fraction(0)) + term
+    return Polynomial(1, out)
 
 
 def _scaled_terms(p: Polynomial) -> tuple[int, list[tuple[Exponent, int]]]:
@@ -340,39 +355,6 @@ def _power_table(x: np.ndarray, columns: Sequence[tuple[int, int]], table: np.nd
                         np.copyto(row, square)
 
 
-def _substitute(p: Polynomial, forms: Sequence[Polynomial], arity: int) -> Polynomial:
-    """p with each x_i replaced by forms[i] (of the given arity); each power is built once."""
-    powers: dict[tuple[int, int], Polynomial] = {}
-
-    def form_power(i: int, k: int) -> Polynomial:
-        key = (i, k)
-        if key not in powers:
-            powers[key] = forms[i] if k == 1 else form_power(i, k - 1) * forms[i]
-        return powers[key]
-
-    acc: dict[Exponent, Fraction] = {}
-    for exponent, coeff in p.terms.items():
-        term = Polynomial.constant(arity, coeff)
-        for i, k in enumerate(exponent):
-            if k:
-                term = term * form_power(i, k)
-        for e, c in term.terms.items():
-            acc[e] = acc.get(e, Fraction(0)) + c
-    return Polynomial(arity, acc)
-
-
-def restrict_line(p: Polynomial, base: Sequence, direction: Sequence) -> Polynomial:
-    """The univariate polynomial t -> p(base + t * direction), exact.
-
-    A zero direction is allowed and yields the constant p(base).
-    """
-    if len(base) != p.arity or len(direction) != p.arity:
-        raise ValueError("base and direction must have length equal to the arity")
-    # x_i substituted by the degree<=1 polynomial b_i + t*v_i
-    lines = [Polynomial(1, {(0,): b_i, (1,): v_i}) for b_i, v_i in zip(base, direction)]
-    return _substitute(p, lines, 1)
-
-
 def partial_derivative(p: Polynomial, index: int) -> Polynomial:
     """Exact partial derivative with respect to x<index> (1-based)."""
     if not 1 <= index <= p.arity:
@@ -386,49 +368,6 @@ def partial_derivative(p: Polynomial, index: int) -> Polynomial:
             e[i] = k - 1
             out[tuple(e)] = coeff * k
     return Polynomial(p.arity, out)
-
-
-@dataclass(frozen=True)
-class RationalMatrix:
-    """Dense rectangular matrix with exact rational entries."""
-
-    rows: int
-    cols: int
-    entries: tuple[tuple[Fraction, ...], ...]
-
-    def __post_init__(self):
-        if self.rows < 0 or self.cols < 0:
-            raise ValueError("matrix dimensions must be nonnegative")
-        if len(self.entries) != self.rows:
-            raise ValueError("entry grid does not match the declared row count")
-        grid = []
-        for row in self.entries:
-            if len(row) != self.cols:
-                raise ValueError("entry grid is not rectangular")
-            grid.append(tuple(_as_fraction(x) for x in row))
-        object.__setattr__(self, "entries", tuple(grid))
-
-    @classmethod
-    def from_rows(cls, rows: Iterable[Iterable]) -> "RationalMatrix":
-        grid = [tuple(row) for row in rows]
-        cols = len(grid[0]) if grid else 0
-        return cls(len(grid), cols, tuple(grid))
-
-
-def compose_linear(p: Polynomial, matrix) -> Polynomial:
-    """Coefficients of x -> p(M x) for a square matrix M, exact.
-
-    ``matrix`` is a ``RationalMatrix`` or a nested sequence (or array) of
-    numbers; float entries are read as the binary rationals they denote,
-    so the result is the exact composition with that matrix.
-    """
-    n = p.arity
-    rows = [list(row) for row in (matrix.entries if isinstance(matrix, RationalMatrix) else matrix)]
-    if len(rows) != n or any(len(row) != n for row in rows):
-        raise ValueError(f"matrix must be {n}x{n}")
-    # x_i becomes the linear form sum_j M[i][j] * y_j
-    forms = [Polynomial(n, {tuple(int(j == k) for k in range(n)): x for j, x in enumerate(row)}) for row in rows]
-    return _substitute(p, forms, n)
 
 
 def is_symmetric(p: Polynomial) -> bool:
@@ -496,7 +435,7 @@ def from_json(obj) -> Polynomial:
     if not isinstance(obj, dict) or "n" not in obj or "terms" not in obj:
         raise ValueError("polynomial JSON must be an object with keys 'n' and 'terms'")
     arity = obj["n"]
-    if not isinstance(arity, int) or arity < 0:
+    if type(arity) is not int or arity < 0:
         raise ValueError("'n' must be a nonnegative integer")
     _check_arity_limit(arity)
     if not isinstance(obj["terms"], list):

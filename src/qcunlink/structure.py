@@ -30,14 +30,7 @@ from typing import Mapping, Optional, Sequence
 
 from .errors import InvariantViolation
 from .exactla import Subspace, kernel, psd_violation
-from .polyalg import (
-    Polynomial,
-    RationalMatrix,
-    _scaled_terms,
-    evaluate,
-    partial_derivative,
-    restrict_line,
-)
+from .polyalg import Polynomial, _scaled_terms, evaluate, partial_derivative, restrict_ray
 
 __all__ = [
     "CASE_A",
@@ -113,20 +106,6 @@ def _random_ratio(rng: random.Random) -> tuple[int, int]:
     return rng.randint(-POINT_BOUND * denominator, POINT_BOUND * denominator), denominator
 
 
-def _combination(x, y, alpha: Fraction) -> tuple[Fraction, ...]:
-    return tuple(alpha * a + (1 - alpha) * b for a, b in zip(x, y))
-
-
-def _witness_if_violation(p: Polynomial, x, y, alpha: Fraction) -> Optional[QcWitness]:
-    px = evaluate(p, x)
-    py = evaluate(p, y)
-    mid = _combination(x, y, alpha)
-    pmid = evaluate(p, mid)
-    if pmid > max(px, py):
-        return QcWitness(tuple(x), tuple(y), alpha, (px, py, pmid))
-    return None
-
-
 def _quadratic_form(p: Polynomial) -> list[list[Fraction]]:
     """Matrix A of the degree-2 part, with p's x_i*x_j coefficient split as 2*A[i][j]."""
     n = p.arity
@@ -147,17 +126,19 @@ def _quadratic_form(p: Polynomial) -> list[list[Fraction]]:
 def _quadratic_witness(p: Polynomial, direction: Sequence[Fraction]) -> QcWitness:
     """Witness along a direction where the quadratic part is negative.
 
-    The restriction t -> p(t*v) is a concave parabola, so for a large
-    enough half-width s the midpoint 0 beats both endpoints +-s.
+    The restriction g(t) = p(t*v) = q*t^2 + l*t + c has q < 0, so the
+    midpoint 0 beats both endpoints +-s once s*(-q) > |l|: g(0) exceeds
+    g(+-s) by s*(-q*s -+ l).  s is the least power of two with that
+    property.
     """
-    s = Fraction(1)
-    while True:
-        x = tuple(-s * c for c in direction)
-        y = tuple(s * c for c in direction)
-        witness = _witness_if_violation(p, x, y, Fraction(1, 2))
-        if witness is not None:
-            return witness
-        s *= 2
+    g = restrict_ray(p, direction)
+    q = g.terms[(2,)]
+    linear = abs(g.terms.get((1,), Fraction(0)))
+    s = 1 << (linear // -q).bit_length()
+    x = tuple(-s * c for c in direction)
+    y = tuple(s * c for c in direction)
+    values = (evaluate(g, (-s,)), evaluate(g, (s,)), g.constant_term())
+    return QcWitness(x, y, Fraction(1, 2), values)
 
 
 def qc_falsify(p: Polynomial, trials: int, seed: int) -> QcVerdict:
@@ -349,7 +330,7 @@ def invariance_subspace(p: Polynomial) -> Subspace:
     rows = [
         tuple(q.terms.get(monomial, Fraction(0)) for q in partials) for monomial in monomials
     ]
-    return kernel(RationalMatrix(len(rows), n, tuple(rows)))
+    return kernel(rows, n)
 
 
 def ray_constant(p: Polynomial, direction: Sequence) -> bool:
@@ -361,6 +342,5 @@ def ray_constant(p: Polynomial, direction: Sequence) -> bool:
     _require_zero_at_origin(p)
     if len(direction) != p.arity:
         raise ValueError("direction length must equal the arity")
-    origin = (Fraction(0),) * p.arity
-    return restrict_line(p, origin, direction).is_zero
+    return restrict_ray(p, direction).is_zero
 

@@ -50,7 +50,7 @@ import numpy as np
 from .errors import InvariantViolation
 from .exactla import Subspace, orthogonal_complement, orthonormalize_nested, subspace_sum
 from .gaussmeasure import covariance, sample_covariance, sample_values
-from .polyalg import Polynomial, evaluate, is_symmetric, partial_derivative, restrict_line
+from .polyalg import Polynomial, evaluate, is_symmetric, partial_derivative, restrict_ray
 from .structure import CASE_A, QcVerdict, classify_ray, invariance_subspace, qc_falsify
 
 __all__ = [
@@ -593,5 +593,4 @@ def divergence_check(u_star: Polynomial, y_star: Sequence[float]) -> bool:
         raise ValueError("direction length must equal the arity")
     if not any(y_star):
         raise ValueError("direction must be nonzero")
-    ray = restrict_line(u_star, (0,) * u_star.arity, y_star)
-    return CASE_A in classify_ray(ray).cases
+    return CASE_A in classify_ray(restrict_ray(u_star, y_star)).cases

@@ -1,8 +1,10 @@
 """Reference implementations of code paths the package replaced.
 
 Most functions are the straightforward rational computation that a
-fraction-free routine in the package replaces; the differential tests
-compare the two exactly.  ``evaluate_float_pow`` is the float evaluator
+fraction-free or one-pass routine in the package replaces; the
+differential tests compare the two exactly.  ``compose_linear`` and
+``restrict_line`` substitute linear forms into a polynomial, which the
+package no longer does; tests use them as oracles.  ``evaluate_float_pow`` is the float evaluator
 that took powers with ``pow``, compared within a rounding bound, and
 ``covariance_integral_check_reference`` is the integral check that
 sorted the samples again for its marginals, compared bit for bit.
@@ -17,9 +19,81 @@ from fractions import Fraction
 import numpy as np
 
 from qcunlink.exactla import Subspace, kernel, orthogonal_complement
-from qcunlink.gaussmeasure import covariance, gaussian_moment, sample_values
-from qcunlink.polyalg import Polynomial, RationalMatrix
+from qcunlink.gaussmeasure import covariance, sample_values
+from qcunlink.polyalg import Polynomial, evaluate
+from qcunlink.structure import QcWitness
 from qcunlink.unlink import GridSpec, IntegralCheck
+
+
+def gaussian_moment(order: int) -> int:
+    """E[Z^order] for Z standard normal: (order-1)!! for even orders, 0 for odd."""
+    return 0 if order % 2 else math.prod(range(order - 1, 0, -2))
+
+
+def compose_linear(p: Polynomial, matrix) -> Polynomial:
+    """Coefficients of x -> p(M x) for a square matrix M, exact.
+
+    Float entries are read as the binary rationals they denote.  Each
+    term c * x^e becomes c times the product of the powers
+    (sum_j M[i][j] * y_j)^(e_i), expanded by repeated multiplication.
+    """
+    n = p.arity
+    rows = [[Fraction(x) for x in row] for row in matrix]
+    if len(rows) != n or any(len(row) != n for row in rows):
+        raise ValueError(f"matrix must be {n}x{n}")
+    units = [tuple(int(j == k) for k in range(n)) for j in range(n)]
+    forms = [Polynomial(n, dict(zip(units, row))) for row in rows]
+    total = Polynomial.zero(n)
+    for exponent, coeff in p.terms.items():
+        term = Polynomial.constant(n, coeff)
+        for form, k in zip(forms, exponent):
+            term = term * form**k
+        total = total + term
+    return total
+
+
+def restrict_line(p: Polynomial, base, direction) -> Polynomial:
+    """The univariate polynomial t -> p(base + t * direction), exact.
+
+    Each factor (b + v*t)^k is expanded by the binomial theorem into a
+    coefficient list, and the lists of a term are multiplied out.
+    """
+    if len(base) != p.arity or len(direction) != p.arity:
+        raise ValueError("base and direction must have length equal to the arity")
+    base = [Fraction(b) for b in base]
+    direction = [Fraction(v) for v in direction]
+    coefficients = [Fraction(0)]
+    for exponent, coeff in p.terms.items():
+        term = [coeff]
+        for b, v, k in zip(base, direction, exponent):
+            factor = [math.comb(k, j) * b ** (k - j) * v**j for j in range(k + 1)]
+            product = [Fraction(0)] * (len(term) + k)
+            for i, a in enumerate(term):
+                for j, f in enumerate(factor):
+                    product[i + j] += a * f
+            term = product
+        coefficients += [Fraction(0)] * (len(term) - len(coefficients))
+        for j, a in enumerate(term):
+            coefficients[j] += a
+    return Polynomial(1, {(j,): a for j, a in enumerate(coefficients)})
+
+
+def same_space(first: Subspace, second: Subspace) -> bool:
+    """Set equality of two subspaces, by mutual containment."""
+    return first.contains(second) and second.contains(first)
+
+
+def quadratic_witness_doubling(p: Polynomial, direction) -> QcWitness:
+    """Witness for a concave direction of a quadratic: double s from 1 until p(0) > p(+-s*v)."""
+    s = Fraction(1)
+    while True:
+        x = tuple(-s * c for c in direction)
+        y = tuple(s * c for c in direction)
+        mid = tuple(Fraction(1, 2) * a + Fraction(1, 2) * b for a, b in zip(x, y))
+        px, py, pmid = evaluate(p, x), evaluate(p, y), evaluate(p, mid)
+        if pmid > max(px, py):
+            return QcWitness(x, y, Fraction(1, 2), (px, py, pmid))
+        s *= 2
 
 
 def rref_fraction(rows, cols):
@@ -65,9 +139,7 @@ def intersect(first: Subspace, second: Subspace) -> Subspace:
     if first.ambient != second.ambient:
         raise ValueError("ambient dimension mismatch")
     constraints = orthogonal_complement(first).basis + orthogonal_complement(second).basis
-    if not constraints:
-        return Subspace.full(first.ambient)
-    return kernel(RationalMatrix.from_rows(constraints))
+    return kernel(constraints, first.ambient)
 
 
 def psd_violation_fraction(entries):

@@ -8,10 +8,11 @@ import pytest
 
 import qcunlink.unlink as unlink_module
 from qcunlink.cli import main
-from qcunlink.polyalg import compose_linear, evaluate, parse_expression, to_expression
+from qcunlink.polyalg import evaluate, parse_expression, to_expression
 from qcunlink.unlink import InvariantViolation
 
 from corpus import dense_rotation, swap_columns
+from exact_oracles import compose_linear
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -150,6 +151,19 @@ def test_exit_2_input_over_limits(capsys, tmp_path, name, content, message):
     code, out, err = run(capsys, "unlink", "--u", str(path), "--v", str(path))
     assert (code, out) == (2, "")
     assert err.startswith("qcunlink: error:") and message in err
+
+
+@pytest.mark.parametrize(
+    "header",
+    ["n=1_0", "n=\u0663", "n=+3", "n=", "n=2x", pytest.param("n=" + "9" * 5000, id="n=9*5000")],
+)
+def test_exit_2_poly_header_arity_not_ascii_digits(capsys, tmp_path, header):
+    # int() reads "1_0" as 10 and the Arabic-Indic digit three as 3
+    path = tmp_path / "p.poly"
+    path.write_text(f"{header}\nx1^2\n", encoding="utf-8")
+    code, out, err = run(capsys, "invariance", "--p", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("qcunlink: error:") and "invalid arity in header" in err
 
 
 def test_exit_2_invalid_seed(capsys):

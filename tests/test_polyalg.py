@@ -1,11 +1,11 @@
-"""Exact polynomial arithmetic, parsing, and linear composition."""
+"""Exact polynomial arithmetic, parsing, ray restriction and the composition oracle."""
 
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from qcunlink.polyalg import (
@@ -14,14 +14,12 @@ from qcunlink.polyalg import (
     MAX_TERMS,
     Polynomial,
     PolynomialSyntaxError,
-    RationalMatrix,
-    compose_linear,
     evaluate,
     evaluate_float,
     is_symmetric,
     parse_expression,
     partial_derivative,
-    restrict_line,
+    restrict_ray,
     to_expression,
     to_json,
     from_json,
@@ -29,7 +27,7 @@ from qcunlink.polyalg import (
 from qcunlink.polyalg import _tokenize
 
 from corpus import P
-from exact_oracles import evaluate_float_pow
+from exact_oracles import compose_linear, evaluate_float_pow, restrict_line
 
 
 def directional_derivative(p, direction):
@@ -162,6 +160,8 @@ def test_evaluate_examples():
 def test_evaluate_length_mismatch():
     with pytest.raises(ValueError, match="length"):
         evaluate(P("x1", 1), (1, 2))
+    with pytest.raises(ValueError, match="length"):
+        restrict_ray(P("x1", 2), (1, 2, 3))
 
 
 def test_evaluate_float_shapes():
@@ -189,6 +189,9 @@ def test_evaluate_float_rejects_bad_inputs():
 
 # ---------------------------------------------------------------------------
 # Line restriction and derivatives
+#
+# ``restrict_line`` and ``compose_linear`` are the reference substitutions
+# in tests/exact_oracles.py; ``restrict_ray`` is checked against the first.
 # ---------------------------------------------------------------------------
 
 
@@ -219,7 +222,7 @@ def test_directional_derivative_examples():
 
 
 # ---------------------------------------------------------------------------
-# Linear composition
+# Linear composition (the reference oracle)
 # ---------------------------------------------------------------------------
 
 
@@ -324,12 +327,11 @@ def test_from_json_input_limits():
         from_json({"n": 1, "terms": [term] * (MAX_TERMS + 1)})
 
 
-def test_rational_matrix_validation():
-    with pytest.raises(ValueError, match="rectangular"):
-        RationalMatrix(2, 2, ((Fraction(1), Fraction(0)), (Fraction(1),)))
-    m = RationalMatrix.from_rows([[1, 2], [3, 4]])
-    assert m.rows == 2 and m.cols == 2
-    assert m.entries[1][0] == 3
+@pytest.mark.parametrize("arity", [True, False, 2.0, "2", None, -1])
+def test_from_json_rejects_non_integer_arity(arity):
+    # bool is a subclass of int, so "n": true once loaded as arity 1
+    with pytest.raises(ValueError, match="'n' must be a nonnegative integer"):
+        from_json({"n": arity, "terms": []})
 
 
 # ---------------------------------------------------------------------------
@@ -530,6 +532,30 @@ def test_restrict_line_matches_evaluate(p, data):
     line = restrict_line(p, base, direction)
     point = tuple(b + lam * v for b, v in zip(base, direction))
     assert evaluate(line, (lam,)) == evaluate(p, point)
+
+
+floats = st.floats(min_value=-8, max_value=8, allow_nan=False, allow_subnormal=True)
+
+
+@st.composite
+def rays(draw):
+    """A polynomial and a direction of rational or of float entries."""
+    p = draw(polynomials(max_arity=4, max_exponent=4, max_terms=6))
+    entries = draw(st.sampled_from([coefficients, floats]))
+    return p, tuple(draw(entries) for _ in range(p.arity))
+
+
+@settings(max_examples=150, deadline=None)
+@given(rays())
+@example((P("x1^2 + 2*x1*x2 + x2^2", 2), (1, -1)))  # annihilating direction
+@example((P("x1^2 + x2^4 + 5", 2), (0, 0)))  # zero direction: the constant p(0)
+@example((P("x1^3*x2 - 1/3*x2^2", 2), (0.1, -2.5e-300)))  # floats far from 1
+@example((Polynomial.zero(3), (1, 2, 3)))
+def test_restrict_ray_matches_reference_line(ray):
+    # t -> p(t*a) is the reference restriction to the line through 0 along a,
+    # with float entries read as the binary rationals they denote
+    p, direction = ray
+    assert restrict_ray(p, direction) == restrict_line(p, (0,) * p.arity, direction)
 
 
 @settings(max_examples=80, deadline=None)

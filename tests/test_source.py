@@ -1,6 +1,8 @@
 """Properties of the package source itself."""
 
 import ast
+import importlib
+import inspect
 from pathlib import Path
 
 import qcunlink
@@ -17,3 +19,46 @@ def test_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert SOURCES and found == []
+
+
+# public functions without a caller in the package, each kept because the
+# benchmark calls it as a spot-check of a claim of the paper
+UNCALLED_SPOTCHECKS = {
+    "mc_estimate": "the Monte Carlo mean of p(X) or u(X)*v(X); the montecarlo workload",
+    "correlation_spotcheck": "Gaussian correlation of sublevel sets; the montecarlo workload",
+    "covariance_integral_check": "double-integral identity for the covariance; the montecarlo workload",
+    "divergence_check": "divergence of u along a ray; the montecarlo workload",
+}
+
+
+def referenced_names(path):
+    """(name, enclosing top-level definition) for every name and attribute read in a module."""
+    found = set()
+    for top in ast.parse(path.read_text(), filename=str(path)).body:
+        owner = getattr(top, "name", None)
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name):
+                found.add((node.id, owner))
+            elif isinstance(node, ast.Attribute):
+                found.add((node.attr, owner))
+    return found
+
+
+def test_every_public_function_has_a_caller():
+    # a public function is used somewhere in the package outside its own
+    # body; names are matched as identifiers, so a method of the same name
+    # counts as a use
+    uses = {}
+    for path in SOURCES:
+        if path.name != "__init__.py":
+            for name, owner in referenced_names(path):
+                uses.setdefault(name, set()).add((path.stem, owner))
+    uncalled = []
+    for path in SOURCES:
+        module = importlib.import_module(f"qcunlink.{path.stem}")
+        for name in getattr(module, "__all__", ()):
+            if inspect.isfunction(getattr(module, name)) and name not in UNCALLED_SPOTCHECKS:
+                if not uses.get(name, set()) - {(path.stem, name)}:
+                    uncalled.append(f"{path.stem}.{name}")
+    assert uncalled == []
+    assert all(hasattr(qcunlink, name) for name in UNCALLED_SPOTCHECKS)

@@ -1,5 +1,6 @@
 """Quasi-convexity falsifier, ray classes, and invariance subspaces."""
 
+import itertools
 import os
 import random
 import subprocess
@@ -8,13 +9,13 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from qcunlink import structure
 from qcunlink.errors import InvariantViolation
-from qcunlink.exactla import Subspace
-from qcunlink.polyalg import Polynomial, evaluate, restrict_line
+from qcunlink.exactla import Subspace, psd_violation
+from qcunlink.polyalg import Polynomial, evaluate
 from qcunlink.structure import (
     CASE_A,
     CASE_B,
@@ -31,6 +32,7 @@ from qcunlink.structure import (
 )
 
 from corpus import NON_QC_FIXTURES, QC_FIXTURES, RAY_CORPUS, P
+from exact_oracles import quadratic_witness_doubling, restrict_line, same_space
 
 
 def exact_violation(p, witness):
@@ -150,6 +152,33 @@ def test_quadratic_witness_scale_free():
     assert tiny.status == plain.status == FALSIFIED
     assert (tiny.witness.x, tiny.witness.y) == (plain.witness.x, plain.witness.y)
     assert exact_violation(P("-1/1000000000000*x1^2", 1), tiny.witness) > 0
+
+
+@st.composite
+def concave_quadratics(draw):
+    """(p, v): p of total degree <= 2 with v'Av < 0 for its quadratic form A, v rescaled."""
+    arity = draw(st.integers(1, 3))
+    exponents = [e for e in itertools.product(range(3), repeat=arity) if sum(e) <= 2]
+    coefficient = st.fractions(-5, 5, max_denominator=7)
+    p = Polynomial(arity, {e: draw(coefficient) for e in exponents if draw(st.booleans())})
+    p = p * Fraction(10) ** draw(st.integers(-30, 30))
+    direction = psd_violation(structure._quadratic_form(p))
+    assume(direction is not None)
+    scale = draw(st.fractions(Fraction(1, 1000), 1000, max_denominator=1000).filter(bool))
+    return p, tuple(scale * c for c in direction)
+
+
+@settings(max_examples=100, deadline=None)
+@given(concave_quadratics())
+@example((P("-x1^2", 1), (Fraction(1),)))  # no linear term: s = 1
+@example((P("-x1^2 + 2*x1", 1), (Fraction(1),)))  # |l| / -q = 2 exactly: s = 4
+@example((P("-x1^2 + 3*x1 + 1", 1), (Fraction(1, 3),)))  # s*(-q) = |l| at s = 8 is no violation
+@example((P("x1^2 - x2^2 + 1/2*x1 - 7*x2", 2), (Fraction(0), Fraction(1))))
+def test_quadratic_witness_matches_doubling_reference(case):
+    p, direction = case
+    witness = structure._quadratic_witness(p, direction)
+    assert witness == quadratic_witness_doubling(p, direction)
+    assert exact_violation(p, witness) > 0
 
 
 def test_falsify_rejects_nonpositive_trials():
@@ -352,7 +381,7 @@ def test_invariance_subspace_plane_pair_3d():
     expected = Subspace.span(
         [[Fraction(1), Fraction(-1), Fraction(0)], [Fraction(0), Fraction(0), Fraction(1)]], 3
     )
-    assert space.same_space(expected)
+    assert same_space(space, expected)
 
 
 def test_invariance_subspace_definite_quadratic_trivial():
