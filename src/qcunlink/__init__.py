@@ -10,7 +10,6 @@ polynomials depend on disjoint sets of coordinates.
 from .exactla import (
     Subspace,
     kernel,
-    orthogonal_complement,
     orthonormalize_nested,
     psd_violation,
     subspace_sum,

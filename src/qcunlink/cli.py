@@ -97,7 +97,15 @@ def _render(value, indent: int) -> str:
 
 
 def _emit(report: dict, out: str | None):
-    text = _render(report, 0) + "\n"
+    # exact values are printed in full: the interpreter's limit on int/str
+    # conversion guards the parsing of untrusted text, and the inputs are
+    # parsed by now, so it is lifted while the report is rendered
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        text = _render(report, 0) + "\n"
+    finally:
+        sys.set_int_max_str_digits(limit)
     if out:
         with open(out, "w", encoding="utf-8") as handle:
             handle.write(text)
@@ -182,7 +190,7 @@ def _cmd_invariance(args) -> tuple[dict, int]:
         "p": args.p,
         "n": p.arity,
         "normalized": constant != 0,
-        "constant_term": str(constant),
+        "constant_term": constant,
         "dimension": space.dimension,
         "basis": space.to_json()["basis"],
     }
@@ -206,7 +214,7 @@ def _cmd_cov(args) -> tuple[dict, int]:
         "command": "cov",
         "u": args.u,
         "v": args.v,
-        "cov_exact": str(exact),
+        "cov_exact": exact,
     }
     if args.mc:
         report["mc"] = _mc_covariance(u, v, args.mc_samples, args.seed)

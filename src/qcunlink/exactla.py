@@ -1,6 +1,6 @@
 """Exact rational linear algebra for subspaces of R^n.
 
-Every dimension-bearing computation here (kernel, complement, sum,
+Every dimension-bearing computation here (kernel, row space, sum,
 containment, the sign of a quadratic form) is exact, so ranks are exact
 integers.  The eliminations run fraction-free: each row or vector is
 scaled by a positive integer to clear its denominators, and every step
@@ -19,14 +19,21 @@ Matrices are plain sequences of rows: ``kernel`` takes the rows of the
 constraint matrix and the column count, each entry an ``int`` or a
 ``Fraction``.  Subspace bases are canonicalized to reduced row echelon
 form (pivot order, leading entry 1), which is unique for a given row
-space, so all operations return reproducible bases.  Relations between
+space, so all operations return reproducible bases.  One elimination of
+a matrix M gives both of its subspaces: its nonzero rows are the RREF
+basis of the row space, which is the orthogonal complement of ker M, and
+its free columns give ker M (``kernel_and_row_space``).  A subspace
+keeps its RREF rows over ``int``, each scaled to a primitive vector,
+so containment is decided over ``int`` as well and the ``Fraction``
+rows are formed only when a report prints them.  Relations between
 subspaces are decided by containment, never by comparing bases.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
@@ -37,7 +44,7 @@ from .errors import InvariantViolation
 __all__ = [
     "Subspace",
     "kernel",
-    "orthogonal_complement",
+    "kernel_and_row_space",
     "orthonormalize_nested",
     "psd_violation",
     "subspace_sum",
@@ -107,48 +114,79 @@ def _echelon(rows: Iterable[Sequence], cols: int) -> tuple[list[list[int]], list
     return work[:rank], pivots
 
 
-def _rref(rows: Iterable[Sequence], cols: int) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form; returns nonzero rows and pivot columns."""
-    work, pivots = _echelon(rows, cols)
-    return [[Fraction(x, row[col]) for x in row] for row, col in zip(work, pivots)], pivots
-
-
 @dataclass(frozen=True)
 class Subspace:
-    """Linear subspace of R^n with an exact, canonical (RREF) basis."""
+    """Linear subspace of R^n with an exact, canonical basis.
+
+    ``rows`` are the rows of the reduced row echelon form (RREF) of any
+    spanning set, each scaled to the primitive integer vector with a
+    positive leading entry, and ``pivots`` their leading columns; the
+    constructor brings the vectors it is given to this form.  ``basis``
+    is the RREF itself, ``Fraction`` rows with leading entry 1, formed
+    on first use.  Both are unique for the subspace.
+    """
 
     ambient: int
-    basis: tuple[Vector, ...]
+    rows: tuple[IntVector, ...]
+    pivots: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.ambient < 0:
             raise ValueError("ambient dimension must be nonnegative")
-        rows = [_to_vector(row, self.ambient) for row in self.basis]
-        reduced, _ = _rref(rows, self.ambient)
-        object.__setattr__(self, "basis", tuple(tuple(row) for row in reduced))
+        vectors = [_to_vector(row, self.ambient) for row in self.rows]
+        self._set_echelon(*_echelon(vectors, self.ambient))
+
+    def _set_echelon(self, rows: list[list[int]], pivots: list[int]):
+        """Take the basis from ``_echelon`` output, canonical up to the sign of each row."""
+        rows = [row if row[col] > 0 else [-x for x in row] for row, col in zip(rows, pivots)]
+        object.__setattr__(self, "rows", tuple(tuple(row) for row in rows))
+        object.__setattr__(self, "pivots", tuple(pivots))
+
+    @classmethod
+    def _from_echelon(cls, ambient: int, rows: list[list[int]], pivots: list[int]) -> "Subspace":
+        """The row space of ``_echelon`` output, without reducing it again."""
+        space = object.__new__(cls)
+        object.__setattr__(space, "ambient", ambient)
+        space._set_echelon(rows, pivots)
+        return space
 
     @classmethod
     def span(cls, vectors: Iterable[Sequence], ambient: int) -> "Subspace":
         return cls(ambient, tuple(tuple(v) for v in vectors))
 
+    @cached_property
+    def basis(self) -> tuple[Vector, ...]:
+        return tuple(
+            tuple(Fraction(x, row[col]) for x in row) for row, col in zip(self.rows, self.pivots)
+        )
+
     @property
     def dimension(self) -> int:
-        return len(self.basis)
+        return len(self.rows)
+
+    def _spans(self, vector: list[int]) -> bool:
+        """Whether an integer vector lies in the subspace, by fraction-free reduction.
+
+        A step v <- d*v - f*row, with d > 0 the row's entry at its pivot
+        column and f that of v, is d times the rational step, and each
+        row vanishes at the other rows' pivot columns; so v ends at zero
+        iff it is a combination of the rows.
+        """
+        for row, col in zip(self.rows, self.pivots):
+            f = vector[col]
+            if f:
+                d = row[col]
+                vector = _content_free([d * a - f * b for a, b in zip(vector, row)])
+        return not any(vector)
 
     def contains_vector(self, vector: Sequence) -> bool:
-        """Exact membership test by reduction against the RREF basis."""
-        residue = list(_to_vector(vector, self.ambient))
-        for row in self.basis:
-            lead = next(i for i, x in enumerate(row) if x != 0)
-            if residue[lead]:
-                factor = residue[lead]
-                residue = [a - factor * b for a, b in zip(residue, row)]
-        return all(x == 0 for x in residue)
+        """Exact membership test by reduction against the canonical basis."""
+        return self._spans(_integer_row(_to_vector(vector, self.ambient)))
 
     def contains(self, other: "Subspace") -> bool:
         if other.ambient != self.ambient:
             raise ValueError("ambient dimension mismatch")
-        return all(self.contains_vector(v) for v in other.basis)
+        return all(self._spans(list(row)) for row in other.rows)
 
     def to_json(self) -> dict:
         return {
@@ -157,14 +195,15 @@ class Subspace:
         }
 
 
-def kernel(rows: Sequence[Sequence], cols: int) -> Subspace:
-    """Exact basis of the null space {v : Mv = 0} of the matrix with the given rows.
+def kernel_and_row_space(rows: Sequence[Sequence], cols: int) -> tuple[Subspace, Subspace]:
+    """ker M and the row space of M, its orthogonal complement, from one elimination.
 
-    Each row must have ``cols`` exact (int or Fraction) entries.  Each
-    free column, in increasing order, gives the null vector that is 1
-    there and 0 at the other free columns, scaled to integers by the lcm
-    of the pivots; the vectors are then canonicalized like any other
-    basis.
+    Each row of M must have ``cols`` exact (int or Fraction) entries.  The
+    eliminated rows are already the canonical basis of the row space, so
+    they are not reduced a second time.  Each free column, in increasing
+    order, gives the null vector that is nonzero there and 0 at the other
+    free columns, scaled to integers by the lcm of the pivots; those are
+    canonicalized like any other basis.
     """
     work, pivots = _echelon([_to_vector(row, cols) for row in rows], cols)
     scale = math.lcm(*(row[p] for row, p in zip(work, pivots)))
@@ -177,18 +216,18 @@ def kernel(rows: Sequence[Sequence], cols: int) -> Subspace:
         for row, p in zip(work, pivots):
             v[p] = -row[f] * (scale // row[p])
         vectors.append(v)
-    return Subspace.span(vectors, cols)
+    return Subspace.span(vectors, cols), Subspace._from_echelon(cols, work, pivots)
 
 
-def orthogonal_complement(space: Subspace) -> Subspace:
-    """All vectors orthogonal to the given subspace (standard inner product)."""
-    return kernel(space.basis, space.ambient)
+def kernel(rows: Sequence[Sequence], cols: int) -> Subspace:
+    """Exact basis of the null space {v : Mv = 0} of the matrix with the given rows."""
+    return kernel_and_row_space(rows, cols)[0]
 
 
 def subspace_sum(first: Subspace, second: Subspace) -> Subspace:
     if first.ambient != second.ambient:
         raise ValueError("ambient dimension mismatch")
-    return Subspace.span(first.basis + second.basis, first.ambient)
+    return Subspace.span(first.rows + second.rows, first.ambient)
 
 
 def psd_violation(entries: Sequence[Sequence]) -> Optional[Vector]:
@@ -282,14 +321,14 @@ def _primitive(vector: list[int]) -> list[int]:
     return ints
 
 
-def _orthogonalize_exact(vector: Sequence, ortho: list[list[int]]) -> list[int]:
+def _orthogonalize_exact(vector: Sequence[int], ortho: list[list[int]]) -> list[int]:
     """A positive integer multiple of vector minus its projections onto ``ortho``.
 
     Each step u <- ww*u - uw*w is ww times the rational step
     u - (uw/ww) w, and ww > 0, so ``_primitive`` of the result is that
     of the rational Gram-Schmidt vector.
     """
-    u = _integer_row(vector)
+    u = list(vector)
     for w in ortho:
         uw = sum(a * b for a, b in zip(u, w))
         if uw:
@@ -322,7 +361,7 @@ def orthonormalize_nested(
 
     ortho: list[list[int]] = []
     for space in chain:
-        for vector in space.basis:
+        for vector in space.rows:
             u = _orthogonalize_exact(vector, ortho)
             if any(u):
                 ortho.append(_primitive(u))

@@ -20,8 +20,10 @@ threads.
 The text parser and ``from_json`` read untrusted input, so they enforce
 the limits ``MAX_ARITY`` (variables), ``MAX_EXPONENT`` (exponent of one
 variable in one term) and ``MAX_TERMS`` (terms as written), raising
-``ValueError`` before any work grows with the offending size.  The
-constructors and arithmetic take polynomials of any size.
+``ValueError`` before any work grows with the offending size.  The text
+parser also converts no integer of more than ``MAX_DIGITS`` digits, the
+interpreter's default limit for ``int`` from text.  The constructors and
+arithmetic take polynomials of any size.
 """
 
 from __future__ import annotations
@@ -40,10 +42,12 @@ Exponent = tuple[int, ...]
 __all__ = [
     "Exponent",
     "MAX_ARITY",
+    "MAX_DIGITS",
     "MAX_EXPONENT",
     "MAX_TERMS",
     "Polynomial",
     "PolynomialSyntaxError",
+    "derivative_matrix",
     "evaluate",
     "evaluate_float",
     "from_json",
@@ -60,6 +64,8 @@ __all__ = [
 MAX_ARITY = 256
 MAX_EXPONENT = 1000
 MAX_TERMS = 20_000
+# decimal digits of one integer in the text form
+MAX_DIGITS = 4300
 
 
 def _check_arity_limit(arity: int):
@@ -370,6 +376,30 @@ def partial_derivative(p: Polynomial, index: int) -> Polynomial:
     return Polynomial(p.arity, out)
 
 
+def derivative_matrix(p: Polynomial) -> list[list[int]]:
+    """Integer matrix M of the linear map v -> D_v p = sum_i v_i * dp/dx_i.
+
+    M has one column per variable and one row per monomial of a partial
+    derivative of p, in the order the monomials are first met.  With C
+    the lcm of p's coefficient denominators, a term c * x^e puts
+    C * c * e_i into column i of the row of e - e_i, so the entries of
+    M v are the coefficients of D_v (C * p): for a rational v, D_v p is
+    the zero polynomial iff M v = 0.
+    """
+    _, terms = _scaled_terms(p)
+    rows: dict[Exponent, list[int]] = {}
+    for exponent, coeff in terms:
+        for i, k in enumerate(exponent):
+            if k:
+                monomial = exponent[:i] + (k - 1,) + exponent[i + 1 :]
+                row = rows.get(monomial)
+                if row is None:
+                    row = rows[monomial] = [0] * p.arity
+                # x^monomial * x_i is the one term that reaches this entry
+                row[i] = coeff * k
+    return list(rows.values())
+
+
 def is_symmetric(p: Polynomial) -> bool:
     """True iff p(x) = p(-x) as polynomials.
 
@@ -474,6 +504,15 @@ def _json_term(item, arity: int, index: int) -> tuple[Exponent, Fraction]:
 _DIGITS = frozenset("0123456789")
 
 
+def _integer(text: str, start: int, end: int) -> int:
+    """The ASCII digits text[start:end] as an int, at most ``MAX_DIGITS`` of them."""
+    if end - start > MAX_DIGITS:
+        raise PolynomialSyntaxError(
+            f"integer of {end - start} digits exceeds the limit of {MAX_DIGITS}", start
+        )
+    return int(text[start:end])
+
+
 def _tokenize(text: str) -> list[tuple[str, object, int]]:
     # only ASCII digits: str.isdigit also accepts other scripts' digits and
     # superscripts, which int() reads differently or rejects
@@ -492,7 +531,7 @@ def _tokenize(text: str) -> list[tuple[str, object, int]]:
             j = i
             while j < len(text) and text[j] in _DIGITS:
                 j += 1
-            tokens.append(("int", int(text[i:j]), i))
+            tokens.append(("int", _integer(text, i, j), i))
             i = j
             continue
         if ch == "x":
@@ -501,7 +540,7 @@ def _tokenize(text: str) -> list[tuple[str, object, int]]:
                 j += 1
             if j == i + 1:
                 raise PolynomialSyntaxError("expected a variable index after 'x'", i)
-            tokens.append(("var", int(text[i + 1 : j]), i))
+            tokens.append(("var", _integer(text, i + 1, j), i))
             i = j
             continue
         raise PolynomialSyntaxError(f"unexpected character {ch!r}", i)

@@ -17,7 +17,9 @@ The invariance subspace of p (all directions a with p(t*a) = 0 for every
 t, for normalized p with p(0) = 0) is computed as the kernel of the
 linear map v -> derivative of p along v, which is a finite exact
 computation.  That kernel is always contained in the invariance set; for
-quasi-convex inputs the two coincide.
+quasi-convex inputs the two coincide.  The map's integer matrix is built
+once from p's terms (``derivative_matrix``), and one elimination of it
+gives both the subspace and its orthogonal complement, the row space.
 """
 
 from __future__ import annotations
@@ -29,8 +31,15 @@ from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
 from .errors import InvariantViolation
-from .exactla import Subspace, kernel, psd_violation
-from .polyalg import Polynomial, _scaled_terms, evaluate, partial_derivative, restrict_ray
+from .exactla import Subspace, kernel_and_row_space, psd_violation
+from .polyalg import (
+    Polynomial,
+    _scaled_terms,
+    derivative_matrix,
+    evaluate,
+    partial_derivative,
+    restrict_ray,
+)
 
 __all__ = [
     "CASE_A",
@@ -40,6 +49,7 @@ __all__ = [
     "QcWitness",
     "RayClass",
     "classify_ray",
+    "invariance_and_complement",
     "invariance_subspace",
     "qc_falsify",
     "ray_constant",
@@ -317,20 +327,22 @@ def invariance_subspace(p: Polynomial) -> Subspace:
     """Exact subspace of directions v along which p is constant on every line.
 
     Computed as the kernel of the matrix of the linear map
-    v -> derivative of p along v, with one row per monomial appearing in
-    any partial derivative (rows in graded-lexicographic order for a
-    deterministic result).  Requires p(0) = 0.
+    v -> derivative of p along v (``derivative_matrix``).  The order of
+    its rows does not matter: the basis is the RREF basis of the kernel,
+    unique for the subspace.  Requires p(0) = 0.
+    """
+    return invariance_and_complement(p)[0]
+
+
+def invariance_and_complement(p: Polynomial) -> tuple[Subspace, Subspace]:
+    """The invariance subspace I_p and its orthogonal complement, from one elimination.
+
+    I_p is the kernel of the derivative matrix M of p, so its complement
+    is the row space of M, read off the same elimination.  Requires
+    p(0) = 0.
     """
     _require_zero_at_origin(p)
-    n = p.arity
-    partials = [partial_derivative(p, i) for i in range(1, n + 1)]
-    monomials = sorted(
-        {e for q in partials for e in q.terms}, key=lambda e: (sum(e), e)
-    )
-    rows = [
-        tuple(q.terms.get(monomial, Fraction(0)) for q in partials) for monomial in monomials
-    ]
-    return kernel(rows, n)
+    return kernel_and_row_space(derivative_matrix(p), p.arity)
 
 
 def ray_constant(p: Polynomial, direction: Sequence) -> bool:

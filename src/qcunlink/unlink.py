@@ -21,9 +21,11 @@ polynomials over a standard Gaussian vector:
    depend on the other's coordinates.  Since
    d/dy_j (p o W) = (D_{w_j} p) o W for any invertible W, p o W is free
    of y_j exactly when the directional derivative of p along column w_j
-   is the zero polynomial; the check runs on the exactly orthogonal
-   integer columns behind the float transform, so it involves no
-   rounding and no tolerance, and scaling p or w_j does not change it.
+   is the zero polynomial, that is when M w_j = 0 for the integer
+   derivative matrix M of p, the matrix whose kernel is I_p.  The check
+   runs over ``int`` on the exactly orthogonal integer columns behind
+   the float transform, so it involves no rounding and no tolerance, and
+   scaling p or w_j does not change it.
 
 A result of r > 0 with zero covariance and unfalsified hypotheses is
 reported as a contradiction witness rather than an error: in practice it
@@ -48,10 +50,10 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import InvariantViolation
-from .exactla import Subspace, orthogonal_complement, orthonormalize_nested, subspace_sum
+from .exactla import Subspace, kernel, orthonormalize_nested, subspace_sum
 from .gaussmeasure import covariance, sample_covariance, sample_values
-from .polyalg import Polynomial, evaluate, is_symmetric, partial_derivative, restrict_ray
-from .structure import CASE_A, QcVerdict, classify_ray, invariance_subspace, qc_falsify
+from .polyalg import Polynomial, derivative_matrix, evaluate, is_symmetric, restrict_ray
+from .structure import CASE_A, QcVerdict, classify_ray, invariance_and_complement, qc_falsify
 
 __all__ = [
     "ConcordanceReport",
@@ -154,15 +156,15 @@ def concordance(u: Polynomial, v: Polynomial) -> ConcordanceReport:
     """
     if u.arity != v.arity:
         raise ValueError(f"arity mismatch: {u.arity} != {v.arity}")
-    inv_u = invariance_subspace(u)
-    inv_v = invariance_subspace(v)
-    inv_u_perp = orthogonal_complement(inv_u)
-    inv_v_perp = orthogonal_complement(inv_v)
-    # A^perp intersected with B is (A + B^perp)^perp, from complements already in hand
-    overlap = orthogonal_complement(subspace_sum(inv_u, inv_v_perp))
+    n = u.arity
+    inv_u, inv_u_perp = invariance_and_complement(u)
+    inv_v, inv_v_perp = invariance_and_complement(v)
+    # A^perp intersected with B is (A + B^perp)^perp: the vectors orthogonal
+    # to the rows of A and of B^perp
+    overlap = kernel(inv_u.rows + inv_v_perp.rows, n)
     t = overlap.dimension
     r = inv_u_perp.dimension - t
-    other_overlap = orthogonal_complement(subspace_sum(inv_v, inv_u_perp))
+    other_overlap = kernel(inv_v.rows + inv_u_perp.rows, n)
     r_other = inv_v_perp.dimension - other_overlap.dimension
     if r != r_other:
         raise InvariantViolation(
@@ -171,7 +173,7 @@ def concordance(u: Polynomial, v: Polynomial) -> ConcordanceReport:
     perp_sum = subspace_sum(inv_u_perp, inv_v_perp)
     m = perp_sum.dimension - r - t
     return ConcordanceReport(
-        n=u.arity,
+        n=n,
         r=r,
         t=t,
         m=m,
@@ -250,22 +252,27 @@ def build_transform(report: ConcordanceReport) -> OrthogonalTransform:
 def verify_unlinked(p: Polynomial, transform: OrthogonalTransform, forbidden) -> bool:
     """Exact certificate that p composed with the transform avoids ``forbidden``.
 
-    ``forbidden`` holds 1-based new-coordinate numbers.  True iff for
-    each forbidden j the directional derivative sum_i w_ji * dp/dx_i of p
-    along the exact column w_j is the zero polynomial, i.e. iff p o Q is
-    a function of the other coordinates only.
+    ``forbidden`` holds 1-based new-coordinate numbers, each in 1..n for
+    the arity n of p, which must also be the transform's dimension.  True
+    iff for each forbidden j the directional derivative of p along the
+    exact column w_j is the zero polynomial, i.e. iff M w_j = 0 for the
+    integer derivative matrix M of p: then p o Q is a function of the
+    other coordinates only.
     """
-    banned = sorted({i - 1 for i in forbidden if 1 <= i <= p.arity})
+    n = p.arity
+    if transform.n != n:
+        raise ValueError(f"transform dimension {transform.n} != arity {n}")
+    banned = sorted(set(forbidden))
     if not banned:
         return True
-    partials = [partial_derivative(p, i).terms for i in range(1, p.arity + 1)]
+    if not 1 <= banned[0] <= banned[-1] <= n:
+        raise ValueError(f"forbidden coordinates {banned} outside 1..{n}")
+    matrix = derivative_matrix(p)
     for j in banned:
-        derivative: dict = {}
-        for weight, partial in zip(transform.columns[j], partials):
-            if weight:
-                for exponent, coeff in partial.items():
-                    derivative[exponent] = derivative.get(exponent, 0) + weight * coeff
-        if any(derivative.values()):
+        column = transform.columns[j - 1]
+        if len(column) != n:
+            raise ValueError(f"column {j} has length {len(column)}, expected {n}")
+        if any(sum(a * w for a, w in zip(row, column)) for row in matrix):
             return False
     return True
 

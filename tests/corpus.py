@@ -6,6 +6,8 @@ import dataclasses
 import random
 from fractions import Fraction
 
+from hypothesis import strategies as st
+
 from qcunlink import Polynomial, parse_expression
 
 
@@ -204,3 +206,37 @@ def swap_columns(transform, i, j):
         matrix=transform.matrix[:, order],
         columns=tuple(transform.columns[k] for k in order),
     )
+
+
+@st.composite
+def rotated_polynomials(draw) -> Polynomial:
+    """p(x) = q(A x) for q in k <= 3 variables of degree 2 to 6 and an integer k x n matrix A.
+
+    n is at most 8.  ker A lies in the invariance subspace of p - p(0), so
+    that subspace and its complement are both proper for most draws.  A
+    sixth of the draws are the zero polynomial or a nonzero constant.
+    """
+    n = draw(st.integers(1, 8))
+    kind = draw(st.sampled_from(["rotated"] * 4 + ["zero", "constant"]))
+    if kind == "zero":
+        return Polynomial.zero(n)
+    if kind == "constant":
+        return Polynomial.constant(n, draw(st.fractions(-5, 5, max_denominator=4).filter(bool)))
+    k = draw(st.integers(1, min(3, n)))
+    degree = draw(st.integers(2, 6))
+    q = {}
+    for d in [degree] + draw(st.lists(st.integers(0, degree), max_size=3)):
+        factors = draw(st.lists(st.integers(0, k - 1), min_size=d, max_size=d))
+        exponent = tuple(factors.count(j) for j in range(k))
+        q[exponent] = q.get(exponent, 0) + draw(st.fractions(-4, 4, max_denominator=3).filter(bool))
+    row = st.lists(st.integers(-2, 2), min_size=n, max_size=n).filter(any)
+    matrix = [draw(row) for _ in range(k)]
+    units = [tuple(int(i == j) for i in range(n)) for j in range(n)]
+    forms = [Polynomial(n, dict(zip(units, row))) for row in matrix]
+    p = Polynomial.zero(n)
+    for exponent, coeff in q.items():
+        term = Polynomial.constant(n, coeff)
+        for form, power in zip(forms, exponent):
+            term = term * form**power
+        p = p + term
+    return p

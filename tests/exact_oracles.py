@@ -4,7 +4,11 @@ Most functions are the straightforward rational computation that a
 fraction-free or one-pass routine in the package replaces; the
 differential tests compare the two exactly.  ``compose_linear`` and
 ``restrict_line`` substitute linear forms into a polynomial, which the
-package no longer does; tests use them as oracles.  ``evaluate_float_pow`` is the float evaluator
+package no longer does; tests use them as oracles.  The invariance
+subspace from ``partial_derivative`` polynomials, the complement as a
+kernel of a kernel, the ``Fraction`` membership test and the separation
+certificate from directional derivatives are the code the integer
+derivative matrix replaced.  ``evaluate_float_pow`` is the float evaluator
 that took powers with ``pow``, compared within a rounding bound, and
 ``covariance_integral_check_reference`` is the integral check that
 sorted the samples again for its marginals, compared bit for bit.
@@ -18,9 +22,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from qcunlink.exactla import Subspace, kernel, orthogonal_complement
+from qcunlink.exactla import Subspace, kernel
 from qcunlink.gaussmeasure import covariance, sample_values
-from qcunlink.polyalg import Polynomial, evaluate
+from qcunlink.polyalg import Polynomial, evaluate, partial_derivative
 from qcunlink.structure import QcWitness
 from qcunlink.unlink import GridSpec, IntegralCheck
 
@@ -132,6 +136,44 @@ def kernel_fraction(rows, cols):
             v[pivot] = -row[f]
         vectors.append(v)
     return rref_fraction(vectors, cols)[0]
+
+
+def orthogonal_complement(space: Subspace) -> Subspace:
+    """All vectors orthogonal to the given subspace (standard inner product)."""
+    return kernel(space.basis, space.ambient)
+
+
+def invariance_subspace_by_partials(p: Polynomial) -> Subspace:
+    """Kernel of v -> D_v p, one row per monomial of the partials, in graded-lexicographic order."""
+    n = p.arity
+    partials = [partial_derivative(p, i) for i in range(1, n + 1)]
+    monomials = sorted({e for q in partials for e in q.terms}, key=lambda e: (sum(e), e))
+    rows = [tuple(q.terms.get(m, Fraction(0)) for q in partials) for m in monomials]
+    return kernel(rows, n)
+
+
+def contains_vector_fraction(space: Subspace, vector) -> bool:
+    """Membership by reducing a ``Fraction`` residue against the RREF basis."""
+    residue = [Fraction(x) for x in vector]
+    for row in space.basis:
+        lead = next(i for i, x in enumerate(row) if x != 0)
+        if residue[lead]:
+            factor = residue[lead]
+            residue = [a - factor * b for a, b in zip(residue, row)]
+    return all(x == 0 for x in residue)
+
+
+def verify_unlinked_by_derivatives(p: Polynomial, transform, forbidden) -> bool:
+    """Whether sum_i w_ji * dp/dx_i is the zero polynomial for each forbidden column j."""
+    partials = [partial_derivative(p, i).terms for i in range(1, p.arity + 1)]
+    for j in sorted(set(forbidden)):
+        derivative: dict = {}
+        for weight, partial in zip(transform.columns[j - 1], partials):
+            for exponent, coeff in partial.items():
+                derivative[exponent] = derivative.get(exponent, 0) + weight * coeff
+        if any(derivative.values()):
+            return False
+    return True
 
 
 def intersect(first: Subspace, second: Subspace) -> Subspace:

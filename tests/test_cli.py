@@ -1,6 +1,8 @@
 """CLI behaviour: report shapes, determinism, and the exit-code contract."""
 
 import json
+import math
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -164,6 +166,35 @@ def test_exit_2_poly_header_arity_not_ascii_digits(capsys, tmp_path, header):
     code, out, err = run(capsys, "invariance", "--p", str(path))
     assert (code, out) == (2, "")
     assert err.startswith("qcunlink: error:") and "invalid arity in header" in err
+
+
+def test_exit_2_coefficient_over_digit_limit(capsys, tmp_path):
+    # the text is refused at the coefficient before int() sees it
+    path = tmp_path / "p.poly"
+    path.write_text("n=1\nx1^2 + " + "3" * 5000 + "*x1^4\n")
+    code, out, err = run(capsys, "check", "--p", str(path))
+    assert (code, out) == (2, "")
+    assert err == "qcunlink: error: integer of 5000 digits exceeds the limit of 4300 (at offset 7)\n"
+
+
+def test_cov_report_prints_values_over_digit_limit(capsys, tmp_path):
+    # Cov(p, p) = E[x^2000]^2 - E[x^1000]^4 has more digits than int-to-str converts by default
+    path = tmp_path / "p.poly"
+    path.write_text("n=2\nx1^1000*x2^1000\n")
+    limit = sys.get_int_max_str_digits()
+    code, report, err = run_json(capsys, "cov", "--u", str(path), "--v", str(path))
+    assert (code, err) == (0, "")
+    assert sys.get_int_max_str_digits() == limit
+    moment = math.prod(range(1999, 0, -2))
+    half = math.prod(range(999, 0, -2))
+    # the limit is lifted only for the comparison, as the report was rendered
+    sys.set_int_max_str_digits(0)
+    try:
+        expected = str(moment**2 - half**4)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert len(expected) > limit
+    assert report["cov_exact"] == expected
 
 
 def test_exit_2_invalid_seed(capsys):

@@ -14,7 +14,7 @@ from qcunlink.errors import InvariantViolation
 from qcunlink.exactla import (
     Subspace,
     kernel,
-    orthogonal_complement,
+    kernel_and_row_space,
     orthonormalize_nested,
     psd_violation,
     subspace_sum,
@@ -24,6 +24,7 @@ from exact_oracles import (
     intersect,
     kernel_fraction,
     nested_columns_fraction,
+    orthogonal_complement,
     psd_violation_fraction,
     rref_fraction,
     same_space,
@@ -82,11 +83,14 @@ def test_kernel_validates_rows():
 
 
 def test_complement_examples():
-    assert same_space(orthogonal_complement(span([(1, -1)], 2)), span([(1, 1)], 2))
-    assert orthogonal_complement(zero(3)).dimension == 3
-    assert same_space(
-        orthogonal_complement(span([(1, 0, 0), (0, 1, 0)], 3)), span([(0, 0, 1)], 3)
-    )
+    # the kernel of a matrix is the complement of its row space
+    null, rows = kernel_and_row_space([(1, -1), (2, -2)], 2)
+    assert same_space(null, span([(1, 1)], 2)) and same_space(rows, span([(1, -1)], 2))
+    null, rows = kernel_and_row_space([], 3)
+    assert null.dimension == 3 and rows.dimension == 0
+    null, rows = kernel_and_row_space([(0, 2, 0), (1, 0, 0)], 3)
+    assert same_space(null, span([(0, 0, 1)], 3))
+    assert rows.basis == ((1, 0, 0), (0, 1, 0))
 
 
 def test_intersect_examples():
@@ -265,7 +269,11 @@ def test_double_complement_is_identity():
     for _ in range(60):
         ambient = rng.randint(1, 6)
         s = random_subspace(rng, ambient)
-        assert same_space(orthogonal_complement(orthogonal_complement(s)), s)
+        # the row space of a basis is the subspace itself, basis for basis
+        complement, rows = kernel_and_row_space(s.basis, ambient)
+        assert rows == s
+        assert kernel_and_row_space(complement.basis, ambient) == (s, complement)
+        assert complement == orthogonal_complement(s)
 
 
 def test_dimension_formula():
@@ -366,9 +374,16 @@ def rows_of(*rows):
 @example((rows_of([Fraction(1, 3), Fraction(-2, 5), 7], [0, Fraction(4, 9), 1]), 3))
 def test_rref_and_kernel_match_fraction_reference(shape):
     rows, cols = shape
-    reduced, pivots = exactla._rref(rows, cols)
-    assert (reduced, pivots) == rref_fraction(rows, cols)
-    assert all(type(x) is Fraction for row in reduced for x in row)
+    reduced, pivots = rref_fraction(rows, cols)
+    space = Subspace.span(rows, cols)
+    assert space.basis == tuple(tuple(row) for row in reduced)
+    assert all(type(x) is Fraction for row in space.basis for x in row)
+    # the integer rows are the primitive positive multiples of the RREF rows
+    assert space.pivots == tuple(pivots)
+    for row, ints, col in zip(space.basis, space.rows, pivots):
+        assert all(type(x) is int for x in ints) and math.gcd(*ints) == 1
+        assert ints[col] > 0 and [x * ints[col] for x in row] == list(ints)
+    assert kernel_and_row_space(rows, cols)[1] == space
     null = kernel(rows, cols)
     assert null.basis == tuple(tuple(row) for row in kernel_fraction(rows, cols))
 

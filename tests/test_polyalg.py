@@ -10,10 +10,12 @@ from hypothesis import strategies as st
 
 from qcunlink.polyalg import (
     MAX_ARITY,
+    MAX_DIGITS,
     MAX_EXPONENT,
     MAX_TERMS,
     Polynomial,
     PolynomialSyntaxError,
+    derivative_matrix,
     evaluate,
     evaluate_float,
     is_symmetric,
@@ -37,6 +39,21 @@ def directional_derivative(p, direction):
         if x:
             out = out + Fraction(x) * partial_derivative(p, i)
     return out
+
+
+def test_derivative_matrix_maps_directions_to_scaled_derivatives():
+    # M v lists the coefficients of D_v(C*p), C the lcm of p's denominators
+    p = P("1/2*x1^4 - 2/3*x1*x2*x3 + x2^2 + 5*x3", 3)
+    matrix = derivative_matrix(p)
+    assert all(type(x) is int for row in matrix for x in row)
+    for direction in [(1, 0, 0), (0, 1, 0), (0, 0, 1), (2, -3, 7), (0, 0, 0)]:
+        coefficients = sorted(x for x in (sum(a * b for a, b in zip(row, direction)) for row in matrix) if x)
+        expected = directional_derivative(p, direction) * 6
+        assert coefficients == sorted(expected.terms.values())
+    assert derivative_matrix(Polynomial.zero(2)) == []
+    assert derivative_matrix(Polynomial.constant(2, 5)) == []
+    # the rows of x2 (from d/dx1) and of x1 (from d/dx2), in the order first met
+    assert derivative_matrix(P("x1*x2", 2)) == [[1, 0], [0, 1]]
 
 
 def uni(coeffs: dict[int, object]) -> Polynomial:
@@ -311,6 +328,20 @@ def test_parse_input_limits():
         parse_expression(f"x1^{MAX_EXPONENT}*x1", 1)
     with pytest.raises(PolynomialSyntaxError, match=f"more than {MAX_TERMS} terms"):
         parse_expression(" + ".join(["x1"] * (MAX_TERMS + 1)), 1)
+
+
+def test_parse_digit_limit():
+    # an integer longer than the interpreter converts is refused at its own offset
+    wide = "7" * MAX_DIGITS
+    assert parse_expression(f"{wide}*x1^2", 1) == P(f"{wide}*x1^2", 1)
+    for text, position in (
+        ("x1^2 + 1" + "2" * MAX_DIGITS + "*x1^4", 7),
+        ("x1^2 + 1/" + "3" * (MAX_DIGITS + 1), 9),
+        ("x1 + x" + "0" * (MAX_DIGITS + 1), 6),
+    ):
+        with pytest.raises(PolynomialSyntaxError, match=f"exceeds the limit of {MAX_DIGITS}") as info:
+            parse_expression(text, 1)
+        assert info.value.position == position
 
 
 def test_from_json_input_limits():

@@ -26,13 +26,21 @@ from qcunlink.structure import (
     QcVerdict,
     QcWitness,
     classify_ray,
+    invariance_and_complement,
     invariance_subspace,
     qc_falsify,
     ray_constant,
 )
 
-from corpus import NON_QC_FIXTURES, QC_FIXTURES, RAY_CORPUS, P
-from exact_oracles import quadratic_witness_doubling, restrict_line, same_space
+from corpus import NON_QC_FIXTURES, QC_FIXTURES, RAY_CORPUS, P, rotated_polynomials
+from exact_oracles import (
+    contains_vector_fraction,
+    invariance_subspace_by_partials,
+    orthogonal_complement,
+    quadratic_witness_doubling,
+    restrict_line,
+    same_space,
+)
 
 
 def exact_violation(p, witness):
@@ -452,6 +460,47 @@ def test_derivative_kernel_inside_invariance_set(p):
     # holds for any polynomial with p(0) = 0, quasi-convex or not
     for vector in invariance_subspace(p).basis:
         assert ray_constant(p, vector)
+
+
+def at_origin_zero(p):
+    return p - Polynomial.constant(p.arity, p.constant_term())
+
+
+@settings(max_examples=60, deadline=None)
+@given(rotated_polynomials())
+@example(Polynomial.zero(3))
+@example(P("x1^2 + 2*x1*x2 + x2^2", 3))
+def test_invariance_pair_matches_partial_derivative_reference(p):
+    # one elimination of the integer matrix gives the bases that the
+    # partial-derivative kernel and its kernel-of-kernel complement gave
+    p = at_origin_zero(p)
+    inv, perp = invariance_and_complement(p)
+    reference = invariance_subspace_by_partials(p)
+    assert inv.basis == reference.basis
+    assert perp.basis == orthogonal_complement(reference).basis
+    assert invariance_subspace(p) == inv
+    assert inv.dimension + perp.dimension == p.arity
+
+
+@settings(max_examples=60, deadline=None)
+@given(rotated_polynomials(), st.data())
+def test_contains_matches_fraction_reference(p, data):
+    inv, perp = invariance_and_complement(at_origin_zero(p))
+    n = p.arity
+    entries = st.fractions(-6, 6, max_denominator=5)
+    for space in (inv, perp):
+        vectors = [data.draw(st.lists(entries, min_size=n, max_size=n)) for _ in range(3)]
+        weights = data.draw(st.lists(entries, min_size=space.dimension, max_size=space.dimension))
+        inside = [sum((w * row[i] for w, row in zip(weights, space.basis)), Fraction(0)) for i in range(n)]
+        # a vector of the span, moved along one axis
+        axis = data.draw(st.integers(0, n - 1))
+        nudged = [x + (i == axis) for i, x in enumerate(inside)]
+        for vector in vectors + [inside, nudged, [0] * n]:
+            assert space.contains_vector(vector) == contains_vector_fraction(space, vector)
+        assert space.contains_vector(inside)
+        for other in (inv, perp, Subspace.span(vectors, n)):
+            expected = all(contains_vector_fraction(space, row) for row in other.basis)
+            assert space.contains(other) == expected
 
 
 def test_ray_constant_agrees_with_translation_invariance():

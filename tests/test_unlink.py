@@ -9,10 +9,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qcunlink.exactla import Subspace, orthogonal_complement, subspace_sum
+from qcunlink.exactla import Subspace, subspace_sum
 from qcunlink.gaussmeasure import covariance, expectation
 from qcunlink.polyalg import Polynomial
+from qcunlink.structure import invariance_subspace
 from qcunlink.unlink import (
     GridSpec,
     HypothesisFalsified,
@@ -37,9 +40,17 @@ from corpus import (
     dense_rotation,
     overlapping_convex_pair,
     random_psd_quadratic,
+    rotated_polynomials,
     swap_columns,
 )
-from exact_oracles import compose_linear, covariance_integral_check_reference, intersect, same_space
+from exact_oracles import (
+    compose_linear,
+    covariance_integral_check_reference,
+    intersect,
+    orthogonal_complement,
+    same_space,
+    verify_unlinked_by_derivatives,
+)
 
 ROT_U = P("x1^2 + 2*x1*x2 + x2^2", 2)
 ROT_V = P("x1^2 - 2*x1*x2 + x2^2", 2)
@@ -392,6 +403,54 @@ def test_verify_unlinked_empty_forbidden_set():
 
 def test_verify_unlinked_full_dependence():
     assert verify_unlinked(P("x1^2", 2), identity_transform(2), {1}) is False
+
+
+def test_verify_unlinked_rejects_mismatched_transform():
+    p = P("x1^2 + x3^2", 3)
+    # four new coordinates, the fourth along e3: p depends on it
+    order = [0, 1, 3, 2]
+    wide = dataclasses.replace(
+        identity_transform(4),
+        matrix=np.eye(4)[:, order],
+        columns=tuple(identity_transform(4).columns[j] for j in order),
+    )
+    with pytest.raises(ValueError, match="transform dimension 4 != arity 3"):
+        verify_unlinked(p, wide, {4})
+    with pytest.raises(ValueError, match="transform dimension"):
+        verify_unlinked(p, wide, set())
+    for forbidden in ({4}, {0}, {1, 4}, {-1}):
+        with pytest.raises(ValueError, match="outside 1..3"):
+            verify_unlinked(p, identity_transform(3), forbidden)
+    short = dataclasses.replace(identity_transform(3), columns=((1, 0), (0, 1), (0, 0)))
+    with pytest.raises(ValueError, match="column 3 has length 2"):
+        verify_unlinked(p, short, {3})
+    assert verify_unlinked(p, identity_transform(3), {2}) is True
+    assert verify_unlinked(p, identity_transform(3), {3}) is False
+
+
+@settings(max_examples=60, deadline=None)
+@given(rotated_polynomials(), st.data())
+def test_certificate_matches_directional_derivative_reference(p, data):
+    # columns from the invariance subspace are certified, any other column is refused
+    n = p.arity
+    space = invariance_subspace(p - Polynomial.constant(n, p.constant_term()))
+    entries = st.integers(-3, 3)
+    columns = []
+    for _ in range(n):
+        if space.dimension and data.draw(st.booleans()):
+            weights = data.draw(st.lists(entries, min_size=space.dimension, max_size=space.dimension))
+            columns.append(tuple(sum(w * row[i] for w, row in zip(weights, space.rows)) for i in range(n)))
+        else:
+            columns.append(tuple(data.draw(st.lists(entries, min_size=n, max_size=n))))
+    transform = dataclasses.replace(identity_transform(n), columns=tuple(columns))
+    for j, column in enumerate(columns, start=1):
+        certified = verify_unlinked(p, transform, {j})
+        assert certified == verify_unlinked_by_derivatives(p, transform, {j})
+        assert certified == space.contains_vector(column)
+    forbidden = set(data.draw(st.lists(st.integers(1, n), max_size=n)))
+    assert verify_unlinked(p, transform, forbidden) == verify_unlinked_by_derivatives(
+        p, transform, forbidden
+    )
 
 
 def test_certificate_agrees_with_float_composition():
