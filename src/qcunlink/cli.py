@@ -20,6 +20,7 @@ invariant violation.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import itertools
 import json
 import math
@@ -34,6 +35,7 @@ import numpy as np
 
 from . import gaussmeasure, structure, unlink
 from .polyalg import (
+    MAX_DIGITS,
     Polynomial,
     PolynomialSyntaxError,
     from_json,
@@ -97,15 +99,7 @@ def _render(value, indent: int) -> str:
 
 
 def _emit(report: dict, out: str | None):
-    # exact values are printed in full: the interpreter's limit on int/str
-    # conversion guards the parsing of untrusted text, and the inputs are
-    # parsed by now, so it is lifted while the report is rendered
-    limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
-    try:
-        text = _render(report, 0) + "\n"
-    finally:
-        sys.set_int_max_str_digits(limit)
+    text = _render(report, 0) + "\n"
     if out:
         with open(out, "w", encoding="utf-8") as handle:
             handle.write(text)
@@ -115,7 +109,25 @@ def _emit(report: dict, out: str | None):
 
 # ---------------------------------------------------------------------------
 # Input loading
+#
+# A command runs with the interpreter's limit on int/str conversion lifted
+# (see ``main``), so that exact values are computed and printed in full.
+# Every reader of outside text therefore bounds its own integers: no text
+# of more than MAX_DIGITS digits reaches int().
 # ---------------------------------------------------------------------------
+
+
+def _is_ascii_number(text: str) -> bool:
+    """True for ASCII digits, at most MAX_DIGITS of them: int() also reads
+    underscores, signs, spaces and other scripts' digits."""
+    return text.isascii() and text.isdigit() and len(text) <= MAX_DIGITS
+
+
+def _json_integer(text: str) -> int:
+    digits = len(text.lstrip("-"))
+    if digits > MAX_DIGITS:
+        raise ValueError(f"JSON integer of {digits} digits exceeds the limit of {MAX_DIGITS}")
+    return int(text)
 
 
 def _load_polynomial(path: str) -> Polynomial:
@@ -127,31 +139,28 @@ def _load_polynomial(path: str) -> Polynomial:
     with open(path, encoding="utf-8") as handle:
         raw = handle.read()
     if os.path.splitext(path)[1].lower() == ".json":
-        return from_json(json.loads(raw))
+        try:
+            obj = json.loads(raw, parse_int=_json_integer)
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nested too deeply") from None
+        return from_json(obj)
     lines = [line for line in raw.splitlines() if line.strip()]
     if not lines:
         raise ValueError(f"{path}: empty polynomial file")
     header = lines[0].replace(" ", "")
     if not header.startswith("n="):
         raise ValueError(f"{path}: first line must be 'n=<int>'")
-    invalid = ValueError(f"{path}: invalid arity in header {lines[0]!r}")
-    # ASCII digits only, as in the expression grammar: int() also reads
-    # underscores, signs and other scripts' digits
     digits = header[2:].strip()
-    if not (digits.isascii() and digits.isdigit()):
-        raise invalid
-    try:
-        arity = int(digits)
-    except ValueError:  # more digits than int() converts
-        raise invalid from None
-    return parse_expression(" ".join(lines[1:]), arity)
+    if not _is_ascii_number(digits):
+        raise ValueError(f"{path}: invalid arity in header {lines[0]!r}")
+    return parse_expression(" ".join(lines[1:]), int(digits))
 
 
 def _parse_index_set(text: str, arity: int) -> list[int]:
-    try:
-        indices = sorted({int(part) for part in text.split(",") if part.strip()})
-    except ValueError:
-        raise ValueError(f"invalid index list {text!r}; expected comma-separated integers") from None
+    parts = [part.strip() for part in text.split(",") if part.strip()]
+    if not all(_is_ascii_number(part) for part in parts):
+        raise ValueError(f"invalid index list {text!r}; expected comma-separated integers")
+    indices = sorted({int(part) for part in parts})
     for index in indices:
         if not 1 <= index <= arity:
             raise ValueError(f"variable index {index} out of range 1..{arity}")
@@ -407,6 +416,23 @@ _COMMANDS = {
 }
 
 
+@contextlib.contextmanager
+def _unlimited_int_digits():
+    """Lift the interpreter's limit on int/str conversion, then restore it.
+
+    The limit guards int() on untrusted text; the input readers bound
+    their own integers (see "Input loading"), so inside a command it
+    would only stop exact values of more than 4300 digits from being
+    formed or printed.
+    """
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
@@ -419,19 +445,20 @@ def main(argv=None) -> int:
             value = getattr(args, name, None)
             if value is not None and value < 1:
                 raise ValueError(f"--{name.replace('_', '-')} must be positive")
-        try:
-            report, code = _COMMANDS[args.command](args)
-        except unlink.HypothesisFalsified as exc:
-            report = {
-                "error": "hypothesis_falsified",
-                "input": exc.which,
-                "kind": exc.kind,
-                "witness": exc.witness,
-                "seed": args.seed,
-            }
-            code = EXIT_FALSIFIED
-        # inside the try: a report that cannot be rendered or written exits 2
-        _emit(report, args.out)
+        with _unlimited_int_digits():
+            try:
+                report, code = _COMMANDS[args.command](args)
+            except unlink.HypothesisFalsified as exc:
+                report = {
+                    "error": "hypothesis_falsified",
+                    "input": exc.which,
+                    "kind": exc.kind,
+                    "witness": exc.witness,
+                    "seed": args.seed,
+                }
+                code = EXIT_FALSIFIED
+            # inside the try: a report that cannot be rendered or written exits 2
+            _emit(report, args.out)
     except (PolynomialSyntaxError, ValueError, OSError) as exc:
         print(f"qcunlink: error: {exc}", file=sys.stderr)
         return EXIT_USAGE

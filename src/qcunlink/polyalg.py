@@ -17,13 +17,24 @@ position 0 holds the exponent of x1.
 All values are immutable after construction and safe to share between
 threads.
 
+The text grammar ("Text form" below) has no parentheses and no
+nesting, so it is read in two flat steps.  One compiled regex with an
+alternative per token kind (number, variable, operator, any other
+non-space character) cuts the whole text into tokens before parsing
+starts, so a lexical error anywhere is reported ahead of a syntax error.
+One loop in ``parse_expression`` then walks the tokens term by term,
+keeping each term's coefficient as an integer numerator and denominator,
+and makes one ``Fraction`` per term.
+
 The text parser and ``from_json`` read untrusted input, so they enforce
 the limits ``MAX_ARITY`` (variables), ``MAX_EXPONENT`` (exponent of one
 variable in one term) and ``MAX_TERMS`` (terms as written), raising
-``ValueError`` before any work grows with the offending size.  The text
-parser also converts no integer of more than ``MAX_DIGITS`` digits, the
-interpreter's default limit for ``int`` from text.  The constructors and
-arithmetic take polynomials of any size.
+``ValueError`` before any work grows with the offending size.  Neither
+converts an integer of more than ``MAX_DIGITS`` digits, the
+interpreter's default limit for ``int`` from text: ``from_json`` reads a
+coefficient string only in the form ``to_json`` writes, an optional
+``-``, ASCII digits, and optionally ``/`` and ASCII digits.  The
+constructors and arithmetic take polynomials of any size.
 """
 
 from __future__ import annotations
@@ -31,6 +42,7 @@ from __future__ import annotations
 import itertools
 import math
 import numbers
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator, Sequence
@@ -496,12 +508,26 @@ def _json_term(item, arity: int, index: int) -> tuple[Exponent, Fraction]:
     try:
         if isinstance(coeff, bool):
             raise TypeError
-        return tuple(exponent), Fraction(coeff)
+        return tuple(exponent), _rational(coeff) if isinstance(coeff, str) else Fraction(coeff)
+    except PolynomialSyntaxError as exc:
+        raise ValueError(f"term {index}: 'c': {exc}") from None
     except (TypeError, ValueError, ZeroDivisionError, OverflowError):
         raise ValueError(f"term {index}: 'c' is not a rational number: {coeff!r}") from None
 
 
-_DIGITS = frozenset("0123456789")
+# the coefficient strings ``to_json`` writes; Fraction() would also read
+# exponent notation, whose digits it builds however many they are
+_RATIONAL = re.compile(r"(-?)([0-9]+)(?:/([0-9]+))?")
+
+
+def _rational(text: str) -> Fraction:
+    """'-'?, ASCII digits, and optionally '/' and ASCII digits, as a Fraction."""
+    match = _RATIONAL.fullmatch(text)
+    if match is None:
+        raise ValueError(text)
+    numerator = _integer(text, *match.span(2))
+    denominator = _integer(text, *match.span(3)) if match.group(3) else 1
+    return Fraction(-numerator if match.group(1) else numerator, denominator)
 
 
 def _integer(text: str, start: int, end: int) -> int:
@@ -513,125 +539,98 @@ def _integer(text: str, start: int, end: int) -> int:
     return int(text[start:end])
 
 
+# one alternative per token kind; ``finditer`` skips the whitespace between
+# matches, since ``\S`` takes every other character.  [0-9] is ASCII only:
+# str.isdigit also accepts other scripts' digits and superscripts, which
+# int() reads differently or rejects
+_TOKEN = re.compile(r"([0-9]+)|x([0-9]*)|([-+*/^])|(\S)")
+
+
 def _tokenize(text: str) -> list[tuple[str, object, int]]:
-    # only ASCII digits: str.isdigit also accepts other scripts' digits and
-    # superscripts, which int() reads differently or rejects
+    """(kind, value, offset) tokens of the whole text, ending with ("end", None, len(text))."""
     tokens: list[tuple[str, object, int]] = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in "+-*/^":
-            tokens.append((ch, ch, i))
-            i += 1
-            continue
-        if ch in _DIGITS:
-            j = i
-            while j < len(text) and text[j] in _DIGITS:
-                j += 1
-            tokens.append(("int", _integer(text, i, j), i))
-            i = j
-            continue
-        if ch == "x":
-            j = i + 1
-            while j < len(text) and text[j] in _DIGITS:
-                j += 1
-            if j == i + 1:
-                raise PolynomialSyntaxError("expected a variable index after 'x'", i)
-            tokens.append(("var", _integer(text, i + 1, j), i))
-            i = j
-            continue
-        raise PolynomialSyntaxError(f"unexpected character {ch!r}", i)
+    for match in _TOKEN.finditer(text):
+        start = match.start()
+        group = match.lastindex
+        if group == 1:
+            tokens.append(("int", _integer(text, start, match.end()), start))
+        elif group == 2:
+            if match.end() == start + 1:
+                raise PolynomialSyntaxError("expected a variable index after 'x'", start)
+            tokens.append(("var", _integer(text, start + 1, match.end()), start))
+        elif group == 3:
+            tokens.append((match.group(3), match.group(3), start))
+        else:
+            raise PolynomialSyntaxError(f"unexpected character {match.group(4)!r}", start)
     tokens.append(("end", None, len(text)))
     return tokens
 
 
-class _Parser:
-    def __init__(self, tokens: list[tuple[str, object, int]], arity: int):
-        self.tokens = tokens
-        self.pos = 0
-        self.arity = arity
-
-    def peek(self) -> tuple[str, object, int]:
-        return self.tokens[self.pos]
-
-    def take(self) -> tuple[str, object, int]:
-        token = self.tokens[self.pos]
-        self.pos += 1
-        return token
-
-    def expression(self) -> Polynomial:
-        # each term is one monomial; like terms are summed in a dict and
-        # the polynomial is built once, so parsing is linear in the input
-        acc: dict[Exponent, Fraction] = {}
-        op = self.take()[0] if self.peek()[0] in "+-" else "+"
-        count = 0
-        while True:
-            count += 1
-            if count > MAX_TERMS:
-                raise PolynomialSyntaxError(f"more than {MAX_TERMS} terms", self.peek()[2])
-            exponent, coeff = self.term()
-            acc[exponent] = acc.get(exponent, 0) + (coeff if op == "+" else -coeff)
-            if self.peek()[0] not in "+-":
-                break
-            op = self.take()[0]
-        kind, _, position = self.peek()
-        if kind != "end":
-            raise PolynomialSyntaxError("expected '+', '-', '*' or end of input", position)
-        return Polynomial(self.arity, acc)
-
-    def term(self) -> tuple[Exponent, Fraction]:
-        exponent = [0] * self.arity
-        coeff = Fraction(1)
-        while True:
-            coeff *= self.factor(exponent)
-            if self.peek()[0] != "*":
-                return tuple(exponent), coeff
-            self.take()
-
-    def factor(self, exponent: list[int]) -> Fraction:
-        """Consume one factor: return its coefficient, add its powers to ``exponent``."""
-        kind, value, position = self.peek()
-        if kind == "int":
-            self.take()
-            numerator = value
-            if self.peek()[0] == "/":
-                self.take()
-                dkind, denominator, dpos = self.take()
-                if dkind != "int":
-                    raise PolynomialSyntaxError("expected an integer denominator", dpos)
-                if denominator == 0:
-                    raise PolynomialSyntaxError("zero denominator in a coefficient", dpos)
-                return Fraction(numerator, denominator)
-            return Fraction(numerator)
-        if kind == "var":
-            self.take()
-            if not 1 <= value <= self.arity:
-                raise PolynomialSyntaxError(
-                    f"variable index {value} out of range 1..{self.arity}", position
-                )
-            power = 1
-            if self.peek()[0] == "^":
-                self.take()
-                ekind, power, epos = self.take()
-                if ekind != "int":
-                    raise PolynomialSyntaxError("expected an integer exponent", epos)
-                if power < 1:
-                    raise PolynomialSyntaxError("exponent must be a positive integer", epos)
-            exponent[value - 1] += power
-            if exponent[value - 1] > MAX_EXPONENT:
-                raise PolynomialSyntaxError(
-                    f"exponent of x{value} exceeds the limit of {MAX_EXPONENT}", position
-                )
-            return Fraction(1)
-        raise PolynomialSyntaxError("expected a coefficient or a variable", position)
-
-
 def parse_expression(text: str, arity: int) -> Polynomial:
-    """Parse expression text into a canonical polynomial of the given arity."""
+    """Parse expression text into a canonical polynomial of the given arity.
+
+    Like terms are summed in a dict and the polynomial is built once, so
+    parsing is linear in the input.
+    """
     if arity < 0:
         raise ValueError("arity must be nonnegative")
     _check_arity_limit(arity)
-    return _Parser(_tokenize(text), arity).expression()
+    tokens = _tokenize(text)
+    terms: dict[Exponent, Fraction] = {}
+    kind = tokens[0][0]
+    negative = kind == "-"
+    i = 1 if kind in ("+", "-") else 0
+    count = 0
+    while True:  # one term per pass
+        count += 1
+        if count > MAX_TERMS:
+            raise PolynomialSyntaxError(f"more than {MAX_TERMS} terms", tokens[i][2])
+        exponent = [0] * arity
+        numerator = denominator = 1
+        while True:  # one factor per pass
+            kind, value, position = tokens[i]
+            i += 1
+            if kind == "int":
+                numerator *= value
+                if tokens[i][0] == "/":
+                    kind, value, position = tokens[i + 1]
+                    i += 2
+                    if kind != "int":
+                        raise PolynomialSyntaxError("expected an integer denominator", position)
+                    if value == 0:
+                        raise PolynomialSyntaxError("zero denominator in a coefficient", position)
+                    denominator *= value
+            elif kind == "var":
+                if not 1 <= value <= arity:
+                    raise PolynomialSyntaxError(
+                        f"variable index {value} out of range 1..{arity}", position
+                    )
+                power = 1
+                if tokens[i][0] == "^":
+                    ekind, power, epos = tokens[i + 1]
+                    i += 2
+                    if ekind != "int":
+                        raise PolynomialSyntaxError("expected an integer exponent", epos)
+                    if power < 1:
+                        raise PolynomialSyntaxError("exponent must be a positive integer", epos)
+                exponent[value - 1] += power
+                if exponent[value - 1] > MAX_EXPONENT:
+                    raise PolynomialSyntaxError(
+                        f"exponent of x{value} exceeds the limit of {MAX_EXPONENT}", position
+                    )
+            else:
+                raise PolynomialSyntaxError("expected a coefficient or a variable", position)
+            if tokens[i][0] != "*":
+                break
+            i += 1
+        coeff = Fraction(-numerator if negative else numerator, denominator)
+        key = tuple(exponent)
+        terms[key] = terms[key] + coeff if key in terms else coeff
+        kind = tokens[i][0]
+        if kind not in ("+", "-"):
+            break
+        negative = kind == "-"
+        i += 1
+    if kind != "end":
+        raise PolynomialSyntaxError("expected '+', '-', '*' or end of input", tokens[i][2])
+    return Polynomial(arity, terms)

@@ -9,9 +9,10 @@ subspace from ``partial_derivative`` polynomials, the complement as a
 kernel of a kernel, the ``Fraction`` membership test and the separation
 certificate from directional derivatives are the code the integer
 derivative matrix replaced.  ``evaluate_float_pow`` is the float evaluator
-that took powers with ``pow``, compared within a rounding bound, and
+that took powers with ``pow``, compared within a rounding bound,
 ``covariance_integral_check_reference`` is the integral check that
-sorted the samples again for its marginals, compared bit for bit.
+sorted the samples again for its marginals, compared bit for bit, and
+``tokenize`` is the per-character scanner the regex tokenizer replaced.
 Nothing here is used by the package.
 """
 
@@ -24,7 +25,13 @@ import numpy as np
 
 from qcunlink.exactla import Subspace, kernel
 from qcunlink.gaussmeasure import covariance, sample_values
-from qcunlink.polyalg import Polynomial, evaluate, partial_derivative
+from qcunlink.polyalg import (
+    MAX_DIGITS,
+    Polynomial,
+    PolynomialSyntaxError,
+    evaluate,
+    partial_derivative,
+)
 from qcunlink.structure import QcWitness
 from qcunlink.unlink import GridSpec, IntegralCheck
 
@@ -313,3 +320,48 @@ def covariance_integral_check_reference(
     tolerance = max(0.05 * abs(float(exact)), 5.0 * stderr)
     passed = abs(estimate - float(exact)) <= tolerance
     return IntegralCheck(exact, estimate, stderr, passed, samples, seed)
+
+
+_DIGITS = frozenset("0123456789")
+
+
+def _integer(text: str, start: int, end: int) -> int:
+    if end - start > MAX_DIGITS:
+        raise PolynomialSyntaxError(
+            f"integer of {end - start} digits exceeds the limit of {MAX_DIGITS}", start
+        )
+    return int(text[start:end])
+
+
+def tokenize(text: str) -> list[tuple[str, object, int]]:
+    """(kind, value, offset) tokens of the expression grammar, one character at a time."""
+    tokens: list[tuple[str, object, int]] = []
+    i = 0
+    while i < len(text):
+        ch = text[i]
+        if ch.isspace():
+            i += 1
+            continue
+        if ch in "+-*/^":
+            tokens.append((ch, ch, i))
+            i += 1
+            continue
+        if ch in _DIGITS:
+            j = i
+            while j < len(text) and text[j] in _DIGITS:
+                j += 1
+            tokens.append(("int", _integer(text, i, j), i))
+            i = j
+            continue
+        if ch == "x":
+            j = i + 1
+            while j < len(text) and text[j] in _DIGITS:
+                j += 1
+            if j == i + 1:
+                raise PolynomialSyntaxError("expected a variable index after 'x'", i)
+            tokens.append(("var", _integer(text, i + 1, j), i))
+            i = j
+            continue
+        raise PolynomialSyntaxError(f"unexpected character {ch!r}", i)
+    tokens.append(("end", None, len(text)))
+    return tokens

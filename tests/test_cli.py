@@ -126,6 +126,8 @@ def test_exit_2_missing_file(capsys):
         ([{"c": "one", "e": [2, 0]}], "'c' is not a rational"),
         ([{"c": "1/0", "e": [2, 0]}], "'c' is not a rational"),
         ([["1", [2, 0]]], "term 0"),
+        # Fraction("1e10000000") would build a 33-million-bit integer
+        ([{"c": "1e10000000", "e": [2, 0]}], "'c' is not a rational"),
     ],
 )
 def test_exit_2_malformed_json_term(capsys, tmp_path, terms, message):
@@ -195,6 +197,77 @@ def test_cov_report_prints_values_over_digit_limit(capsys, tmp_path):
         sys.set_int_max_str_digits(limit)
     assert len(expected) > limit
     assert report["cov_exact"] == expected
+
+
+def full_digits(value: int) -> str:
+    """str(value) however many digits it has, the interpreter's limit restored after."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(value)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_marginal_report_prints_values_over_digit_limit(capsys, tmp_path):
+    # E[x1^1000 * ... * x4^1000] = (999!!)^4 is formed by to_json before the report is rendered
+    path = tmp_path / "p.poly"
+    path.write_text("n=4\nx1^1000*x2^1000*x3^1000*x4^1000\n")
+    limit = sys.get_int_max_str_digits()
+    argv = ["marginal", "--p", str(path), "--marginalize", "1,2,3,4"]
+    code, report, err = run_json(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert sys.get_int_max_str_digits() == limit
+    expected = full_digits(math.prod(range(999, 0, -2)) ** 4)
+    assert len(expected) > limit
+    assert report["result"]["terms"] == [{"c": expected, "e": [0, 0, 0, 0]}]
+    assert report["expression"] == expected
+
+
+def test_unlink_report_prints_values_over_digit_limit(capsys, tmp_path):
+    # Cov(u, u) > 0, so the pipeline stops at its hypothesis with exit 4 and prints it in full
+    path = tmp_path / "u.poly"
+    path.write_text("n=2\nx1^1000*x2^1000\n")
+    limit = sys.get_int_max_str_digits()
+    argv = ["unlink", "--u", str(path), "--v", str(path), "--trials", "1"]
+    code, report, err = run_json(capsys, *argv)
+    assert (code, err) == (4, "")
+    assert sys.get_int_max_str_digits() == limit
+    moment = math.prod(range(1999, 0, -2))
+    half = math.prod(range(999, 0, -2))
+    expected = full_digits(moment**2 - half**4)
+    assert len(expected) > limit
+    assert report["verdict"] == "hypothesis_failed"
+    assert report["cov_exact"] == report["hypothesis"]["cov_exact"] == expected
+
+
+@pytest.mark.parametrize(
+    "template",
+    [
+        '{"n": N, "terms": []}',
+        '{"n": 1, "terms": [{"c": "1", "e": [N]}]}',
+        '{"n": 1, "terms": [{"c": N, "e": [0]}]}',
+        '{"n": 1, "terms": [{"c": -N, "e": [0]}]}',
+    ],
+    ids=["n", "e", "c", "-c"],
+)
+def test_exit_2_json_integer_over_digit_limit(capsys, tmp_path, template):
+    # a command runs with the interpreter's digit limit lifted, so the reader bounds JSON integers
+    path = tmp_path / "p.json"
+    path.write_text(template.replace("N", "7" * 5000))
+    limit = sys.get_int_max_str_digits()
+    code, out, err = run(capsys, "invariance", "--p", str(path))
+    assert (code, out) == (2, "")
+    assert err == "qcunlink: error: JSON integer of 5000 digits exceeds the limit of 4300\n"
+    assert sys.get_int_max_str_digits() == limit
+
+
+def test_exit_2_deeply_nested_json(capsys, tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    code, out, err = run(capsys, "check", "--p", str(path))
+    assert (code, out) == (2, "")
+    assert err == f"qcunlink: error: {path}: JSON nested too deeply\n"
 
 
 def test_exit_2_invalid_seed(capsys):
@@ -433,6 +506,25 @@ def test_marginal_rejects_bad_indices(capsys, tmp_path):
     code, _, err = run(capsys, "marginal", "--p", str(source), "--marginalize", "3")
     assert code == 2
     assert "out of range" in err
+
+
+@pytest.mark.parametrize("indices", ["1,+2", "1_0", "-1", "\u0661", "2.0", "9" * 5000])
+def test_marginal_indices_are_ascii_digits(capsys, tmp_path, indices):
+    # int() reads "+2", "1_0" and the Arabic-Indic digit one; as in the header, only ASCII digits count
+    source = tmp_path / "p.poly"
+    source.write_text("n=2\nx1^2\n")
+    code, out, err = run(capsys, "marginal", "--p", str(source), "--marginalize", indices)
+    assert (code, out) == (2, "")
+    assert err.startswith("qcunlink: error: invalid index list")
+
+
+def test_marginal_indices_allow_spaces_and_empty_entries(capsys, tmp_path):
+    source = tmp_path / "p.poly"
+    source.write_text("n=2\nx1^2*x2^2\n")
+    code, report, _ = run_json(capsys, "marginal", "--p", str(source), "--marginalize", " 2, 1 ,")
+    assert code == 0
+    assert report["marginalize"] == [1, 2]
+    assert report["expression"] == "1"
 
 
 def test_verify_fixture_directory(capsys):

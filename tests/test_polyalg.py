@@ -29,7 +29,7 @@ from qcunlink.polyalg import (
 from qcunlink.polyalg import _tokenize
 
 from corpus import P
-from exact_oracles import compose_linear, evaluate_float_pow, restrict_line
+from exact_oracles import compose_linear, evaluate_float_pow, restrict_line, tokenize
 
 
 def directional_derivative(p, direction):
@@ -358,6 +358,38 @@ def test_from_json_input_limits():
         from_json({"n": 1, "terms": [term] * (MAX_TERMS + 1)})
 
 
+def test_from_json_reads_the_coefficient_strings_to_json_writes():
+    p = P("-3/4*x1^2 + 5*x1 - 7", 1)
+    assert [t["c"] for t in to_json(p)["terms"]] == ["-7", "5", "-3/4"]
+    assert from_json(to_json(p)) == p
+    wide = f"-{'7' * MAX_DIGITS}/{'9' * MAX_DIGITS}"
+    assert from_json({"n": 1, "terms": [{"c": wide, "e": [0]}]}) == P(wide, 1)
+    # JSON numbers are read as before: a float is the binary rational it denotes
+    assert from_json({"n": 1, "terms": [{"c": 0.5, "e": [1]}, {"c": -2, "e": [0]}]}) == P(
+        "1/2*x1 - 2", 1
+    )
+
+
+@pytest.mark.parametrize(
+    "coeff",
+    ["1e3", "1e10000000", "1.5", ".5", "+1", " 1", "1 ", "1_0", "\u0661", "1/-2", "1/0", "-", "", "inf"],
+)
+def test_from_json_refuses_other_coefficient_strings(coeff):
+    # Fraction() reads all but the last five, and builds 10**10000000 for "1e10000000"
+    with pytest.raises(ValueError, match="term 0: 'c' is not a rational number"):
+        from_json({"n": 1, "terms": [{"c": coeff, "e": [0]}]})
+
+
+def test_from_json_coefficient_digit_limit():
+    for coeff, position in (("1" * (MAX_DIGITS + 1), 0), ("-1/" + "3" * (MAX_DIGITS + 1), 3)):
+        with pytest.raises(ValueError) as info:
+            from_json({"n": 1, "terms": [{"c": coeff, "e": [0]}]})
+        assert str(info.value) == (
+            f"term 0: 'c': integer of {MAX_DIGITS + 1} digits exceeds the limit of {MAX_DIGITS}"
+            f" (at offset {position})"
+        )
+
+
 @pytest.mark.parametrize("arity", [True, False, 2.0, "2", None, -1])
 def test_from_json_rejects_non_integer_arity(arity):
     # bool is a subclass of int, so "n": true once loaded as arity 1
@@ -397,7 +429,7 @@ class ReferenceParser:
     builds a Polynomial with + and *.  Kept as the oracle of the parser."""
 
     def __init__(self, text, arity):
-        self.tokens = _tokenize(text)
+        self.tokens = tokenize(text)
         self.pos = 0
         self.arity = arity
 
@@ -473,7 +505,10 @@ def parse_outcome(parse, text, arity):
         return "error", str(exc), exc.position
 
 
-FRAGMENTS = ["x1", "x2", "x3", "x0", "x", "^", "^0", "2", "0", "12", "/", "/0", "*", "+", "-", " ", "a"]
+FRAGMENTS = [
+    "x1", "x2", "x3", "x0", "x", "^", "^0", "2", "0", "12", "/", "/0", "*", "+", "-", " ", "a",
+    "\t", "\u00a0", "\x1c", "\u0661", "x\u0661", "\u00b2", "x12^10",
+]
 
 
 @st.composite
@@ -507,6 +542,25 @@ def test_parser_matches_reference(case):
     text, arity = case
     expected = parse_outcome(lambda t, n: ReferenceParser(t, n).expression(), text, arity)
     assert parse_outcome(parse_expression, text, arity) == expected
+
+
+def token_outcome(tokenizer, text):
+    """The tokens, or the syntax error's message and offset."""
+    try:
+        return "ok", tokenizer(text)
+    except PolynomialSyntaxError as exc:
+        return "error", str(exc), exc.position
+
+
+@settings(max_examples=300, deadline=None)
+@given(expression_texts())
+@example(("1" * (MAX_DIGITS + 1), 1))
+@example(("x1 + x" + "2" * (MAX_DIGITS + 1), 1))
+@example(("x1^\n2 +\r\x0b\x0c\u2028 x1", 1))
+def test_tokenizer_matches_reference(case):
+    # the regex tokenizer against the per-character scanner it replaced
+    text, _ = case
+    assert token_outcome(_tokenize, text) == token_outcome(tokenize, text)
 
 
 @settings(max_examples=80, deadline=None)
