@@ -37,7 +37,6 @@ from . import gaussmeasure, structure, unlink
 from .polyalg import (
     MAX_DIGITS,
     Polynomial,
-    PolynomialSyntaxError,
     from_json,
     is_symmetric,
     parse_expression,
@@ -135,31 +134,36 @@ def _load_polynomial(path: str) -> Polynomial:
 
     Text format: first non-blank line ``n=<int>``, remaining lines hold
     one expression.  Any extension other than .json is treated as text.
+    A ``ValueError`` about the content is raised again with the path in
+    front; no message quotes the content, which may be of any length.
     """
-    with open(path, encoding="utf-8") as handle:
-        raw = handle.read()
-    if os.path.splitext(path)[1].lower() == ".json":
-        try:
-            obj = json.loads(raw, parse_int=_json_integer)
-        except RecursionError:
-            raise ValueError(f"{path}: JSON nested too deeply") from None
-        return from_json(obj)
-    lines = [line for line in raw.splitlines() if line.strip()]
-    if not lines:
-        raise ValueError(f"{path}: empty polynomial file")
-    header = lines[0].replace(" ", "")
-    if not header.startswith("n="):
-        raise ValueError(f"{path}: first line must be 'n=<int>'")
-    digits = header[2:].strip()
-    if not _is_ascii_number(digits):
-        raise ValueError(f"{path}: invalid arity in header {lines[0]!r}")
-    return parse_expression(" ".join(lines[1:]), int(digits))
+    try:
+        with open(path, encoding="utf-8") as handle:
+            raw = handle.read()
+        if os.path.splitext(path)[1].lower() == ".json":
+            try:
+                obj = json.loads(raw, parse_int=_json_integer)
+            except RecursionError:
+                raise ValueError("JSON nested too deeply") from None
+            return from_json(obj)
+        lines = [line for line in raw.splitlines() if line.strip()]
+        if not lines:
+            raise ValueError("empty polynomial file")
+        header = lines[0].replace(" ", "")
+        if not header.startswith("n="):
+            raise ValueError("first line must be 'n=<int>'")
+        digits = header[2:].strip()
+        if not _is_ascii_number(digits):
+            raise ValueError("invalid arity in header")
+        return parse_expression(" ".join(lines[1:]), int(digits))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def _parse_index_set(text: str, arity: int) -> list[int]:
     parts = [part.strip() for part in text.split(",") if part.strip()]
     if not all(_is_ascii_number(part) for part in parts):
-        raise ValueError(f"invalid index list {text!r}; expected comma-separated integers")
+        raise ValueError("invalid index list for --marginalize; expected comma-separated integers")
     indices = sorted({int(part) for part in parts})
     for index in indices:
         if not 1 <= index <= arity:
@@ -459,7 +463,7 @@ def main(argv=None) -> int:
                 code = EXIT_FALSIFIED
             # inside the try: a report that cannot be rendered or written exits 2
             _emit(report, args.out)
-    except (PolynomialSyntaxError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"qcunlink: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except unlink.InvariantViolation as exc:

@@ -1,32 +1,33 @@
 """Exact rational linear algebra for subspaces of R^n.
 
-Every dimension-bearing computation here (kernel, row space, sum,
-containment, the sign of a quadratic form) is exact, so ranks are exact
-integers.  The eliminations run fraction-free: each row or vector is
-scaled by a positive integer to clear its denominators, and every step
-works over ``int``, dividing out the content (gcd) of what it produces.
-Positive scaling changes no zero pattern and no sign, so the pivots,
-ranks and sign decisions are those of the rational computation, and the
-``Fraction`` results (RREF rows, PSD witnesses) are recovered by one
-division at the end.  Floating point appears only in
+Every dimension-bearing computation here (kernel, row space, sum, the
+nestedness of a chain, the sign of a quadratic form) is exact, so ranks
+are exact integers.  The eliminations run fraction-free: each row or
+vector is scaled by a positive integer to clear its denominators, and
+every step works over ``int``, dividing out the content (gcd) of what it
+produces.  Positive scaling changes no zero pattern and no sign, so the
+pivots, ranks and sign decisions are those of the rational computation,
+and the ``Fraction`` results (RREF rows, PSD witnesses) are recovered by
+one division at the end.  Floating point appears only in
 ``orthonormalize_nested``, and even there the Gram-Schmidt sweep is
-exact and yields exactly orthogonal integer columns; each column is
-converted to float only when it is normalized, so prefix spans are exact
-by construction, and the integer columns are handed back for exact
-checks downstream.
+exact: it yields exactly orthogonal integer columns, and its column
+count decides whether the chain is nested.  Each column is converted to
+float only when it is normalized, after division by a power of two that
+keeps it in float range, so prefix spans are exact by construction at
+any coefficient scale, and the integer columns are handed back for
+exact checks downstream.
 
 Matrices are plain sequences of rows: ``kernel`` takes the rows of the
 constraint matrix and the column count, each entry an ``int`` or a
 ``Fraction``.  Subspace bases are canonicalized to reduced row echelon
 form (pivot order, leading entry 1), which is unique for a given row
-space, so all operations return reproducible bases.  One elimination of
-a matrix M gives both of its subspaces: its nonzero rows are the RREF
-basis of the row space, which is the orthogonal complement of ker M, and
-its free columns give ker M (``kernel_and_row_space``).  A subspace
-keeps its RREF rows over ``int``, each scaled to a primitive vector,
-so containment is decided over ``int`` as well and the ``Fraction``
-rows are formed only when a report prints them.  Relations between
-subspaces are decided by containment, never by comparing bases.
+space, so all operations return reproducible bases and equal subspaces
+compare equal.  One elimination of a matrix M gives both of its
+subspaces: its nonzero rows are the RREF basis of the row space, which
+is the orthogonal complement of ker M, and its free columns give ker M
+(``kernel_and_row_space``).  A subspace keeps its RREF rows over
+``int``, each scaled to a primitive vector, and the ``Fraction`` rows
+are formed only when a report prints them.
 """
 
 from __future__ import annotations
@@ -163,30 +164,6 @@ class Subspace:
     @property
     def dimension(self) -> int:
         return len(self.rows)
-
-    def _spans(self, vector: list[int]) -> bool:
-        """Whether an integer vector lies in the subspace, by fraction-free reduction.
-
-        A step v <- d*v - f*row, with d > 0 the row's entry at its pivot
-        column and f that of v, is d times the rational step, and each
-        row vanishes at the other rows' pivot columns; so v ends at zero
-        iff it is a combination of the rows.
-        """
-        for row, col in zip(self.rows, self.pivots):
-            f = vector[col]
-            if f:
-                d = row[col]
-                vector = _content_free([d * a - f * b for a, b in zip(vector, row)])
-        return not any(vector)
-
-    def contains_vector(self, vector: Sequence) -> bool:
-        """Exact membership test by reduction against the canonical basis."""
-        return self._spans(_integer_row(_to_vector(vector, self.ambient)))
-
-    def contains(self, other: "Subspace") -> bool:
-        if other.ambient != self.ambient:
-            raise ValueError("ambient dimension mismatch")
-        return all(self._spans(list(row)) for row in other.rows)
 
     def to_json(self) -> dict:
         return {
@@ -342,40 +319,42 @@ def orthonormalize_nested(
 ) -> tuple[np.ndarray, tuple[IntVector, ...]]:
     """Orthonormal columns whose prefixes span a nested chain of subspaces.
 
-    The chain must be strictly nested (checked exactly); its last element
-    need not be all of R^n, the basis is always extended to a full one.
-    Exact Gram-Schmidt over the rationals yields n pairwise exactly
-    orthogonal, primitive integer columns w_1..w_n; for each chain element
-    T_i the first dim(T_i) of them span T_i.  Returns the n-by-n float
-    matrix Q whose column j is w_j / |w_j| (so Q'Q = I to within
-    rounding) together with the integer columns, in the same order.
+    Exact Gram-Schmidt over the rationals runs through the rows of each
+    chain element T_1, T_2, ... in turn, then through e_1..e_n, and keeps
+    every nonzero residue as a primitive integer column.  After T_i the
+    columns span T_1 + ... + T_i, so their count equals dim(T_i) exactly
+    when T_i contains its predecessors: a larger count raises
+    ``ValueError`` (the chain is not nested), a smaller one
+    ``InvariantViolation``.  A repeated element adds no column, and the
+    last element need not be all of R^n: the e_i extend the basis to a
+    full one.  Returns the n-by-n float matrix Q whose column j is
+    w_j / |w_j| (so Q'Q = I to within rounding) together with the n
+    pairwise exactly orthogonal integer columns w_j, in the same order;
+    for each T_i the first dim(T_i) of them span T_i.
     """
     for space in chain:
         if space.ambient != ambient:
             raise ValueError("chain element has wrong ambient dimension")
-    for smaller, larger in zip(chain, chain[1:]):
-        if not (larger.contains(smaller) and smaller.dimension < larger.dimension):
-            raise ValueError("chain not nested: containment or strict dimension growth fails")
-    if chain and chain[-1].dimension > ambient:
-        raise ValueError("chain exceeds the ambient dimension")
-
+    stages = [(space.rows, space.dimension) for space in chain]
+    stages.append(((_unit(i, ambient) for i in range(ambient)), ambient))
     ortho: list[list[int]] = []
-    for space in chain:
-        for vector in space.rows:
+    for vectors, dimension in stages:
+        for vector in vectors:
+            if len(ortho) == ambient:
+                break
             u = _orthogonalize_exact(vector, ortho)
             if any(u):
                 ortho.append(_primitive(u))
-        if len(ortho) != space.dimension:
+        if len(ortho) > dimension:
+            raise ValueError("chain not nested: an element does not contain its predecessors")
+        if len(ortho) < dimension:
             raise InvariantViolation("exact Gram-Schmidt lost a dimension")
-    for i in range(ambient):
-        if len(ortho) == ambient:
-            break
-        u = _orthogonalize_exact(_unit(i, ambient), ortho)
-        if any(u):
-            ortho.append(_primitive(u))
 
     q = np.empty((ambient, ambient))
     for j, w in enumerate(ortho):
-        norm = math.sqrt(float(sum(x * x for x in w)))
-        q[:, j] = [float(x) / norm for x in w]
+        # a power of two that brings the entries below 2^500 before they
+        # meet floats; 1, so exactly float(x) / norm, for smaller columns
+        scale = 1 << max(0, max(map(abs, w)).bit_length() - 500)
+        norm = math.sqrt(sum(x * x for x in w) / (scale * scale))
+        q[:, j] = [x / scale / norm for x in w]
     return q, tuple(tuple(w) for w in ortho)

@@ -141,21 +141,8 @@ class Polynomial:
         object.__setattr__(self, "terms", canon)
 
     @classmethod
-    def zero(cls, arity: int) -> "Polynomial":
-        return cls(arity, {})
-
-    @classmethod
     def constant(cls, arity: int, value) -> "Polynomial":
         return cls(arity, {(0,) * arity: value})
-
-    @classmethod
-    def variable(cls, arity: int, index: int) -> "Polynomial":
-        """The monomial x<index>, 1-based."""
-        if not 1 <= index <= arity:
-            raise ValueError(f"variable index {index} out of range 1..{arity}")
-        exponent = [0] * arity
-        exponent[index - 1] = 1
-        return cls(arity, {tuple(exponent): Fraction(1)})
 
     @property
     def is_zero(self) -> bool:
@@ -512,7 +499,7 @@ def _json_term(item, arity: int, index: int) -> tuple[Exponent, Fraction]:
     except PolynomialSyntaxError as exc:
         raise ValueError(f"term {index}: 'c': {exc}") from None
     except (TypeError, ValueError, ZeroDivisionError, OverflowError):
-        raise ValueError(f"term {index}: 'c' is not a rational number: {coeff!r}") from None
+        raise ValueError(f"term {index}: 'c' is not a rational number") from None
 
 
 # the coefficient strings ``to_json`` writes; Fraction() would also read

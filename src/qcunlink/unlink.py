@@ -220,19 +220,18 @@ def build_transform(report: ConcordanceReport) -> OrthogonalTransform:
     """Assemble the adapted orthonormal basis from a concordance report.
 
     The nested chain overlap < inv_u_perp < perp_sum < R^n is
-    orthonormalized so each prefix spans its chain element, then columns
-    are reordered so positions 1..r hold the part of inv_u_perp outside
+    orthonormalized so each prefix spans its chain element; the exact
+    Gram-Schmidt there certifies the nesting, and a report whose chain is
+    not nested raises ``InvariantViolation``.  The columns are then
+    reordered so positions 1..r hold the part of inv_u_perp outside
     the overlap, r+1..r+t the overlap, r+t+1..r+t+m the completion of
     perp_sum, and the remainder spans the rest of R^n.
     """
     r, t, m, n = report.r, report.t, report.m, report.n
-    if not (report.inv_u_perp.contains(report.overlap) and report.perp_sum.contains(report.inv_u_perp)):
-        raise InvariantViolation("concordance bases are not nested")
-    chain = []
-    for space in (report.overlap, report.inv_u_perp, report.perp_sum):
-        if space.dimension > (chain[-1].dimension if chain else 0):
-            chain.append(space)
-    q, columns = orthonormalize_nested(chain, n)
+    try:
+        q, columns = orthonormalize_nested((report.overlap, report.inv_u_perp, report.perp_sum), n)
+    except ValueError as exc:
+        raise InvariantViolation(f"concordance bases: {exc}") from exc
     order = list(range(t, t + r)) + list(range(t)) + list(range(r + t, n))
     transform = OrthogonalTransform(
         matrix=q[:, order],

@@ -15,6 +15,11 @@ def P(text: str, arity: int) -> Polynomial:
     return parse_expression(text, arity)
 
 
+def variable(arity: int, index: int) -> Polynomial:
+    """The monomial x<index>, 1-based."""
+    return Polynomial(arity, {tuple(int(j == index) for j in range(1, arity + 1)): 1})
+
+
 # Symmetric convex (hence quasi-convex) polynomials vanishing at the origin.
 QC_FIXTURES = [
     ("square_sum", P("x1^2 + x2^2", 2)),
@@ -111,22 +116,22 @@ def random_even_convex(rng: random.Random, variables: list[int], arity: int) -> 
     with positive coefficients.  The invariance subspace is exactly the
     span of the off-block coordinate directions.
     """
-    acc = Polynomial.zero(arity)
+    acc = Polynomial(arity)
     for index in variables:
         coeff = Fraction(rng.randint(1, 4), rng.randint(1, 3))
-        acc = acc + coeff * Polynomial.variable(arity, index) ** 2
+        acc = acc + coeff * variable(arity, index) ** 2
     forms = rng.randint(0, 2)
     for _ in range(forms):
-        linear = Polynomial.zero(arity)
+        linear = Polynomial(arity)
         for index in variables:
-            linear = linear + Fraction(rng.randint(-2, 2)) * Polynomial.variable(arity, index)
+            linear = linear + Fraction(rng.randint(-2, 2)) * variable(arity, index)
         acc = acc + linear * linear
     extras = rng.randint(1, 3)
     for _ in range(extras):
         index = rng.choice(variables)
         power = rng.choice([4, 6])
         coeff = Fraction(rng.randint(1, 3), rng.randint(1, 2))
-        acc = acc + coeff * Polynomial.variable(arity, index) ** power
+        acc = acc + coeff * variable(arity, index) ** power
     return acc
 
 
@@ -153,12 +158,12 @@ def random_psd_quadratic(rng: random.Random, arity: int) -> Polynomial:
     """Random PSD quadratic form G'G, possibly singular."""
     rows = rng.randint(1, arity)
     g = [[Fraction(rng.randint(-2, 2)) for _ in range(arity)] for _ in range(rows)]
-    acc = Polynomial.zero(arity)
+    acc = Polynomial(arity)
     for row in g:
-        linear = Polynomial.zero(arity)
+        linear = Polynomial(arity)
         for j, coeff in enumerate(row, start=1):
             if coeff:
-                linear = linear + coeff * Polynomial.variable(arity, j)
+                linear = linear + coeff * variable(arity, j)
         acc = acc + linear * linear
     return acc
 
@@ -219,7 +224,7 @@ def rotated_polynomials(draw) -> Polynomial:
     n = draw(st.integers(1, 8))
     kind = draw(st.sampled_from(["rotated"] * 4 + ["zero", "constant"]))
     if kind == "zero":
-        return Polynomial.zero(n)
+        return Polynomial(n)
     if kind == "constant":
         return Polynomial.constant(n, draw(st.fractions(-5, 5, max_denominator=4).filter(bool)))
     k = draw(st.integers(1, min(3, n)))
@@ -233,7 +238,7 @@ def rotated_polynomials(draw) -> Polynomial:
     matrix = [draw(row) for _ in range(k)]
     units = [tuple(int(i == j) for i in range(n)) for j in range(n)]
     forms = [Polynomial(n, dict(zip(units, row))) for row in matrix]
-    p = Polynomial.zero(n)
+    p = Polynomial(n)
     for exponent, coeff in q.items():
         term = Polynomial.constant(n, coeff)
         for form, power in zip(forms, exponent):

@@ -54,7 +54,7 @@ def compose_linear(p: Polynomial, matrix) -> Polynomial:
         raise ValueError(f"matrix must be {n}x{n}")
     units = [tuple(int(j == k) for k in range(n)) for j in range(n)]
     forms = [Polynomial(n, dict(zip(units, row))) for row in rows]
-    total = Polynomial.zero(n)
+    total = Polynomial(n)
     for exponent, coeff in p.terms.items():
         term = Polynomial.constant(n, coeff)
         for form, k in zip(forms, exponent):
@@ -90,8 +90,10 @@ def restrict_line(p: Polynomial, base, direction) -> Polynomial:
 
 
 def same_space(first: Subspace, second: Subspace) -> bool:
-    """Set equality of two subspaces, by mutual containment."""
-    return first.contains(second) and second.contains(first)
+    """Set equality of two subspaces, by mutual containment over ``Fraction``."""
+    return all(contains_vector_fraction(first, row) for row in second.basis) and all(
+        contains_vector_fraction(second, row) for row in first.basis
+    )
 
 
 def quadratic_witness_doubling(p: Polynomial, direction) -> QcWitness:

@@ -1,5 +1,6 @@
 """CLI behaviour: report shapes, determinism, and the exit-code contract."""
 
+import dataclasses
 import json
 import math
 import sys
@@ -82,6 +83,34 @@ def test_exit_0_unlink_scaled_rotated_pair(capsys, tmp_path):
     assert code == 0, err
     assert report["verdict"] == "unlinked"
     assert (report["r"], report["t"], report["m"]) == (0, 2, 2)
+
+
+@pytest.mark.parametrize("digits", [200, 2000])
+def test_exit_0_unlink_orthogonal_pair_past_float_range(capsys, tmp_path, monkeypatch, digits):
+    # (x1 + k*x2)^2 and (k*x1 - x2)^2: the exact columns (1, k) and (k, -1)
+    # are scaled by a power of two before they are converted to float
+    k = 10**digits
+    paths = []
+    for name, text in (
+        ("u", f"x1^2 + {2 * k}*x1*x2 + {k * k}*x2^2"),
+        ("v", f"{k * k}*x1^2 - {2 * k}*x1*x2 + x2^2"),
+    ):
+        path = tmp_path / f"{name}.poly"
+        path.write_text(f"n=2\n{text}\n")
+        paths.append(str(path))
+    transforms = []
+    build = unlink_module.build_transform
+
+    def spy(report):
+        transforms.append(build(report))
+        return transforms[-1]
+
+    monkeypatch.setattr(unlink_module, "build_transform", spy)
+    code, report, err = run_json(capsys, "unlink", "--u", paths[0], "--v", paths[1])
+    assert (code, err) == (0, "")
+    assert report["verdict"] == "unlinked"
+    assert transforms[0].orthogonality_error() <= 1e-10
+    assert sorted(map(sorted, transforms[0].columns)) == [[-1, k], [1, k]]
 
 
 def test_exit_0_unlink_arity_zero(capsys, tmp_path):
@@ -176,7 +205,7 @@ def test_exit_2_coefficient_over_digit_limit(capsys, tmp_path):
     path.write_text("n=1\nx1^2 + " + "3" * 5000 + "*x1^4\n")
     code, out, err = run(capsys, "check", "--p", str(path))
     assert (code, out) == (2, "")
-    assert err == "qcunlink: error: integer of 5000 digits exceeds the limit of 4300 (at offset 7)\n"
+    assert err == f"qcunlink: error: {path}: integer of 5000 digits exceeds the limit of 4300 (at offset 7)\n"
 
 
 def test_cov_report_prints_values_over_digit_limit(capsys, tmp_path):
@@ -258,7 +287,7 @@ def test_exit_2_json_integer_over_digit_limit(capsys, tmp_path, template):
     limit = sys.get_int_max_str_digits()
     code, out, err = run(capsys, "invariance", "--p", str(path))
     assert (code, out) == (2, "")
-    assert err == "qcunlink: error: JSON integer of 5000 digits exceeds the limit of 4300\n"
+    assert err == f"qcunlink: error: {path}: JSON integer of 5000 digits exceeds the limit of 4300\n"
     assert sys.get_int_max_str_digits() == limit
 
 
@@ -268,6 +297,52 @@ def test_exit_2_deeply_nested_json(capsys, tmp_path):
     code, out, err = run(capsys, "check", "--p", str(path))
     assert (code, out) == (2, "")
     assert err == f"qcunlink: error: {path}: JSON nested too deeply\n"
+
+
+@pytest.mark.parametrize(
+    "name, content",
+    [
+        ("bad.json", '{"n": 2, "terms": [}'),
+        ("bad.json", json.dumps({"n": 2, "terms": [{"c": "one", "e": [2, 0]}]})),
+        ("bad.json", '{"n": 2, "terms": [{"c": "1", "e": [' + "7" * 5000 + ", 0]}]}"),
+        ("bad.poly", "n=2\nx1^2 +* x2^2\n"),
+        ("bad.poly", "n=2\n" + "3" * 5000 + "*x1^2\n"),
+        ("bad.poly", "n=two\nx1^2\n"),
+        ("bad.poly", b"n=2\n\xff\n"),
+    ],
+    ids=["json-syntax", "json-term", "json-digits", "poly-syntax", "poly-digits", "poly-header", "utf-8"],
+)
+def test_exit_2_content_error_names_its_file(capsys, tmp_path, name, content):
+    # with two inputs, the message says which one is at fault
+    good = FIXTURES / "rot_u.poly"
+    bad = tmp_path / name
+    if isinstance(content, bytes):
+        bad.write_bytes(content)
+    else:
+        bad.write_text(content)
+    for u, v in ((good, bad), (bad, good)):
+        code, out, err = run(capsys, "cov", "--u", str(u), "--v", str(v))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"qcunlink: error: {bad}: ")
+
+
+@pytest.mark.parametrize(
+    "name, content, argv",
+    [
+        ("p.json", json.dumps({"n": 1, "terms": [{"c": "c" * 1_000_000, "e": [2]}]}), ()),
+        ("p.poly", "n=" + "9" * 1_000_000 + "\nx1^2\n", ()),
+        ("p.poly", "n=1\nx1^2\n", ("--marginalize", "9" * 1_000_000)),
+    ],
+    ids=["json-c", "poly-header", "marginalize"],
+)
+def test_exit_2_long_input_is_not_echoed(capsys, tmp_path, name, content, argv):
+    # the term index, the path or the flag locates the fault; the text itself is not repeated
+    path = tmp_path / name
+    path.write_text(content)
+    command = "marginal" if argv else "check"
+    code, out, err = run(capsys, command, "--p", str(path), *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("qcunlink: error:") and len(err.encode()) < 1024
 
 
 def test_exit_2_invalid_seed(capsys):
@@ -393,6 +468,25 @@ def test_exit_5_internal_invariant_violation(capsys, monkeypatch):
     )
     assert code == 5
     assert "invariant" in err
+
+
+def test_exit_5_concordance_chain_not_nested(capsys, monkeypatch):
+    # an overlap outside inv_u_perp: the Gram-Schmidt count refuses the chain
+    concord = unlink_module.concordance
+
+    def unnested(u, v):
+        report = concord(u, v)
+        return dataclasses.replace(report, overlap=report.inv_u)
+
+    monkeypatch.setattr(unlink_module, "concordance", unnested)
+    code, out, err = run(
+        capsys,
+        "unlink",
+        "--u", str(FIXTURES / "rot_u.poly"),
+        "--v", str(FIXTURES / "rot_v.poly"),
+    )
+    assert (code, out) == (5, "")
+    assert "invariant" in err and "not nested" in err
 
 
 def test_exit_5_swapped_transform_fails_certificate(capsys, monkeypatch, certificates):

@@ -181,10 +181,20 @@ def test_orthonormalize_two_element_chain():
 
 
 def test_orthonormalize_rejects_unnested_chain():
+    # after each element the columns span the sum so far, so an element
+    # that misses a predecessor leaves more columns than its dimension
     with pytest.raises(ValueError, match="nested"):
         orthonormalize_nested([span([(1, 0)], 2), span([(0, 1)], 2)], 2)
     with pytest.raises(ValueError, match="nested"):
-        orthonormalize_nested([span([(1, 0)], 2), span([(1, 0)], 2)], 2)
+        orthonormalize_nested([full(3), span([(1, 0, 0)], 3)], 3)
+    with pytest.raises(ValueError, match="ambient"):
+        orthonormalize_nested([span([(1, 0)], 2)], 3)
+    # an element repeated is nested in itself and adds no column
+    line = span([(1, 2)], 2)
+    q, columns = orthonormalize_nested([line, line], 2)
+    single_q, single_columns = orthonormalize_nested([line], 2)
+    assert columns == single_columns == ((1, 2), (2, -1))
+    assert np.array_equal(q, single_q)
 
 
 # ---------------------------------------------------------------------------
@@ -298,9 +308,7 @@ def test_orthonormalize_random_nested_chains():
         ]
         inner = Subspace.span(vectors[: rng.randint(0, ambient - 1)], ambient)
         outer = subspace_sum(inner, Subspace.span(vectors, ambient))
-        chain = [inner, outer] if inner.dimension < outer.dimension else [outer]
-        if chain[0].dimension == 0 and len(chain) > 1:
-            chain = chain[1:]
+        chain = [inner, outer]
         q, columns = orthonormalize_nested(chain, ambient)
         assert orthogonality_error(q) <= 1e-10
         for space in chain:
@@ -429,13 +437,11 @@ def test_psd_violation_matches_fraction_reference(a):
 @settings(max_examples=100, deadline=None)
 @given(rational_rows(max_rows=5, max_cols=5), st.data())
 def test_orthonormalize_columns_match_fraction_reference(shape, data):
+    # prefixes of one basis, in order: zero and repeated elements included
     rows, ambient = shape
     outer = Subspace.span(rows, ambient)
-    cut = data.draw(st.integers(0, outer.dimension))
-    inner = Subspace.span(outer.basis[:cut], ambient)
-    chain = [space for space in (inner, outer) if space.dimension]
-    if len(chain) == 2 and inner.dimension == outer.dimension:
-        chain = [outer]
+    cuts = sorted(data.draw(st.lists(st.integers(0, outer.dimension), max_size=4)))
+    chain = [Subspace.span(outer.basis[:cut], ambient) for cut in cuts]
     _, columns = orthonormalize_nested(chain, ambient)
     assert columns == nested_columns_fraction(chain, ambient)
     assert all(type(x) is int for w in columns for x in w)

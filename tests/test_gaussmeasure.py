@@ -201,7 +201,7 @@ def test_sample_values_rejects_bad_inputs():
     with pytest.raises(ValueError, match="arity mismatch"):
         sample_values((P("x1", 1), P("x1", 2)), 10, seed=1)
     with pytest.raises(ValueError, match="at least one coordinate"):
-        sample_values((Polynomial.zero(0),), 10, seed=1)
+        sample_values((Polynomial(0),), 10, seed=1)
 
 
 def test_mc_estimate_unit_variance():

@@ -34,7 +34,7 @@ from exact_oracles import compose_linear, evaluate_float_pow, restrict_line, tok
 
 def directional_derivative(p, direction):
     """Derivative of p along a constant direction: sum_i direction_i * dp/dx_i."""
-    out = Polynomial.zero(p.arity)
+    out = Polynomial(p.arity)
     for i, x in enumerate(direction, start=1):
         if x:
             out = out + Fraction(x) * partial_derivative(p, i)
@@ -50,7 +50,7 @@ def test_derivative_matrix_maps_directions_to_scaled_derivatives():
         coefficients = sorted(x for x in (sum(a * b for a, b in zip(row, direction)) for row in matrix) if x)
         expected = directional_derivative(p, direction) * 6
         assert coefficients == sorted(expected.terms.values())
-    assert derivative_matrix(Polynomial.zero(2)) == []
+    assert derivative_matrix(Polynomial(2)) == []
     assert derivative_matrix(Polynomial.constant(2, 5)) == []
     # the rows of x2 (from d/dx1) and of x1 (from d/dx2), in the order first met
     assert derivative_matrix(P("x1*x2", 2)) == [[1, 0], [0, 1]]
@@ -297,7 +297,7 @@ def test_compose_dimension_mismatch():
 def test_is_symmetric_examples():
     assert is_symmetric(P("x1^2 + x1*x2", 2))
     assert not is_symmetric(P("x1^3", 1))
-    assert is_symmetric(Polynomial.zero(2))
+    assert is_symmetric(Polynomial(2))
 
 
 # ---------------------------------------------------------------------------
@@ -635,7 +635,7 @@ def rays(draw):
 @example((P("x1^2 + 2*x1*x2 + x2^2", 2), (1, -1)))  # annihilating direction
 @example((P("x1^2 + x2^4 + 5", 2), (0, 0)))  # zero direction: the constant p(0)
 @example((P("x1^3*x2 - 1/3*x2^2", 2), (0.1, -2.5e-300)))  # floats far from 1
-@example((Polynomial.zero(3), (1, 2, 3)))
+@example((Polynomial(3), (1, 2, 3)))
 def test_restrict_ray_matches_reference_line(ray):
     # t -> p(t*a) is the reference restriction to the line through 0 along a,
     # with float entries read as the binary rationals they denote
@@ -659,7 +659,7 @@ def test_zero_derivative_implies_constant_lines(arity, seed):
     direction = [Fraction(int(x)) for x in rng.integers(-3, 4, size=arity)]
     if not any(direction):
         direction[0] = Fraction(1)
-    p = Polynomial.zero(arity)
+    p = Polynomial(arity)
     for _ in range(3):
         coeffs = [Fraction(int(x)) for x in rng.integers(-3, 4, size=arity)]
         dot = sum(c * d for c, d in zip(coeffs, direction))

@@ -32,21 +32,32 @@ UNCALLED_SPOTCHECKS = {
 
 
 def referenced_names(path):
-    """(name, enclosing top-level definition) for every name and attribute read in a module."""
+    """(name, enclosing definition) for every name and attribute read in a module.
+
+    The enclosing definition is the top-level function or class, or
+    ``Class.method`` inside a method.
+    """
     found = set()
     for top in ast.parse(path.read_text(), filename=str(path)).body:
-        owner = getattr(top, "name", None)
-        for node in ast.walk(top):
-            if isinstance(node, ast.Name):
-                found.add((node.id, owner))
-            elif isinstance(node, ast.Attribute):
-                found.add((node.attr, owner))
+        parts = [(top, getattr(top, "name", None))]
+        if isinstance(top, ast.ClassDef):
+            parts = [
+                (item, f"{top.name}.{item.name}" if isinstance(item, ast.FunctionDef) else top.name)
+                for item in top.body
+            ]
+        for part, owner in parts:
+            for node in ast.walk(part):
+                if isinstance(node, ast.Name):
+                    found.add((node.id, owner))
+                elif isinstance(node, ast.Attribute):
+                    found.add((node.attr, owner))
     return found
 
 
 def test_every_public_function_has_a_caller():
-    # a public function is used somewhere in the package outside its own
-    # body; names are matched as identifiers, so a method of the same name
+    # a public function, or a public method of an exported class, is used
+    # somewhere in the package outside its own body; names are matched as
+    # identifiers, so any function, method or attribute of the same name
     # counts as a use
     uses = {}
     for path in SOURCES:
@@ -57,8 +68,15 @@ def test_every_public_function_has_a_caller():
     for path in SOURCES:
         module = importlib.import_module(f"qcunlink.{path.stem}")
         for name in getattr(module, "__all__", ()):
-            if inspect.isfunction(getattr(module, name)) and name not in UNCALLED_SPOTCHECKS:
+            value = getattr(module, name)
+            if inspect.isfunction(value) and name not in UNCALLED_SPOTCHECKS:
                 if not uses.get(name, set()) - {(path.stem, name)}:
                     uncalled.append(f"{path.stem}.{name}")
+            elif inspect.isclass(value) and value.__module__ == module.__name__:
+                for method, member in vars(value).items():
+                    owner = f"{name}.{method}"
+                    if not method.startswith("_") and inspect.isroutine(member):
+                        if not uses.get(method, set()) - {(path.stem, owner)}:
+                            uncalled.append(f"{path.stem}.{owner}")
     assert uncalled == []
     assert all(hasattr(qcunlink, name) for name in UNCALLED_SPOTCHECKS)
