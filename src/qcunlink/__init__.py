@@ -29,7 +29,6 @@ from .polyalg import (
     evaluate_float,
     is_symmetric,
     parse_expression,
-    partial_derivative,
     restrict_ray,
     to_expression,
 )

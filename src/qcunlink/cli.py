@@ -165,9 +165,8 @@ def _parse_index_set(text: str, arity: int) -> list[int]:
     if not all(_is_ascii_number(part) for part in parts):
         raise ValueError("invalid index list for --marginalize; expected comma-separated integers")
     indices = sorted({int(part) for part in parts})
-    for index in indices:
-        if not 1 <= index <= arity:
-            raise ValueError(f"variable index {index} out of range 1..{arity}")
+    if indices and not 1 <= indices[0] <= indices[-1] <= arity:
+        raise ValueError(f"--marginalize index out of range 1..{arity}")
     return indices
 
 

@@ -33,7 +33,7 @@ are formed only when a report prints them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
@@ -121,39 +121,28 @@ class Subspace:
 
     ``rows`` are the rows of the reduced row echelon form (RREF) of any
     spanning set, each scaled to the primitive integer vector with a
-    positive leading entry, and ``pivots`` their leading columns; the
-    constructor brings the vectors it is given to this form.  ``basis``
-    is the RREF itself, ``Fraction`` rows with leading entry 1, formed
-    on first use.  Both are unique for the subspace.
+    positive leading entry, and ``pivots`` their leading columns; build
+    one with ``span``.  ``basis`` is the RREF itself, ``Fraction`` rows
+    with leading entry 1, formed on first use.  All three are unique for
+    the subspace.
     """
 
     ambient: int
     rows: tuple[IntVector, ...]
-    pivots: tuple[int, ...] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        if self.ambient < 0:
-            raise ValueError("ambient dimension must be nonnegative")
-        vectors = [_to_vector(row, self.ambient) for row in self.rows]
-        self._set_echelon(*_echelon(vectors, self.ambient))
-
-    def _set_echelon(self, rows: list[list[int]], pivots: list[int]):
-        """Take the basis from ``_echelon`` output, canonical up to the sign of each row."""
-        rows = [row if row[col] > 0 else [-x for x in row] for row, col in zip(rows, pivots)]
-        object.__setattr__(self, "rows", tuple(tuple(row) for row in rows))
-        object.__setattr__(self, "pivots", tuple(pivots))
+    pivots: tuple[int, ...]
 
     @classmethod
     def _from_echelon(cls, ambient: int, rows: list[list[int]], pivots: list[int]) -> "Subspace":
-        """The row space of ``_echelon`` output, without reducing it again."""
-        space = object.__new__(cls)
-        object.__setattr__(space, "ambient", ambient)
-        space._set_echelon(rows, pivots)
-        return space
+        """The row space of ``_echelon`` output, each row's sign fixed so its pivot entry is positive."""
+        rows = [row if row[col] > 0 else [-x for x in row] for row, col in zip(rows, pivots)]
+        return cls(ambient, tuple(map(tuple, rows)), tuple(pivots))
 
     @classmethod
     def span(cls, vectors: Iterable[Sequence], ambient: int) -> "Subspace":
-        return cls(ambient, tuple(tuple(v) for v in vectors))
+        """The span of exact (int or Fraction) vectors of length ``ambient``."""
+        if ambient < 0:
+            raise ValueError("ambient dimension must be nonnegative")
+        return cls._from_echelon(ambient, *_echelon([_to_vector(v, ambient) for v in vectors], ambient))
 
     @cached_property
     def basis(self) -> tuple[Vector, ...]:

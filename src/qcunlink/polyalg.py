@@ -65,7 +65,6 @@ __all__ = [
     "from_json",
     "is_symmetric",
     "parse_expression",
-    "partial_derivative",
     "restrict_ray",
     "to_expression",
     "to_json",
@@ -358,21 +357,6 @@ def _power_table(x: np.ndarray, columns: Sequence[tuple[int, int]], table: np.nd
                         np.multiply(row, square, out=row)
                     else:
                         np.copyto(row, square)
-
-
-def partial_derivative(p: Polynomial, index: int) -> Polynomial:
-    """Exact partial derivative with respect to x<index> (1-based)."""
-    if not 1 <= index <= p.arity:
-        raise ValueError(f"variable index {index} out of range 1..{p.arity}")
-    i = index - 1
-    out: dict[Exponent, Fraction] = {}
-    for exponent, coeff in p.terms.items():
-        k = exponent[i]
-        if k:
-            e = list(exponent)
-            e[i] = k - 1
-            out[tuple(e)] = coeff * k
-    return Polynomial(p.arity, out)
 
 
 def derivative_matrix(p: Polynomial) -> list[list[int]]:

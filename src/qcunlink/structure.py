@@ -30,14 +30,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
-from .errors import InvariantViolation
 from .exactla import Subspace, kernel_and_row_space, psd_violation
 from .polyalg import (
     Polynomial,
     _scaled_terms,
     derivative_matrix,
     evaluate,
-    partial_derivative,
     restrict_ray,
 )
 
@@ -250,44 +248,45 @@ def _sample_violation(p: Polynomial, trials: int, seed: int) -> QcVerdict:
 
 @dataclass(frozen=True)
 class RayClass:
-    """Divergence classes of a univariate polynomial.
+    """Divergence classes of a univariate polynomial g.
 
-    ``A``: beyond some point the polynomial strictly increases and tends
-    to +infinity as t -> +infinity.  ``B``: the mirror statement toward
-    t -> -infinity.  ``CONST`` marks constants.  Even-degree polynomials
-    with a positive leading coefficient satisfy both A and B.
-    ``lambda0_estimate`` maps each satisfied case to a float threshold
-    beyond which the derivative sign was verified stable.
+    ``A``: beyond some point g strictly increases and tends to +infinity
+    as t -> +infinity.  ``B``: the mirror statement toward t -> -infinity.
+    ``CONST`` marks constants.  Even-degree polynomials with a positive
+    leading coefficient satisfy both A and B.  ``lambda0_estimate`` maps
+    each satisfied case to an exact threshold: the Cauchy root bound of
+    g' for A, its negative for B.  g' has no real root on or beyond the
+    threshold, so g is strictly monotone there.
     """
 
     cases: frozenset[str]
-    lambda0_estimate: Mapping[str, float]
-
-    def to_json(self) -> dict:
-        return {
-            "cases": sorted(self.cases),
-            "lambda0_estimate": {k: self.lambda0_estimate[k] for k in sorted(self.lambda0_estimate)},
-        }
+    lambda0_estimate: Mapping[str, Fraction]
 
 
 def _root_bound(g: Polynomial) -> Fraction:
-    """Cauchy bound: all real roots of g lie in [-bound, bound]."""
+    """Cauchy bound of g': every real root of g' lies strictly between -bound and bound.
+
+    g' has the coefficient k*c_k at degree k - 1 for each term c_k*t^k of
+    g of degree d, so the bound 1 + max |k*c_k| / |d*c_d| over 0 < k < d
+    is read from g's terms.  For d <= 1, g' is a constant without roots
+    and the bound is 0.
+    """
     degree = g.total_degree()
-    if degree == 0:
+    if degree <= 1:
         return Fraction(0)
-    lead = g.terms[(degree,)]
-    others = max((abs(c) for e, c in g.terms.items() if e[0] != degree), default=Fraction(0))
-    return 1 + others / abs(lead)
+    others = max((abs(k * c) for (k,), c in g.terms.items() if 0 < k < degree), default=0)
+    return 1 + others / abs(degree * g.terms[(degree,)])
 
 
 def classify_ray(g: Polynomial) -> RayClass:
-    """Which divergence cases a univariate polynomial satisfies.
+    """Which divergence cases a univariate polynomial satisfies, decided from its coefficients.
 
     Case A holds iff the leading coefficient is positive; case B holds
     iff the polynomial tends to +infinity as t -> -infinity, i.e. the
     degree is even with positive leading coefficient or odd with a
-    negative one.  The thresholds are root bounds of the derivative,
-    checked for stable derivative sign at 50 sample points.
+    negative one.  In either case g' has the sign that makes g increase
+    toward the infinity in question beyond its exact root bound, which
+    is the threshold.
     """
     if g.arity != 1:
         raise ValueError(f"expected a univariate polynomial, got arity {g.arity}")
@@ -295,27 +294,13 @@ def classify_ray(g: Polynomial) -> RayClass:
     if degree == 0:
         return RayClass(frozenset({CASE_CONST}), {})
     lead = g.terms[(degree,)]
-    cases = set()
+    bound = _root_bound(g)
+    estimates: dict[str, Fraction] = {}
     if lead > 0:
-        cases.add(CASE_A)
-    if (degree % 2 == 0 and lead > 0) or (degree % 2 == 1 and lead < 0):
-        cases.add(CASE_B)
-    derivative = partial_derivative(g, 1)
-    bound = _root_bound(derivative)
-    try:
-        threshold = float(bound)
-    except OverflowError:  # a bound beyond the float range reads as infinite
-        threshold = math.inf
-    estimates: dict[str, float] = {}
-    if CASE_A in cases:
-        if any(evaluate(derivative, (bound + k,)) <= 0 for k in range(1, 51)):
-            raise InvariantViolation("derivative sign unstable beyond the root bound (case A)")
-        estimates[CASE_A] = threshold
-    if CASE_B in cases:
-        if any(evaluate(derivative, (-bound - k,)) >= 0 for k in range(1, 51)):
-            raise InvariantViolation("derivative sign unstable beyond the root bound (case B)")
-        estimates[CASE_B] = -threshold
-    return RayClass(frozenset(cases), estimates)
+        estimates[CASE_A] = bound
+    if (lead > 0) == (degree % 2 == 0):
+        estimates[CASE_B] = -bound
+    return RayClass(frozenset(estimates), estimates)
 
 
 def _require_zero_at_origin(p: Polynomial):

@@ -4,8 +4,10 @@ Most functions are the straightforward rational computation that a
 fraction-free or one-pass routine in the package replaces; the
 differential tests compare the two exactly.  ``compose_linear`` and
 ``restrict_line`` substitute linear forms into a polynomial, which the
-package no longer does; tests use them as oracles.  The invariance
-subspace from ``partial_derivative`` polynomials, the complement as a
+package no longer does; tests use them as oracles.  ``classify_ray_probe``
+is the ray classifier that rounded its root bound to float and probed
+the derivative's sign beyond it.  The invariance subspace from
+``partial_derivative`` polynomials, the complement as a
 kernel of a kernel, the ``Fraction`` membership test and the separation
 certificate from directional derivatives are the code the integer
 derivative matrix replaced.  ``evaluate_float_pow`` is the float evaluator
@@ -23,6 +25,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from qcunlink.errors import InvariantViolation
 from qcunlink.exactla import Subspace, kernel
 from qcunlink.gaussmeasure import covariance, sample_values
 from qcunlink.polyalg import (
@@ -30,9 +33,8 @@ from qcunlink.polyalg import (
     Polynomial,
     PolynomialSyntaxError,
     evaluate,
-    partial_derivative,
 )
-from qcunlink.structure import QcWitness
+from qcunlink.structure import CASE_A, CASE_B, CASE_CONST, QcWitness, RayClass
 from qcunlink.unlink import GridSpec, IntegralCheck
 
 
@@ -87,6 +89,62 @@ def restrict_line(p: Polynomial, base, direction) -> Polynomial:
         for j, a in enumerate(term):
             coefficients[j] += a
     return Polynomial(1, {(j,): a for j, a in enumerate(coefficients)})
+
+
+def partial_derivative(p: Polynomial, index: int) -> Polynomial:
+    """Exact partial derivative with respect to x<index> (1-based)."""
+    if not 1 <= index <= p.arity:
+        raise ValueError(f"variable index {index} out of range 1..{p.arity}")
+    i = index - 1
+    out = {}
+    for exponent, coeff in p.terms.items():
+        k = exponent[i]
+        if k:
+            e = list(exponent)
+            e[i] = k - 1
+            out[tuple(e)] = coeff * k
+    return Polynomial(p.arity, out)
+
+
+def classify_ray_probe(g: Polynomial) -> RayClass:
+    """Ray classes with float thresholds, the root bound probed at 50 points.
+
+    The cases are those of ``classify_ray``.  The threshold is the Cauchy
+    root bound of the derivative polynomial rounded to float (infinite
+    beyond the float range), and the derivative's sign is checked at
+    bound + 1, ..., bound + 50 (and the mirror points for case B).
+    """
+    if g.arity != 1:
+        raise ValueError(f"expected a univariate polynomial, got arity {g.arity}")
+    degree = g.total_degree()
+    if degree == 0:
+        return RayClass(frozenset({CASE_CONST}), {})
+    lead = g.terms[(degree,)]
+    cases = set()
+    if lead > 0:
+        cases.add(CASE_A)
+    if (degree % 2 == 0 and lead > 0) or (degree % 2 == 1 and lead < 0):
+        cases.add(CASE_B)
+    derivative = partial_derivative(g, 1)
+    bound = Fraction(0)
+    if derivative.total_degree() > 0:
+        d = derivative.total_degree()
+        others = max((abs(c) for e, c in derivative.terms.items() if e[0] != d), default=Fraction(0))
+        bound = 1 + others / abs(derivative.terms[(d,)])
+    try:
+        threshold = float(bound)
+    except OverflowError:
+        threshold = math.inf
+    estimates = {}
+    if CASE_A in cases:
+        if any(evaluate(derivative, (bound + k,)) <= 0 for k in range(1, 51)):
+            raise InvariantViolation("derivative sign unstable beyond the root bound (case A)")
+        estimates[CASE_A] = threshold
+    if CASE_B in cases:
+        if any(evaluate(derivative, (-bound - k,)) >= 0 for k in range(1, 51)):
+            raise InvariantViolation("derivative sign unstable beyond the root bound (case B)")
+        estimates[CASE_B] = -threshold
+    return RayClass(frozenset(cases), estimates)
 
 
 def same_space(first: Subspace, second: Subspace) -> bool:

@@ -20,7 +20,6 @@ from qcunlink.polyalg import (
     evaluate_float,
     is_symmetric,
     parse_expression,
-    partial_derivative,
     restrict_ray,
     to_expression,
     to_json,
@@ -29,7 +28,7 @@ from qcunlink.polyalg import (
 from qcunlink.polyalg import _tokenize
 
 from corpus import P
-from exact_oracles import compose_linear, evaluate_float_pow, restrict_line, tokenize
+from exact_oracles import compose_linear, evaluate_float_pow, partial_derivative, restrict_line, tokenize
 
 
 def directional_derivative(p, direction):

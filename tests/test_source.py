@@ -80,3 +80,20 @@ def test_every_public_function_has_a_caller():
                             uncalled.append(f"{path.stem}.{owner}")
     assert uncalled == []
     assert all(hasattr(qcunlink, name) for name in UNCALLED_SPOTCHECKS)
+
+
+def test_structure_has_no_floats():
+    # the structural decisions are exact: no float conversion, no
+    # infinity and no numpy anywhere in structure.py
+    path = Path(qcunlink.__file__).parent / "structure.py"
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Name) and node.id in {"float", "inf", "np", "numpy"}:
+            found.append(f"{node.id}:{node.lineno}")
+        elif isinstance(node, ast.Attribute) and node.attr == "inf":
+            found.append(f"inf:{node.lineno}")
+        elif isinstance(node, ast.Import):
+            found += [f"{a.name}:{node.lineno}" for a in node.names if a.name.partition(".")[0] == "numpy"]
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").partition(".")[0] == "numpy":
+            found.append(f"{node.module}:{node.lineno}")
+    assert found == []

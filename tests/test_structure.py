@@ -1,19 +1,15 @@
 """Quasi-convexity falsifier, ray classes, and invariance subspaces."""
 
 import itertools
-import os
+import math
 import random
-import subprocess
-import sys
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from qcunlink import structure
-from qcunlink.errors import InvariantViolation
 from qcunlink.exactla import Subspace, psd_violation
 from qcunlink.polyalg import Polynomial, evaluate
 from qcunlink.structure import (
@@ -34,6 +30,7 @@ from qcunlink.structure import (
 
 from corpus import NON_QC_FIXTURES, QC_FIXTURES, RAY_CORPUS, P, rotated_polynomials
 from exact_oracles import (
+    classify_ray_probe,
     invariance_subspace_by_partials,
     orthogonal_complement,
     quadratic_witness_doubling,
@@ -347,35 +344,44 @@ def test_classify_ray_requires_univariate():
         classify_ray(P("x1 + x2", 2))
 
 
-@pytest.mark.parametrize("text, case", [("x1^3", "case A"), ("-x1^3", "case B")])
-def test_classify_ray_unstable_derivative_raises(monkeypatch, text, case):
-    # a root bound below the derivative's root x = 0 puts that root among the checked points
-    monkeypatch.setattr(structure, "_root_bound", lambda g: Fraction(-1))
-    with pytest.raises(InvariantViolation, match=case):
-        classify_ray(P(text, 1))
+@st.composite
+def ray_restrictions(draw):
+    """Univariate polynomials up to degree 8, each coefficient scaled by its own 10^k, |k| <= 400.
+
+    Apart scales put the root bound of many draws beyond the float range.
+    """
+    coefficients = draw(st.lists(st.integers(-50, 50), min_size=1, max_size=9))
+    scales = draw(st.lists(st.integers(-400, 400), min_size=len(coefficients), max_size=len(coefficients)))
+    return Polynomial(1, {(k,): c * Fraction(10) ** e for k, (c, e) in enumerate(zip(coefficients, scales))})
 
 
-def test_classify_ray_invariant_survives_optimize_flag():
-    # python -O strips assert statements; the runtime check must still raise
-    script = """
-import sys
-from fractions import Fraction
-from qcunlink import structure
-from qcunlink.errors import InvariantViolation
-from qcunlink.polyalg import parse_expression
-structure._root_bound = lambda g: Fraction(-1)
-try:
-    structure.classify_ray(parse_expression("x1^3", 1))
-except InvariantViolation as exc:
-    print("optimize", sys.flags.optimize, "raised", exc)
-"""
-    src = str(Path(structure.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    done = subprocess.run(
-        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=60
-    )
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.startswith("optimize 1 raised derivative sign unstable"), done.stdout
+def assert_matches_probe_reference(g):
+    # the same cases, and each exact threshold rounds to the reference's
+    # float, which is infinite exactly when the threshold is beyond float range
+    old = classify_ray_probe(g)
+    new = classify_ray(g)
+    assert new.cases == old.cases
+    assert new.lambda0_estimate.keys() == old.lambda0_estimate.keys()
+    for case, threshold in new.lambda0_estimate.items():
+        assert type(threshold) is Fraction
+        try:
+            rounded = float(threshold)
+        except OverflowError:
+            rounded = math.inf if threshold > 0 else -math.inf
+        assert rounded == old.lambda0_estimate[case]
+
+
+@settings(max_examples=200, deadline=None)
+@given(ray_restrictions())
+@example(P(f"x1^4 + {10**400}*x1^2", 1))
+@example(P(f"-x1^3 + {Fraction(1, 10**400)}*x1^2", 1))
+def test_classify_ray_matches_probe_reference(g):
+    assert_matches_probe_reference(g)
+
+
+def test_classify_ray_corpus_matches_probe_reference():
+    for _, g, _ in RAY_CORPUS:
+        assert_matches_probe_reference(g)
 
 
 # ---------------------------------------------------------------------------

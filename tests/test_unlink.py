@@ -2,9 +2,13 @@
 
 import dataclasses
 import json
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +16,7 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qcunlink import unlink
 from qcunlink.exactla import Subspace, subspace_sum
 from qcunlink.gaussmeasure import covariance, expectation
 from qcunlink.polyalg import Polynomial
@@ -186,6 +191,30 @@ def test_build_transform_degenerate_zero_input():
     assert transform.u_block == ()
     assert transform.v_block == (1, 2)
     assert transform.orthogonality_error() <= 1e-10
+
+
+def test_build_transform_invariant_survives_optimize_flag():
+    # python -O strips assert statements; the runtime check must still raise
+    script = """
+import sys
+from qcunlink import unlink
+from qcunlink.errors import InvariantViolation
+from qcunlink.polyalg import parse_expression
+unlink.TOL_ORTHO = -1.0
+u = parse_expression("x1^2 + 2*x1*x2 + x2^2", 2)
+v = parse_expression("x1^2 - 2*x1*x2 + x2^2", 2)
+try:
+    unlink.build_transform(unlink.concordance(u, v))
+except InvariantViolation as exc:
+    print("optimize", sys.flags.optimize, "raised", exc)
+"""
+    src = str(Path(unlink.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("optimize 1 raised assembled transform is not orthonormal"), done.stdout
 
 
 def block_span_residual(q, columns, space):
