@@ -43,7 +43,6 @@ from .structure import (
 )
 from .unlink import (
     ConcordanceReport,
-    GridSpec,
     HypothesisFalsified,
     InvariantViolation,
     OrthogonalTransform,

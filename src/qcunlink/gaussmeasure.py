@@ -152,17 +152,15 @@ def sample_values(polys: Sequence[Polynomial], samples: int, seed: int) -> np.nd
 
     Returns a (len(polys), samples) array whose row i holds polys[i] at
     the draws, in draw order.  The polynomials must share an arity of at
-    least one.  Each block of draws is evaluated for all of them at once,
-    so they share one table of powers per block, and only one block is
-    held at a time.  Values that overflow float64 come back as inf or nan
+    least one; ``evaluate_float`` rejects a mismatch at the first block.
+    Each block of draws is evaluated for all of them at once, so they
+    share one table of powers per block, and only one block is held at a
+    time.  Values that overflow float64 come back as inf or nan
     without a warning; each caller decides what a non-finite value means.
     """
     if samples < 2:
         raise ValueError("need at least 2 samples")
     arity = polys[0].arity
-    for p in polys[1:]:
-        if p.arity != arity:
-            raise ValueError(f"arity mismatch: {arity} != {p.arity}")
     if arity < 1:
         raise ValueError("sampling needs at least one coordinate")
     values = np.empty((len(polys), samples))

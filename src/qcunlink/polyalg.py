@@ -235,14 +235,12 @@ def _scaled_terms(p: Polynomial) -> tuple[int, list[tuple[Exponent, int]]]:
     return scale, [(e, c.numerator * (scale // c.denominator)) for e, c in p.terms.items()]
 
 
-def evaluate_float(p: Polynomial | Sequence[Polynomial], points) -> np.ndarray | float:
-    """Evaluate p, or each of a sequence of polynomials, in float64 at one or many points.
+def evaluate_float(polys: Sequence[Polynomial], points: np.ndarray) -> np.ndarray:
+    """Values in float64 of k polynomials of one arity n at the rows of an (m, n) array.
 
-    ``points`` is a length-n vector or an (m, n) array.  For one
-    polynomial the result is a scalar or an (m,) array; for a sequence of
-    k polynomials of arity n it is a (k,) or (k, m) array whose row j
-    holds polys[j].  All polynomials read one power table (see
-    ``_power_table``), so a power shared between them is computed once.
+    Returns a (k, m) array whose row j holds polys[j] at the points.  All
+    polynomials read one power table (see ``_power_table``), so a power
+    shared between them is computed once.
 
     Each term is formed as float(c) * x_i1^k1 * x_i2^k2 * ... in canonical
     term order and added in that order to an accumulator that starts at
@@ -252,8 +250,6 @@ def evaluate_float(p: Polynomial | Sequence[Polynomial], points) -> np.ndarray |
     points, whatever the other points of the batch and whichever libm
     the machine has.
     """
-    single_poly = isinstance(p, Polynomial)
-    polys = (p,) if single_poly else tuple(p)
     if not polys:
         raise ValueError("no polynomial to evaluate")
     arity = polys[0].arity
@@ -261,17 +257,9 @@ def evaluate_float(p: Polynomial | Sequence[Polynomial], points) -> np.ndarray |
         if q.arity != arity:
             raise ValueError(f"arity mismatch: {arity} != {q.arity}")
     x = np.asarray(points, dtype=float)
-    single_point = x.ndim == 1
-    if single_point:
-        x = x.reshape(1, -1)
     if x.ndim != 2 or x.shape[1] != arity:
         raise ValueError(f"expected points of arity {arity}, got shape {x.shape}")
-    values = _evaluate_rows(polys, x)
-    if single_point:
-        values = values[:, 0]
-    if single_poly:
-        return float(values[0]) if single_point else values[0]
-    return values
+    return _evaluate_rows(polys, x)
 
 
 # Error of the power-table evaluation.
@@ -573,9 +561,7 @@ def parse_expression(text: str, arity: int) -> Polynomial:
                     denominator *= value
             elif kind == "var":
                 if not 1 <= value <= arity:
-                    raise PolynomialSyntaxError(
-                        f"variable index {value} out of range 1..{arity}", position
-                    )
+                    raise PolynomialSyntaxError(f"variable index out of range 1..{arity}", position)
                 power = 1
                 if tokens[i][0] == "^":
                     ekind, power, epos = tokens[i + 1]

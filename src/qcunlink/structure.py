@@ -114,21 +114,26 @@ def _random_ratio(rng: random.Random) -> tuple[int, int]:
     return rng.randint(-POINT_BOUND * denominator, POINT_BOUND * denominator), denominator
 
 
-def _quadratic_form(p: Polynomial) -> list[list[Fraction]]:
-    """Matrix A of the degree-2 part, with p's x_i*x_j coefficient split as 2*A[i][j]."""
+def _scaled_hessian(p: Polynomial) -> list[list[int]]:
+    """C times the Hessian of p's degree-2 part, C the lcm of p's coefficient denominators.
+
+    A term c*x_i^2 puts 2*C*c on the diagonal and a term c*x_i*x_j puts
+    C*c at (i, j) and (j, i), all integers.  A positive multiple of the
+    quadratic form has the same signs, so its PSD test and witness are
+    those of p.
+    """
     n = p.arity
-    a = [[Fraction(0)] * n for _ in range(n)]
-    for exponent, coeff in p.terms.items():
+    h = [[0] * n for _ in range(n)]
+    for exponent, coeff in _scaled_terms(p)[1]:
         if sum(exponent) != 2:
             continue
         support = [i for i, k in enumerate(exponent) if k]
         if len(support) == 1:
-            a[support[0]][support[0]] = coeff
+            h[support[0]][support[0]] = 2 * coeff
         else:
             i, j = support
-            a[i][j] = coeff / 2
-            a[j][i] = coeff / 2
-    return a
+            h[i][j] = h[j][i] = coeff
+    return h
 
 
 def _quadratic_witness(p: Polynomial, direction: Sequence[Fraction]) -> QcWitness:
@@ -163,7 +168,7 @@ def qc_falsify(p: Polynomial, trials: int, seed: int) -> QcVerdict:
     if trials < 1:
         raise ValueError("trials must be positive")
     if p.total_degree() <= 2:
-        violation = psd_violation(_quadratic_form(p))
+        violation = psd_violation(_scaled_hessian(p))
         if violation is None:
             return QcVerdict(CERTIFIED_CONVEX_QUADRATIC, None, 0, seed)
         return QcVerdict(FALSIFIED, _quadratic_witness(p, violation), 0, seed)

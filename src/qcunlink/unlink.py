@@ -58,7 +58,6 @@ from .structure import CASE_A, QcVerdict, classify_ray, invariance_and_complemen
 __all__ = [
     "ConcordanceReport",
     "CorrelationCheck",
-    "GridSpec",
     "HypothesisFalsified",
     "HypothesisReport",
     "IntegralCheck",
@@ -85,6 +84,12 @@ VERDICT_CONTRADICTION = "theorem_contradiction_witness"
 
 # largest entry of |Q'Q - I| accepted for the float transform
 TOL_ORTHO = 1e-10
+
+# quadrature grid of the covariance integral check: quantile nodes per
+# threshold axis (at least 2, so that the last one is the cap), and the
+# quantile in (0, 1] that the grid is cut at
+GRID_POINTS = 80
+GRID_CAP = 1.0 - 1e-4
 
 
 class HypothesisFalsified(Exception):
@@ -191,21 +196,18 @@ class OrthogonalTransform:
 
     ``columns`` holds the exactly orthogonal integer vectors w_1..w_n
     that the columns of ``matrix`` normalize, in the same order.
-    Blocks are 1-based variable numbers of the new coordinates y:
+    Blocks are 1-based variable numbers of the new coordinates y.  With
+    r, t and m of the ``ConcordanceReport`` it is built from,
     ``u_block`` = 1..r+t carries u, ``v_block`` = {1..r} and
-    r+t+1..r+t+m carries v, ``shared_free`` = r+t+m+1..n touches
-    neither.  Columns r+1..r+t span the overlap subspace and columns
-    1..r+t span the complement of u's invariance subspace.
+    r+t+1..r+t+m carries v, and r+t+m+1..n carry neither.  Columns
+    r+1..r+t span the overlap subspace and columns 1..r+t span the
+    complement of u's invariance subspace.
     """
 
     matrix: np.ndarray
     columns: tuple[tuple[int, ...], ...]
     u_block: tuple[int, ...]
     v_block: tuple[int, ...]
-    shared_free: tuple[int, ...]
-    r: int
-    t: int
-    m: int
 
     @property
     def n(self) -> int:
@@ -238,10 +240,6 @@ def build_transform(report: ConcordanceReport) -> OrthogonalTransform:
         columns=tuple(columns[j] for j in order),
         u_block=tuple(range(1, r + t + 1)),
         v_block=tuple(range(1, r + 1)) + tuple(range(r + t + 1, r + t + m + 1)),
-        shared_free=tuple(range(r + t + m + 1, n + 1)),
-        r=r,
-        t=t,
-        m=m,
     )
     if transform.orthogonality_error() > TOL_ORTHO:
         raise InvariantViolation("assembled transform is not orthonormal within tolerance")
@@ -458,25 +456,6 @@ def correlation_spotcheck(
 
 
 @dataclass(frozen=True)
-class GridSpec:
-    """Quadrature grid for the covariance integral: points per threshold axis.
-
-    Grid nodes follow the empirical quantiles of the sampled values and
-    are truncated at the ``quantile_cap`` quantile, so the grid adapts to
-    where the sublevel probabilities actually move.
-    """
-
-    points: int = 80
-    quantile_cap: float = 1.0 - 1e-4
-
-    def __post_init__(self):
-        if self.points < 2:
-            raise ValueError("the grid needs at least 2 points per axis")
-        if not 0.0 < self.quantile_cap <= 1.0:
-            raise ValueError(f"quantile_cap must be in (0, 1], got {self.quantile_cap}")
-
-
-@dataclass(frozen=True)
 class IntegralCheck:
     exact_cov: Fraction
     integral_estimate: float
@@ -496,7 +475,7 @@ class IntegralCheck:
         }
 
 
-def _axis_bins(values: np.ndarray, grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
+def _axis_bins(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(nodes, bins) for one threshold axis, from one sort of the values.
 
     ``nodes`` is the threshold grid; ``bins[i]`` is the number of nodes
@@ -515,9 +494,9 @@ def _axis_bins(values: np.ndarray, grid: GridSpec) -> tuple[np.ndarray, np.ndarr
     # tail finely resolved, where pure quantile spacing leaves one huge
     # interval and the trapezoid rule overshoots
     # (linspace ends exactly at its stop, so the last quantile is the cap)
-    quantiles = np.quantile(ordered, np.linspace(0.0, grid.quantile_cap, grid.points))
+    quantiles = np.quantile(ordered, np.linspace(0.0, GRID_CAP, GRID_POINTS))
     cap = float(quantiles[-1])
-    nodes = np.concatenate(([0.0], quantiles, np.linspace(0.0, cap, grid.points)))
+    nodes = np.concatenate(([0.0], quantiles, np.linspace(0.0, cap, GRID_POINTS)))
     nodes = np.unique(np.clip(nodes, 0.0, cap))
     # the values at most nodes[j] are those in bins 0..j
     at_most = np.searchsorted(ordered, nodes, side="right")
@@ -528,20 +507,18 @@ def _axis_bins(values: np.ndarray, grid: GridSpec) -> tuple[np.ndarray, np.ndarr
 
 
 def covariance_integral_check(
-    u_star: Polynomial,
-    v_star: Polynomial,
-    samples: int,
-    grid: GridSpec = GridSpec(),
-    seed: int = 42,
+    u_star: Polynomial, v_star: Polynomial, samples: int, seed: int = 42
 ) -> IntegralCheck:
     """Check Cov(u*(Y), v*(Y)) against its sublevel-set double integral.
 
     For nonnegative u*, v* the covariance equals the integral over
     thresholds (k1, k2) of P(both sublevel events) minus the product of
     the marginals.  The integral is estimated by a trapezoid rule on an
-    adaptive quantile grid, with all probabilities read off one shared
-    sample set: one sort per axis gives that axis's grid and each
-    sample's grid cell.  Passes when the estimate is within
+    adaptive grid per threshold axis: ``GRID_POINTS`` empirical quantiles
+    of the sampled values up to the ``GRID_CAP`` quantile, merged with as
+    many evenly spaced values up to that cap.  All probabilities are read
+    off one shared sample set: one sort per axis gives that axis's grid
+    and each sample's grid cell.  Passes when the estimate is within
     max(5% of |exact|, 5 * stderr) of the exact covariance, where stderr
     is that of the direct Monte Carlo covariance estimator on the same
     samples (the two estimators target the same quantity).  Raises
@@ -552,8 +529,8 @@ def covariance_integral_check(
         raise ValueError("integral check supports arity 1 or 2 only")
     su, sv = sample_values((u_star, v_star), samples, seed)
     exact = covariance(u_star, v_star)
-    g1, b1 = _axis_bins(su, grid)
-    g2, b2 = _axis_bins(sv, grid)
+    g1, b1 = _axis_bins(su)
+    g2, b2 = _axis_bins(sv)
 
     # an overflow leaves a non-finite estimate or stderr, rejected below
     with np.errstate(over="ignore", invalid="ignore"):

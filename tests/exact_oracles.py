@@ -15,6 +15,8 @@ that took powers with ``pow``, compared within a rounding bound,
 ``covariance_integral_check_reference`` is the integral check that
 sorted the samples again for its marginals, compared bit for bit, and
 ``tokenize`` is the per-character scanner the regex tokenizer replaced.
+``quadratic_form_fraction`` is the ``Fraction`` quadratic form that the
+integer Hessian replaced in the PSD test of a quadratic.
 Nothing here is used by the package.
 """
 
@@ -35,7 +37,7 @@ from qcunlink.polyalg import (
     evaluate,
 )
 from qcunlink.structure import CASE_A, CASE_B, CASE_CONST, QcWitness, RayClass
-from qcunlink.unlink import GridSpec, IntegralCheck
+from qcunlink.unlink import IntegralCheck
 
 
 def gaussian_moment(order: int) -> int:
@@ -152,6 +154,23 @@ def same_space(first: Subspace, second: Subspace) -> bool:
     return all(contains_vector_fraction(first, row) for row in second.basis) and all(
         contains_vector_fraction(second, row) for row in first.basis
     )
+
+
+def quadratic_form_fraction(p: Polynomial) -> list[list[Fraction]]:
+    """Matrix A of the degree-2 part, with p's x_i*x_j coefficient split as 2*A[i][j]."""
+    n = p.arity
+    a = [[Fraction(0)] * n for _ in range(n)]
+    for exponent, coeff in p.terms.items():
+        if sum(exponent) != 2:
+            continue
+        support = [i for i, k in enumerate(exponent) if k]
+        if len(support) == 1:
+            a[support[0]][support[0]] = coeff
+        else:
+            i, j = support
+            a[i][j] = coeff / 2
+            a[j][i] = coeff / 2
+    return a
 
 
 def quadratic_witness_doubling(p: Polynomial, direction) -> QcWitness:
@@ -347,23 +366,21 @@ def evaluate_float_pow(p: Polynomial, points) -> np.ndarray:
     return acc
 
 
-def _threshold_grid_reference(values, grid: GridSpec):
-    cap = float(np.quantile(values, grid.quantile_cap))
-    levels = np.linspace(0.0, grid.quantile_cap, grid.points)
-    nodes = np.concatenate(
-        ([0.0], np.quantile(values, levels), np.linspace(0.0, cap, grid.points))
-    )
+def _threshold_grid_reference(values, points: int, quantile_cap: float):
+    cap = float(np.quantile(values, quantile_cap))
+    levels = np.linspace(0.0, quantile_cap, points)
+    nodes = np.concatenate(([0.0], np.quantile(values, levels), np.linspace(0.0, cap, points)))
     return np.unique(np.clip(nodes, 0.0, cap))
 
 
 def covariance_integral_check_reference(
-    u_star: Polynomial, v_star: Polynomial, samples: int, grid: GridSpec = GridSpec(), seed: int = 42
+    u_star: Polynomial, v_star: Polynomial, samples: int, points: int, quantile_cap: float, seed: int
 ) -> IntegralCheck:
     """The integral check with a separate cap quantile and marginals from sorted samples."""
     su, sv = sample_values((u_star, v_star), samples, seed)
     exact = covariance(u_star, v_star)
-    g1 = _threshold_grid_reference(su, grid)
-    g2 = _threshold_grid_reference(sv, grid)
+    g1 = _threshold_grid_reference(su, points, quantile_cap)
+    g2 = _threshold_grid_reference(sv, points, quantile_cap)
     b1 = np.searchsorted(g1, su, side="left")
     b2 = np.searchsorted(g2, sv, side="left")
     flat = b1 * (len(g2) + 1) + b2

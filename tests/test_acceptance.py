@@ -24,7 +24,6 @@ from qcunlink.structure import (
     ray_constant,
 )
 from qcunlink.unlink import (
-    GridSpec,
     VERDICT_UNLINKED,
     concordance,
     correlation_spotcheck,
@@ -156,12 +155,8 @@ def test_criterion_5_concordance_symmetry():
 
 def test_criterion_6_covariance_integral_identity():
     start = time.perf_counter()
-    same = covariance_integral_check(
-        P("x1^2", 1), P("x1^2", 1), 300_000, GridSpec(points=120), seed=42
-    )
-    independent = covariance_integral_check(
-        P("x1^2", 2), P("x2^2", 2), 300_000, GridSpec(points=120), seed=42
-    )
+    same = covariance_integral_check(P("x1^2", 1), P("x1^2", 1), 300_000, seed=42)
+    independent = covariance_integral_check(P("x1^2", 2), P("x2^2", 2), 300_000, seed=42)
     elapsed = time.perf_counter() - start
     ok = same.exact_cov == 2 and same.passed
     ok = ok and independent.exact_cov == 0 and independent.passed

@@ -333,8 +333,9 @@ def test_exit_2_content_error_names_its_file(capsys, tmp_path, name, content):
         ("p.poly", "n=" + "9" * 1_000_000 + "\nx1^2\n", ()),
         ("p.poly", "n=1\nx1^2\n", ("--marginalize", "9" * 1_000_000)),
         ("p.poly", "n=1\nx1^2\n", ("--marginalize", "9" * 4300)),
+        ("p.poly", "n=1\nx" + "9" * 4300 + "^2\n", ()),
     ],
-    ids=["json-c", "poly-header", "marginalize", "marginalize-range"],
+    ids=["json-c", "poly-header", "marginalize", "marginalize-range", "variable-range"],
 )
 def test_exit_2_long_input_is_not_echoed(capsys, tmp_path, name, content, argv):
     # the term index, the path or the flag locates the fault; the text itself is not repeated

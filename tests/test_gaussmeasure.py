@@ -113,8 +113,8 @@ def test_sample_values_rows_are_values_at_shared_draws():
     assert values.shape == (2, samples)
     draws = np.concatenate(list(gaussian_sample_chunks(2, samples, 3)))
     assert draws.shape == (samples, 2)
-    assert np.array_equal(values[0], evaluate_float(u, draws))
-    assert np.array_equal(values[1], evaluate_float(v, draws))
+    assert np.array_equal(values[0], evaluate_float((u,), draws)[0])
+    assert np.array_equal(values[1], evaluate_float((v,), draws)[0])
     assert np.array_equal(sample_values((v,), samples, seed=3)[0], values[1])
 
 
@@ -158,8 +158,8 @@ def test_sample_values_slices_wide_tables(monkeypatch):
     finally:
         tracemalloc.stop()
     assert np.array_equal(values, evaluate_float((u, v), draws))
-    assert np.array_equal(values[0], evaluate_float(u, draws))
-    assert np.array_equal(values[1], evaluate_float(v, draws))
+    assert np.array_equal(values[0], evaluate_float((u,), draws)[0])
+    assert np.array_equal(values[1], evaluate_float((v,), draws)[0])
     # besides the output: the block being evaluated (or two while the next
     # one is drawn) and a table of at most one block; a table of all 96
     # powers would hold three blocks on its own

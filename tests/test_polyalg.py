@@ -183,24 +183,29 @@ def test_evaluate_length_mismatch():
 def test_evaluate_float_shapes():
     p, q = P("x1^3*x2 + 1/2", 2), P("x2^5 - x1", 2)
     points = np.array([[1.5, -2.0], [0.25, 3.0], [0.0, 1.0]])
-    assert evaluate_float(p, (1.5, -2.0)) == -6.25
-    assert evaluate_float(p, points).shape == (3,)
+    assert evaluate_float((p,), points[:1]).tolist() == [[-6.25]]
+    assert evaluate_float([p], points).shape == (1, 3)
     both = evaluate_float((p, q), points)
     assert both.shape == (2, 3)
-    assert np.array_equal(both[0], evaluate_float(p, points))
-    assert np.array_equal(both[1], evaluate_float(q, points))
-    assert np.array_equal(evaluate_float([p, q], (1.5, -2.0)), both[:, 0])
-    assert evaluate_float(Polynomial.constant(0, 3), np.empty((4, 0))).tolist() == [3.0] * 4
-    assert evaluate_float(p, np.empty((0, 2))).shape == (0,)
+    assert np.array_equal(both[0], evaluate_float((p,), points)[0])
+    assert np.array_equal(both[1], evaluate_float((q,), points)[0])
+    assert np.array_equal(evaluate_float([p, q], points[:1])[:, 0], both[:, 0])
+    assert evaluate_float((Polynomial.constant(0, 3),), np.empty((4, 0))).tolist() == [[3.0] * 4]
+    assert evaluate_float((p,), np.empty((0, 2))).shape == (1, 0)
 
 
 def test_evaluate_float_rejects_bad_inputs():
     with pytest.raises(ValueError, match="arity mismatch"):
-        evaluate_float((P("x1", 1), P("x1", 2)), (1.0,))
+        evaluate_float((P("x1", 1), P("x1", 2)), [[1.0]])
     with pytest.raises(ValueError, match="no polynomial"):
-        evaluate_float((), (1.0,))
+        evaluate_float((), [[1.0]])
     with pytest.raises(ValueError, match="arity 2"):
-        evaluate_float(P("x1", 2), (1.0, 2.0, 3.0))
+        evaluate_float((P("x1", 2),), [[1.0, 2.0, 3.0]])
+    # one shape only: neither a bare polynomial nor a single point
+    with pytest.raises(TypeError, match="not subscriptable"):
+        evaluate_float(P("x1", 2), [[1.0, 2.0]])
+    with pytest.raises(ValueError, match=r"arity 2, got shape \(2,\)"):
+        evaluate_float((P("x1", 2),), (1.0, 2.0))
 
 
 # ---------------------------------------------------------------------------
@@ -479,9 +484,7 @@ class ReferenceParser:
         if kind == "var":
             self.take()
             if not 1 <= value <= self.arity:
-                raise PolynomialSyntaxError(
-                    f"variable index {value} out of range 1..{self.arity}", position
-                )
+                raise PolynomialSyntaxError(f"variable index out of range 1..{self.arity}", position)
             exponent = 1
             if self.peek()[0] == "^":
                 self.take()
@@ -721,7 +724,7 @@ def float_evaluation_cases(draw):
 @given(float_evaluation_cases())
 def test_evaluate_float_matches_pow_evaluator(case):
     p, points = case
-    new = evaluate_float(p, points)
+    new = evaluate_float((p,), points)[0]
     old = evaluate_float_pow(p, points)
     gamma = _gamma(p.total_degree() + len(p.terms)) + _gamma(9 * p.total_degree() + len(p.terms))
     for h, g, point in zip(new, old, points):
@@ -755,7 +758,7 @@ def dyadic_cases(draw):
 @given(dyadic_cases())
 def test_evaluate_float_is_exact_on_dyadic_points(case):
     p, points = case
-    values = evaluate_float(p, np.array([[float(x) for x in point] for point in points]))
+    values = evaluate_float((p,), np.array([[float(x) for x in point] for point in points]))[0]
     assert values.tolist() == [float(evaluate(p, point)) for point in points]
 
 
@@ -768,8 +771,8 @@ def test_evaluate_float_rows_do_not_depend_on_the_other_polynomials(p, data):
         data.draw(st.lists(st.lists(coordinates, min_size=p.arity, max_size=p.arity), min_size=1, max_size=9))
     )
     both = evaluate_float((p, q, p), points)
-    assert np.array_equal(both[0], evaluate_float(p, points))
-    assert np.array_equal(both[1], evaluate_float(q, points))
+    assert np.array_equal(both[0], evaluate_float((p,), points)[0])
+    assert np.array_equal(both[1], evaluate_float((q,), points)[0])
     assert np.array_equal(both[2], both[0])
     for row, point in zip(both.T, points):
-        assert np.array_equal(row, evaluate_float((p, q, p), point))
+        assert np.array_equal(row, evaluate_float((p, q, p), point[np.newaxis])[:, 0])

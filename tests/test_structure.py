@@ -33,6 +33,7 @@ from exact_oracles import (
     classify_ray_probe,
     invariance_subspace_by_partials,
     orthogonal_complement,
+    quadratic_form_fraction,
     quadratic_witness_doubling,
     restrict_line,
     same_space,
@@ -166,7 +167,7 @@ def concave_quadratics(draw):
     coefficient = st.fractions(-5, 5, max_denominator=7)
     p = Polynomial(arity, {e: draw(coefficient) for e in exponents if draw(st.booleans())})
     p = p * Fraction(10) ** draw(st.integers(-30, 30))
-    direction = psd_violation(structure._quadratic_form(p))
+    direction = psd_violation(structure._scaled_hessian(p))
     assume(direction is not None)
     scale = draw(st.fractions(Fraction(1, 1000), 1000, max_denominator=1000).filter(bool))
     return p, tuple(scale * c for c in direction)
@@ -183,6 +184,33 @@ def test_quadratic_witness_matches_doubling_reference(case):
     witness = structure._quadratic_witness(p, direction)
     assert witness == quadratic_witness_doubling(p, direction)
     assert exact_violation(p, witness) > 0
+
+
+@st.composite
+def scaled_quadratics(draw):
+    """Total degree <= 2 in up to 6 variables, with linear and constant terms, times 10^k."""
+    arity = draw(st.integers(1, 6))
+    exponents = [e for e in itertools.product(range(3), repeat=arity) if sum(e) <= 2]
+    coefficient = st.fractions(-5, 5, max_denominator=7)
+    p = Polynomial(arity, {e: draw(coefficient) for e in exponents if draw(st.booleans())})
+    return p * Fraction(10) ** draw(st.integers(-400, 400))
+
+
+@settings(max_examples=200, deadline=None)
+@given(scaled_quadratics())
+@example(P("x1^2 + 2*x1*x2 + x2^2 + 3*x1", 2))  # singular PSD form
+@example(P("1/3*x1*x2 - 2*x2 + 7", 2))  # zero diagonal, indefinite
+@example(P(f"{10**400}*x1^2 - {Fraction(1, 10**400)}*x2^2", 2))
+def test_scaled_hessian_matches_fraction_reference(p):
+    # the integer Hessian is a positive multiple of the rational quadratic
+    # form, so the PSD test takes the same pivots and returns the same witness
+    reference = psd_violation(quadratic_form_fraction(p))
+    assert psd_violation(structure._scaled_hessian(p)) == reference
+    if reference is None:
+        expected = QcVerdict(CERTIFIED_CONVEX_QUADRATIC, None, 0, 5)
+    else:
+        expected = QcVerdict(FALSIFIED, structure._quadratic_witness(p, reference), 0, 5)
+    assert qc_falsify(p, trials=1, seed=5) == expected
 
 
 def test_falsify_rejects_nonpositive_trials():

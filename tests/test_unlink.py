@@ -22,7 +22,6 @@ from qcunlink.gaussmeasure import covariance, expectation
 from qcunlink.polyalg import Polynomial
 from qcunlink.structure import invariance_subspace
 from qcunlink.unlink import (
-    GridSpec,
     HypothesisFalsified,
     OrthogonalTransform,
     UnlinkConfig,
@@ -72,10 +71,6 @@ def identity_transform(n):
         columns=tuple(tuple(int(i == j) for i in range(n)) for j in range(n)),
         u_block=tuple(range(1, n + 1)),
         v_block=(),
-        shared_free=(),
-        r=0,
-        t=n,
-        m=0,
     )
 
 
@@ -177,7 +172,6 @@ def test_build_transform_rotated_pair():
     assert transform.orthogonality_error() <= 1e-10
     assert transform.u_block == (1,)
     assert transform.v_block == (2,)
-    assert transform.shared_free == ()
 
 
 def test_build_transform_coordinate_aligned_is_signed_permutation():
@@ -339,7 +333,7 @@ def test_unlinked_verdicts_have_zero_covariance_and_clean_blocks():
         u0, v0 = normalize_at_origin(u), normalize_at_origin(v)
         forbidden_u = set(range(1, n + 1)) - set(transform.u_block)
         assert verify_unlinked(u0, transform, forbidden_u) is True
-        overlap_coords = range(transform.r + 1, transform.r + transform.t + 1)
+        overlap_coords = range(result.report.r + 1, result.report.r + result.report.t + 1)
         assert verify_unlinked(v0, transform, overlap_coords) is True
 
 
@@ -556,19 +550,19 @@ def test_correlation_spotcheck_arity_mismatch():
 
 
 def test_integral_check_variance_of_square():
-    result = covariance_integral_check(P("x1^2", 1), P("x1^2", 1), 300_000, GridSpec(points=120), seed=42)
+    result = covariance_integral_check(P("x1^2", 1), P("x1^2", 1), 300_000, seed=42)
     assert result.exact_cov == 2
     assert result.passed
 
 
 def test_integral_check_independent_pair():
-    result = covariance_integral_check(P("x1^2", 2), P("x2^2", 2), 300_000, GridSpec(points=120), seed=42)
+    result = covariance_integral_check(P("x1^2", 2), P("x2^2", 2), 300_000, seed=42)
     assert result.exact_cov == 0
     assert result.passed
 
 
 def test_integral_check_constant_shift():
-    result = covariance_integral_check(P("x1^2", 1), P("x1^2 + 1", 1), 300_000, GridSpec(points=120), seed=42)
+    result = covariance_integral_check(P("x1^2", 1), P("x1^2 + 1", 1), 300_000, seed=42)
     assert result.exact_cov == 2
     assert result.passed
 
@@ -583,23 +577,36 @@ def test_integral_check_rejects_large_arity():
         covariance_integral_check(P("x1^2", 3), P("x2^2", 3), 10_000, seed=42)
 
 
+# the (points, cap) grid of the check as shipped
+DEFAULT_GRID = (unlink.GRID_POINTS, unlink.GRID_CAP)
+
+
+def integral_checks(monkeypatch, u, v, samples, grid, seed):
+    """The integral check and its reference, both on the grid (points, cap)."""
+    points, cap = grid
+    monkeypatch.setattr(unlink, "GRID_POINTS", points)
+    monkeypatch.setattr(unlink, "GRID_CAP", cap)
+    result = covariance_integral_check(u, v, samples, seed=seed)
+    reference = covariance_integral_check_reference(u, v, samples, points, cap, seed)
+    return dataclasses.astuple(result), dataclasses.astuple(reference)
+
+
 @pytest.mark.parametrize(
     "u, v, samples, grid",
     [
-        (P("x1^2", 1), P("x1^2", 1), 300_000, GridSpec(points=120)),
-        (P("x1^2", 2), P("x2^2", 2), 300_000, GridSpec(points=120)),
-        (P("x1^2", 1), P("x1^2 + 1", 1), 300_000, GridSpec(points=120)),
-        (P("3/2*x1^2", 1), P("2*x1^4 + 1/2*x1^2", 1), 200_000, GridSpec()),
-        (P("x1^2 + 3*x2^2", 2), P("3/2*x2^4", 2), 200_000, GridSpec()),
-        (P("x1^4", 1), P("x1^2", 1), 1000, GridSpec(points=2)),
+        (P("x1^2", 1), P("x1^2", 1), 300_000, DEFAULT_GRID),
+        (P("x1^2", 2), P("x2^2", 2), 300_000, DEFAULT_GRID),
+        (P("x1^2", 1), P("x1^2 + 1", 1), 300_000, DEFAULT_GRID),
+        (P("3/2*x1^2", 1), P("2*x1^4 + 1/2*x1^2", 1), 200_000, DEFAULT_GRID),
+        (P("x1^2 + 3*x2^2", 2), P("3/2*x2^4", 2), 200_000, DEFAULT_GRID),
+        (P("x1^4", 1), P("x1^2", 1), 1000, (2, unlink.GRID_CAP)),
     ],
 )
-def test_integral_check_matches_reference(u, v, samples, grid):
+def test_integral_check_matches_reference(monkeypatch, u, v, samples, grid):
     # the cap taken from the quantile grid and the marginals read off the
     # joint counts leave every field bit-identical
-    result = covariance_integral_check(u, v, samples, grid, seed=42)
-    reference = covariance_integral_check_reference(u, v, samples, grid, seed=42)
-    assert dataclasses.astuple(result) == dataclasses.astuple(reference)
+    result, reference = integral_checks(monkeypatch, u, v, samples, grid, 42)
+    assert result == reference
 
 
 @pytest.mark.parametrize("seed", [1, 7, 2024])
@@ -607,16 +614,15 @@ def test_integral_check_matches_reference(u, v, samples, grid):
     "u, v, samples, grid",
     [
         # over 255 nodes per axis, and values beyond the 0.99 cap
-        (P("3/2*x1^2", 1), P("2*x1^4 + 1/2*x1^2", 1), 200_000, GridSpec(points=200, quantile_cap=0.99)),
-        (P("x1^2 + 3*x2^2", 2), P("3/2*x2^4", 2), 200_000, GridSpec(points=200, quantile_cap=0.99)),
-        (P("x1^4", 1), P("x1^2", 1), 200_000, GridSpec(points=2)),
-        (P("x1^2", 1), P("x1^2 + 1", 1), 50_000, GridSpec()),
+        (P("3/2*x1^2", 1), P("2*x1^4 + 1/2*x1^2", 1), 200_000, (200, 0.99)),
+        (P("x1^2 + 3*x2^2", 2), P("3/2*x2^4", 2), 200_000, (200, 0.99)),
+        (P("x1^4", 1), P("x1^2", 1), 200_000, (2, unlink.GRID_CAP)),
+        (P("x1^2", 1), P("x1^2 + 1", 1), 50_000, DEFAULT_GRID),
     ],
 )
-def test_integral_check_matches_reference_on_other_seeds(u, v, samples, grid, seed):
-    result = covariance_integral_check(u, v, samples, grid, seed=seed)
-    reference = covariance_integral_check_reference(u, v, samples, grid, seed=seed)
-    assert dataclasses.astuple(result) == dataclasses.astuple(reference)
+def test_integral_check_matches_reference_on_other_seeds(monkeypatch, u, v, samples, grid, seed):
+    result, reference = integral_checks(monkeypatch, u, v, samples, grid, seed)
+    assert result == reference
 
 
 def test_integral_check_memory():
@@ -662,18 +668,6 @@ def test_integral_check_rejects_overflow():
     # the exact covariance and the squares of the centered products overflow
     with pytest.raises(ValueError, match="not finite.*exact covariance.*stderr"):
         covariance_integral_check(P("x1^400", 1), P("x1^2", 1), 1000, seed=1)
-
-
-def test_grid_needs_two_points():
-    with pytest.raises(ValueError, match="at least 2 points"):
-        GridSpec(points=1)
-
-
-@pytest.mark.parametrize("cap", [0.0, -0.5, 1.5, float("nan")])
-def test_grid_quantile_cap_in_unit_interval(cap):
-    with pytest.raises(ValueError, match="quantile_cap must be in \\(0, 1\\]"):
-        GridSpec(quantile_cap=cap)
-    assert GridSpec(quantile_cap=1.0).quantile_cap == 1.0
 
 
 def test_divergence_check_examples():
