@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import itertools
 import json
 import math
@@ -367,7 +368,14 @@ def _add_common(sub, *, u=False, v=False, p=False):
     sub.add_argument("--out", default=None, help="write the report here instead of stdout")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process.
+
+    Parsing leaves the parser unchanged, and ``--seed``'s fallback to
+    UNLINK_SEED is resolved in ``main`` on every call, so one parser
+    serves every call of ``main``.
+    """
     parser = argparse.ArgumentParser(
         prog="qcunlink",
         description="Decision toolkit for unlinking symmetric quasi-convex polynomials "

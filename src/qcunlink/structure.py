@@ -108,12 +108,6 @@ class QcVerdict:
         }
 
 
-def _random_ratio(rng: random.Random) -> tuple[int, int]:
-    """Numerator and denominator of a random rational in [-POINT_BOUND, POINT_BOUND]."""
-    denominator = rng.randint(1, POINT_MAX_DENOMINATOR)
-    return rng.randint(-POINT_BOUND * denominator, POINT_BOUND * denominator), denominator
-
-
 def _scaled_hessian(p: Polynomial) -> list[list[int]]:
     """C times the Hessian of p's degree-2 part, C the lcm of p's coefficient denominators.
 
@@ -218,15 +212,39 @@ def _integer_value(form: _IntegerForm, point: Sequence[int]) -> int:
 
 
 def _sample_violation(p: Polynomial, trials: int, seed: int) -> QcVerdict:
-    """The sampled search: trials in order, each decided exactly over the integers."""
+    """The sampled search: trials in order, each decided exactly over the integers.
+
+    The draws are the values of ``random.Random(seed).randint``, in the
+    same order: the local ``randint`` runs the rejection loop that
+    ``Random.randint`` reaches through ``randrange`` and
+    ``_randbelow_with_getrandbits``, without those frames.
+    """
     scale, form = _homogenized(p)
     degree = p.total_degree()
-    rng = random.Random(seed)
+    getrandbits = random.Random(seed).getrandbits
+
+    def randint(low: int, high: int) -> int:
+        n = high - low + 1
+        k = n.bit_length()
+        r = getrandbits(k)
+        while r >= n:
+            r = getrandbits(k)
+        return low + r
+
+    def point() -> list[tuple[int, int]]:
+        """Numerators and denominators of a random point in [-POINT_BOUND, POINT_BOUND]^n."""
+        coordinates = []
+        for _ in range(p.arity):
+            denominator = randint(1, POINT_MAX_DENOMINATOR)
+            numerator = randint(-POINT_BOUND * denominator, POINT_BOUND * denominator)
+            coordinates.append((numerator, denominator))
+        return coordinates
+
     for trial in range(1, trials + 1):
-        x = [_random_ratio(rng) for _ in range(p.arity)]
-        y = [_random_ratio(rng) for _ in range(p.arity)]
-        d = rng.randint(2, POINT_MAX_DENOMINATOR)
-        a = rng.randint(1, d - 1)
+        x = point()
+        y = point()
+        d = randint(2, POINT_MAX_DENOMINATOR)
+        a = randint(1, d - 1)
         common = math.lcm(*[den for _, den in x], *[den for _, den in y])
         # the points (X, L), (Y, L) and (M, d*L) of V
         big_x = [n * (common // den) for n, den in x] + [common]

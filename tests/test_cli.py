@@ -3,6 +3,8 @@
 import dataclasses
 import json
 import math
+import os
+import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -695,6 +697,36 @@ def test_env_seed_is_used(capsys, monkeypatch):
     code, report, _ = run_json(capsys, "check", "--p", str(FIXTURES / "square.poly"))
     assert code == 0
     assert report["seed"] == 7
+
+
+def test_repeated_in_process_calls(capsys, monkeypatch):
+    # one process, one parser: a usage error and --help leave nothing behind,
+    # and UNLINK_SEED is read afresh on every call
+    code, out, err = run(capsys, "check")
+    assert (code, out) == (2, "")
+    assert "the following arguments are required: --p" in err
+    code, out, _ = run(capsys, "--help")
+    assert code == 0 and out.startswith("usage: qcunlink")
+    argv = [
+        "unlink",
+        "--u", str(FIXTURES / "quartic_x1.poly"),
+        "--v", str(FIXTURES / "quartic_x2.poly"),
+        "--trials", "1000",
+    ]
+    monkeypatch.setenv("UNLINK_SEED", "7")
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    src = str(Path(unlink_module.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    fresh = subprocess.run(
+        [sys.executable, "-m", "qcunlink", *argv], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert (fresh.returncode, fresh.stdout) == (0, out)
+    assert json.loads(out)["hypothesis"]["qc_verdict_u"]["seed"] == 7
+    monkeypatch.setenv("UNLINK_SEED", "8")
+    code, report, _ = run_json(capsys, *argv)
+    assert code == 0
+    assert report["hypothesis"]["qc_verdict_u"]["seed"] == report["hypothesis"]["qc_verdict_v"]["seed"] == 8
 
 
 def test_flag_overrides_env_seed(capsys, monkeypatch):

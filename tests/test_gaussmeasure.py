@@ -1,12 +1,13 @@
 """Exact Gaussian expectations and the deterministic Monte Carlo engine."""
 
+import itertools
 import random
 import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from qcunlink.gaussmeasure import (
@@ -20,7 +21,7 @@ from qcunlink.gaussmeasure import (
 from qcunlink import gaussmeasure, polyalg
 from qcunlink.polyalg import Polynomial, evaluate_float
 
-from corpus import P
+from corpus import QC_FIXTURES, P, overlapping_convex_pair, random_psd_quadratic
 from exact_oracles import compose_linear, covariance_by_product, expectation_fraction, gaussian_moment
 
 
@@ -269,6 +270,29 @@ def test_covariance_matches_expanded_product(pair):
     assert expectation(u) == expectation_fraction(u)
     assert covariance(u, v) == covariance_by_product(u, v)
     assert covariance(v, u) == covariance_by_product(v, u)
+
+
+# Symmetric quasi-convex u and v have symmetric convex sublevel sets, so by
+# the Gaussian correlation inequality every term of Hoeffding's integral for
+# Cov(u(X), v(X)) is >= 0, and so is the covariance.
+
+
+def test_covariance_of_quasi_convex_fixtures_is_nonnegative():
+    pairs = itertools.combinations_with_replacement(QC_FIXTURES, 2)
+    for (name_u, u), (name_v, v) in pairs:
+        if u.arity == v.arity:
+            assert covariance(u, v) >= 0, (name_u, name_v)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 5))
+def test_covariance_of_convex_pairs_is_nonnegative(seed, arity):
+    rng = random.Random(seed)
+    u, v, _ = overlapping_convex_pair(rng)
+    assume(u.arity <= 5)
+    assert covariance(u, v) >= 0
+    assert covariance(u, random_psd_quadratic(rng, u.arity)) >= 0
+    assert covariance(random_psd_quadratic(rng, arity), random_psd_quadratic(rng, arity)) >= 0
 
 
 @settings(max_examples=80, deadline=None)

@@ -48,13 +48,17 @@ def exact_violation(p, witness):
 
 
 def random_fraction(rng):
-    return Fraction(*structure._random_ratio(rng))
+    """A rational in [-POINT_BOUND, POINT_BOUND], drawn as the falsifier draws one."""
+    denominator = rng.randint(1, structure.POINT_MAX_DENOMINATOR)
+    bound = structure.POINT_BOUND * denominator
+    return Fraction(rng.randint(-bound, bound), denominator)
 
 
 def exact_reference_falsify(p, trials, seed):
     """Reference oracle for the sampled falsifier: every trial checked exactly.
 
-    Draws the same random stream as ``qc_falsify`` and accepts the first
+    Draws its trials with ``random.Random(seed).randint``, the stream that
+    ``qc_falsify`` reproduces without calling it, and accepts the first
     trial with p(alpha*x + (1-alpha)*y) > max(p(x), p(y)).
     """
     rng = random.Random(seed)
@@ -232,27 +236,60 @@ def test_screened_trials_match_exact_reference_on_corpus(p, seed):
     assert structure._sample_violation(p, 300, seed) == exact_reference_falsify(p, 300, seed)
 
 
-class ScriptedRandom:
-    """Stand-in for ``random.Random`` whose ``randint`` replays fixed values."""
+@pytest.mark.parametrize("seed", [1, 2, 3, 42, 2**31 - 1])
+@pytest.mark.parametrize(
+    "p, trials, status",
+    [
+        pytest.param(P("2*x1^4 + 3*x2^4 + x3^2", 3), 300, NOT_FALSIFIED, id="convex-full-trials"),
+        pytest.param(
+            P("-" + " - ".join(f"x{i}^4" for i in range(1, 9)), 8),
+            300,
+            FALSIFIED,
+            id="concave-quartic-n8",
+        ),
+        # falsified at trials 460 to 5010 of these seeds: a witness this late
+        # matches only if every draw before it does
+        pytest.param(
+            P("2*x1^4 + 3*x2^4 + x3^2 - x1^2*x2^2", 3), 10_000, FALSIFIED, id="late-falsified"
+        ),
+    ],
+)
+def test_falsifier_draws_the_randint_stream(p, trials, status, seed):
+    # the falsifier draws with its own rejection loop on getrandbits; the
+    # reference calls random.Random.randint, so a Python whose randint draws
+    # differently fails here
+    verdict = qc_falsify(p, trials, seed)
+    assert verdict == exact_reference_falsify(p, trials, seed)
+    assert verdict.status == status
+
+
+class ScriptedRandom(random.Random):
+    """``random.Random`` whose ``getrandbits`` replays fixed offsets.
+
+    ``randint(low, high)`` then returns low plus the next offset, in the
+    falsifier and in the reference alike.
+    """
 
     script = ()
 
     def __init__(self, seed):
-        self.values = iter(self.script)
+        super().__init__(seed)
+        self.offsets = iter(self.script)
 
-    def randint(self, low, high):
-        value = next(self.values)
-        assert low <= value <= high
-        return value
+    def getrandbits(self, k):
+        offset = next(self.offsets)
+        assert 0 <= offset < 2**k
+        return offset
 
 
 def test_trial_ties_are_no_violation(monkeypatch):
     # x^4 - 2x^2 at alpha = 2/3 between -1 and 1/2 has p(mid) = p(1/2) > p(-1),
-    # a tie with y; the mirrored trial ties with x; only the third trial is strict
+    # a tie with y; the mirrored trial ties with x; only the third trial is strict.
+    # Offsets above the ranges' lows (1, -4*den, 2, 1): den, num, den, num, d, a.
     monkeypatch.setattr(ScriptedRandom, "script", (
-        1, -1, 2, 1, 3, 2,  # x = -1, y = 1/2, alpha = 2/3: mid = -1/2
-        2, 1, 1, -1, 3, 1,  # x = 1/2, y = -1, alpha = 1/3: mid = -1/2
-        1, -1, 1, 1, 2, 1,  # x = -1, y = 1, alpha = 1/2: mid = 0
+        0, 3, 1, 9, 1, 1,  # x = -1, y = 1/2, alpha = 2/3: mid = -1/2
+        1, 9, 0, 3, 1, 0,  # x = 1/2, y = -1, alpha = 1/3: mid = -1/2
+        0, 3, 0, 5, 0, 0,  # x = -1, y = 1, alpha = 1/2: mid = 0
     ))
     monkeypatch.setattr(random, "Random", ScriptedRandom)
     p = P("x1^4 - 2*x1^2", 1)
