@@ -32,8 +32,6 @@ import traceback
 from fractions import Fraction
 from pathlib import Path
 
-import numpy as np
-
 from . import gaussmeasure, structure, unlink
 from .polyalg import (
     MAX_DIGITS,
@@ -71,13 +69,12 @@ def _render(value, indent: int) -> str:
         return "null"
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        number = float(value)
-        if not math.isfinite(number):
+    if isinstance(value, int):
+        return str(value)
+    if isinstance(value, float):
+        if not math.isfinite(value):
             raise ValueError("non-finite float in report")
-        return format(number, ".17g")
+        return format(value, ".17g")
     if isinstance(value, Fraction):
         return json.dumps(str(value))
     if isinstance(value, str):
@@ -121,6 +118,16 @@ def _is_ascii_number(text: str) -> bool:
     """True for ASCII digits, at most MAX_DIGITS of them: int() also reads
     underscores, signs, spaces and other scripts' digits."""
     return text.isascii() and text.isdigit() and len(text) <= MAX_DIGITS
+
+
+def _positive_integer(text: str) -> int:
+    """An integer flag or UNLINK_SEED.  Raises ``ArgumentTypeError``: argparse prints
+    its message as is, but after a ``ValueError`` it quotes the text, of any length."""
+    if not _is_ascii_number(text) or int(text) < 1:
+        raise argparse.ArgumentTypeError(
+            f"expected a positive integer of at most {MAX_DIGITS} ASCII digits"
+        )
+    return int(text)
 
 
 def _json_integer(text: str) -> int:
@@ -237,10 +244,7 @@ def _cmd_cov(args) -> tuple[dict, int]:
 def _mc_covariance(u: Polynomial, v: Polynomial, samples: int, seed: int) -> dict:
     su, sv = gaussmeasure.sample_values((u, v), samples, seed)
     estimate, stderr = gaussmeasure.sample_covariance(su, sv)
-    quantities = {"mean": estimate, "stderr": stderr}
-    overflowed = ", ".join(name for name, value in quantities.items() if not math.isfinite(value))
-    if overflowed:
-        raise ValueError(f"Monte Carlo covariance is not finite: float64 overflow in {overflowed}")
+    gaussmeasure._require_finite("Monte Carlo covariance", {"mean": estimate, "stderr": stderr})
     return {
         "mean": estimate,
         "stderr": stderr,
@@ -349,12 +353,10 @@ def _cmd_verify(args) -> tuple[dict, int]:
 
 def _default_seed() -> int:
     env = os.environ.get("UNLINK_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise ValueError(f"UNLINK_SEED must be an integer, got {env!r}") from None
-    return DEFAULT_SEED
+    try:
+        return DEFAULT_SEED if env is None else _positive_integer(env)
+    except argparse.ArgumentTypeError as exc:
+        raise ValueError(f"UNLINK_SEED: {exc}") from None
 
 
 def _add_common(sub, *, u=False, v=False, p=False):
@@ -364,7 +366,7 @@ def _add_common(sub, *, u=False, v=False, p=False):
         sub.add_argument("--v", required=True, help="path to the second polynomial")
     if p:
         sub.add_argument("--p", required=True, help="path to the polynomial")
-    sub.add_argument("--seed", type=int, default=None, help="random seed (default: UNLINK_SEED or 42)")
+    sub.add_argument("--seed", type=_positive_integer, help="random seed (default: UNLINK_SEED or 42)")
     sub.add_argument("--out", default=None, help="write the report here instead of stdout")
 
 
@@ -385,7 +387,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     check = sub.add_parser("check", help="symmetry and quasi-convexity falsifier")
     _add_common(check, p=True)
-    check.add_argument("--trials", type=int, default=DEFAULT_TRIALS)
+    check.add_argument("--trials", type=_positive_integer, default=DEFAULT_TRIALS)
 
     invariance = sub.add_parser("invariance", help="basis of the invariance subspace")
     _add_common(invariance, p=True)
@@ -396,7 +398,7 @@ def _build_parser() -> argparse.ArgumentParser:
     cov = sub.add_parser("cov", help="exact Gaussian covariance")
     _add_common(cov, u=True, v=True)
     cov.add_argument("--mc", action="store_true", help="add a Monte Carlo cross-check")
-    cov.add_argument("--mc-samples", type=int, default=DEFAULT_MC_SAMPLES)
+    cov.add_argument("--mc-samples", type=_positive_integer, default=DEFAULT_MC_SAMPLES)
 
     marginal = sub.add_parser("marginal", help="partial Gaussian expectation")
     _add_common(marginal, p=True)
@@ -406,11 +408,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     unlink_cmd = sub.add_parser("unlink", help="full unlinking pipeline")
     _add_common(unlink_cmd, u=True, v=True)
-    unlink_cmd.add_argument("--trials", type=int, default=DEFAULT_TRIALS)
+    unlink_cmd.add_argument("--trials", type=_positive_integer, default=DEFAULT_TRIALS)
 
     verify = sub.add_parser("verify", help="run the property suite over a fixture directory")
     verify.add_argument("fixtures", help="directory of .poly/.json fixtures")
-    verify.add_argument("--seed", type=int, default=None)
+    verify.add_argument("--seed", type=_positive_integer)
     verify.add_argument("--out", default=None)
 
     return parser
@@ -452,10 +454,6 @@ def main(argv=None) -> int:
     try:
         if args.seed is None:
             args.seed = _default_seed()
-        for name in ("seed", "trials", "mc_samples"):
-            value = getattr(args, name, None)
-            if value is not None and value < 1:
-                raise ValueError(f"--{name.replace('_', '-')} must be positive")
         with _unlimited_int_digits():
             try:
                 report, code = _COMMANDS[args.command](args)

@@ -8,14 +8,10 @@ every step works over ``int``, dividing out the content (gcd) of what it
 produces.  Positive scaling changes no zero pattern and no sign, so the
 pivots, ranks and sign decisions are those of the rational computation,
 and the ``Fraction`` results (RREF rows, PSD witnesses) are recovered by
-one division at the end.  Floating point appears only in
-``orthonormalize_nested``, and even there the Gram-Schmidt sweep is
-exact: it yields exactly orthogonal integer columns, and its column
-count decides whether the chain is nested.  Each column is converted to
-float only when it is normalized, after division by a power of two that
-keeps it in float range, so prefix spans are exact by construction at
-any coefficient scale, and the integer columns are handed back for
-exact checks downstream.
+one division at the end.  Nothing here is a float: the Gram-Schmidt
+sweep of ``orthonormalize_nested`` yields exactly orthogonal integer
+columns, whose count decides whether the chain is nested; normalizing
+them into a float matrix is left to the report that prints it.
 
 Matrices are plain sequences of rows: ``kernel`` takes the rows of the
 constraint matrix and the column count, each entry an ``int`` or a
@@ -37,8 +33,6 @@ from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
-
-import numpy as np
 
 from .errors import InvariantViolation
 
@@ -303,10 +297,8 @@ def _orthogonalize_exact(vector: Sequence[int], ortho: list[list[int]]) -> list[
     return u
 
 
-def orthonormalize_nested(
-    chain: Sequence[Subspace], ambient: int
-) -> tuple[np.ndarray, tuple[IntVector, ...]]:
-    """Orthonormal columns whose prefixes span a nested chain of subspaces.
+def orthonormalize_nested(chain: Sequence[Subspace], ambient: int) -> tuple[IntVector, ...]:
+    """Orthogonal integer columns whose prefixes span a nested chain of subspaces.
 
     Exact Gram-Schmidt over the rationals runs through the rows of each
     chain element T_1, T_2, ... in turn, then through e_1..e_n, and keeps
@@ -316,10 +308,8 @@ def orthonormalize_nested(
     ``ValueError`` (the chain is not nested), a smaller one
     ``InvariantViolation``.  A repeated element adds no column, and the
     last element need not be all of R^n: the e_i extend the basis to a
-    full one.  Returns the n-by-n float matrix Q whose column j is
-    w_j / |w_j| (so Q'Q = I to within rounding) together with the n
-    pairwise exactly orthogonal integer columns w_j, in the same order;
-    for each T_i the first dim(T_i) of them span T_i.
+    full one.  Returns the n pairwise exactly orthogonal integer columns
+    w_j; for each T_i the first dim(T_i) of them span T_i.
     """
     for space in chain:
         if space.ambient != ambient:
@@ -338,12 +328,4 @@ def orthonormalize_nested(
             raise ValueError("chain not nested: an element does not contain its predecessors")
         if len(ortho) < dimension:
             raise InvariantViolation("exact Gram-Schmidt lost a dimension")
-
-    q = np.empty((ambient, ambient))
-    for j, w in enumerate(ortho):
-        # a power of two that brings the entries below 2^500 before they
-        # meet floats; 1, so exactly float(x) / norm, for smaller columns
-        scale = 1 << max(0, max(map(abs, w)).bit_length() - 500)
-        norm = math.sqrt(sum(x * x for x in w) / (scale * scale))
-        q[:, j] = [x / scale / norm for x in w]
-    return q, tuple(tuple(w) for w in ortho)
+    return tuple(map(tuple, ortho))

@@ -11,11 +11,12 @@ The Monte Carlo side needs one thing: the values of a few polynomials at
 shared draws of a standard Gaussian vector.  ``sample_values`` is the one
 loop that produces them; the mean estimate here, the correlation and
 double-integral spot-checks in ``unlink`` and ``cov --mc`` all read its
-output, and ``sample_covariance`` is the one covariance estimator over
-it.  Draws come in a fixed order from one ``numpy.random.Generator``
-with the PCG64 bit generator.  Each block of draws is evaluated by
-``evaluate_float`` for all the polynomials at once, from one table of
-the powers they use; the powers are float64 products, not ``pow``
+output.  ``sample_covariance`` is the one variance and covariance
+estimator over it, and ``_require_finite`` the one check that rejects a
+result that overflowed float64.  Draws come in a fixed order from one
+``numpy.random.Generator`` with the PCG64 bit generator.  Each block of
+draws is evaluated by ``evaluate_float`` for all the polynomials at
+once, from one table of the powers they use; the powers are float64 products, not ``pow``
 calls.  So for a fixed (seed, samples) pair the values are
 bit-reproducible, and given the draws they do not depend on which libm
 or SIMD ``pow`` the machine has.  Sums over the samples (means, standard
@@ -175,6 +176,13 @@ def sample_values(polys: Sequence[Polynomial], samples: int, seed: int) -> np.nd
     return values
 
 
+def _require_finite(what: str, quantities: dict[str, float]) -> None:
+    """Raise ``ValueError`` naming each of the quantities that is not a finite float."""
+    overflowed = ", ".join(name for name, value in quantities.items() if not math.isfinite(value))
+    if overflowed:
+        raise ValueError(f"{what} is not finite: float64 overflow in {overflowed}")
+
+
 def sample_covariance(su: np.ndarray, sv: np.ndarray) -> tuple[float, float]:
     """Covariance estimate of paired samples and its standard error.
 
@@ -209,8 +217,10 @@ def mc_estimate(expr, samples: int, seed: int) -> McEstimate:
     """Monte Carlo mean and standard error of p(X) or of u(X)*v(X).
 
     ``expr`` is a Polynomial, or a pair (u, v) whose pointwise product is
-    averaged.  Raises ``ValueError`` when the mean or the standard error
-    is not a finite float (the sampled values or their squares overflow).
+    averaged; the variance is ``sample_covariance`` of the values with
+    themselves.  Raises ``ValueError`` when the mean or the standard
+    error is not a finite float (the sampled values or their squares
+    overflow).
     """
     if isinstance(expr, Polynomial):
         polys = (expr,)
@@ -220,11 +230,6 @@ def mc_estimate(expr, samples: int, seed: int) -> McEstimate:
     with np.errstate(over="ignore", invalid="ignore"):
         values = sample_values(polys, samples, seed).prod(axis=0)
         mean = float(values.sum()) / samples
-        sum_squares = float((values * values).sum())
-    variance = max(sum_squares - samples * mean * mean, 0.0) / (samples - 1)
-    standard_error = (variance / samples) ** 0.5
-    if not (math.isfinite(mean) and math.isfinite(standard_error)):
-        raise ValueError(
-            f"Monte Carlo estimate is not finite (mean {mean}, stderr {standard_error})"
-        )
+    standard_error = (sample_covariance(values, values)[0] / samples) ** 0.5
+    _require_finite("Monte Carlo estimate", {"mean": mean, "stderr": standard_error})
     return McEstimate(mean, standard_error, samples, seed)

@@ -96,12 +96,14 @@ class PolynomialSyntaxError(ValueError):
 
 
 def _as_fraction(value) -> Fraction:
-    """Convert a number to Fraction; a float becomes the binary rational it denotes."""
+    """Convert a number to Fraction; a finite float becomes the binary rational it denotes."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, numbers.Integral):
         return Fraction(int(value))
     if isinstance(value, numbers.Real):
+        if not math.isfinite(value):
+            raise ValueError(f"cannot interpret {value} as a rational number")
         return Fraction(float(value))
     raise TypeError(f"cannot interpret {value!r} as a rational number")
 

@@ -23,9 +23,9 @@ polynomials over a standard Gaussian vector:
    of y_j exactly when the directional derivative of p along column w_j
    is the zero polynomial, that is when M w_j = 0 for the integer
    derivative matrix M of p, the matrix whose kernel is I_p.  The check
-   runs over ``int`` on the exactly orthogonal integer columns behind
-   the float transform, so it involves no rounding and no tolerance, and
-   scaling p or w_j does not change it.
+   runs over ``int`` on the exactly orthogonal integer columns that the
+   printed float transform normalizes, so it involves no rounding and no
+   tolerance, and scaling p or w_j does not change it.
 
 A result of r > 0 with zero covariance and unfalsified hypotheses is
 reported as a contradiction witness rather than an error: in practice it
@@ -45,13 +45,14 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .errors import InvariantViolation
 from .exactla import Subspace, kernel, orthonormalize_nested, subspace_sum
-from .gaussmeasure import covariance, sample_covariance, sample_values
+from .gaussmeasure import _require_finite, covariance, sample_covariance, sample_values
 from .polyalg import Polynomial, derivative_matrix, evaluate, is_symmetric, restrict_ray
 from .structure import CASE_A, QcVerdict, classify_ray, invariance_and_complement, qc_falsify
 
@@ -192,26 +193,37 @@ def concordance(u: Polynomial, v: Polynomial) -> ConcordanceReport:
 
 @dataclass(frozen=True)
 class OrthogonalTransform:
-    """Orthonormal matrix Q (columns are the new directions) plus the split.
+    """Exactly orthogonal integer columns w_1..w_n (the new directions) plus the split.
 
-    ``columns`` holds the exactly orthogonal integer vectors w_1..w_n
-    that the columns of ``matrix`` normalize, in the same order.
-    Blocks are 1-based variable numbers of the new coordinates y.  With
-    r, t and m of the ``ConcordanceReport`` it is built from,
-    ``u_block`` = 1..r+t carries u, ``v_block`` = {1..r} and
-    r+t+1..r+t+m carries v, and r+t+m+1..n carry neither.  Columns
-    r+1..r+t span the overlap subspace and columns 1..r+t span the
-    complement of u's invariance subspace.
+    ``matrix`` is the orthonormal float matrix Q whose column j is
+    w_j / |w_j|, rendered from the columns on first use.  Blocks are
+    1-based variable numbers of the new coordinates y.  With r, t and m
+    of the ``ConcordanceReport`` it is built from, ``u_block`` = 1..r+t
+    carries u, ``v_block`` = {1..r} and r+t+1..r+t+m carries v, and
+    r+t+m+1..n carry neither.  Columns r+1..r+t span the overlap
+    subspace and columns 1..r+t span the complement of u's invariance
+    subspace.
     """
 
-    matrix: np.ndarray
     columns: tuple[tuple[int, ...], ...]
     u_block: tuple[int, ...]
     v_block: tuple[int, ...]
 
     @property
     def n(self) -> int:
-        return self.matrix.shape[0]
+        return len(self.columns)
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """The n-by-n float matrix Q, with Q'Q = I to within rounding."""
+        q = np.empty((self.n, self.n))
+        for j, w in enumerate(self.columns):
+            # a power of two that brings the entries below 2^500 before they
+            # meet floats; 1, so exactly float(x) / norm, for smaller columns
+            scale = 1 << max(0, max(map(abs, w)).bit_length() - 500)
+            norm = math.sqrt(sum(x * x for x in w) / (scale * scale))
+            q[:, j] = [x / scale / norm for x in w]
+        return q
 
     def orthogonality_error(self) -> float:
         q = self.matrix
@@ -224,19 +236,18 @@ def build_transform(report: ConcordanceReport) -> OrthogonalTransform:
     The nested chain overlap < inv_u_perp < perp_sum < R^n is
     orthonormalized so each prefix spans its chain element; the exact
     Gram-Schmidt there certifies the nesting, and a report whose chain is
-    not nested raises ``InvariantViolation``.  The columns are then
-    reordered so positions 1..r hold the part of inv_u_perp outside
+    not nested raises ``InvariantViolation``.  The integer columns are
+    then reordered so positions 1..r hold the part of inv_u_perp outside
     the overlap, r+1..r+t the overlap, r+t+1..r+t+m the completion of
     perp_sum, and the remainder spans the rest of R^n.
     """
     r, t, m, n = report.r, report.t, report.m, report.n
     try:
-        q, columns = orthonormalize_nested((report.overlap, report.inv_u_perp, report.perp_sum), n)
+        columns = orthonormalize_nested((report.overlap, report.inv_u_perp, report.perp_sum), n)
     except ValueError as exc:
         raise InvariantViolation(f"concordance bases: {exc}") from exc
     order = list(range(t, t + r)) + list(range(t)) + list(range(r + t, n))
     transform = OrthogonalTransform(
-        matrix=q[:, order],
         columns=tuple(columns[j] for j in order),
         u_block=tuple(range(1, r + t + 1)),
         v_block=tuple(range(1, r + 1)) + tuple(range(r + t + 1, r + t + m + 1)),
@@ -487,8 +498,7 @@ def _axis_bins(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # NaN sorts last and +inf just before it
     if float(ordered[0]) < -1e-12:
         raise ValueError("negative sample value: inputs must be nonnegative polynomials")
-    if not math.isfinite(float(ordered[-1])):
-        raise ValueError("integral check is not finite: float64 overflow in the sampled values")
+    _require_finite("integral check", {"the sampled values": float(ordered[-1])})
     # quantile nodes track steep CDF regions (e.g. the sqrt blow-up of a
     # squared Gaussian near 0); evenly spaced values keep the decaying
     # tail finely resolved, where pure quantile spacing leaves one huge
@@ -555,10 +565,10 @@ def covariance_integral_check(
         exact_float = float(exact)
     except OverflowError:
         exact_float = math.inf
-    quantities = {"exact covariance": exact_float, "integral estimate": estimate, "stderr": stderr}
-    overflowed = ", ".join(name for name, value in quantities.items() if not math.isfinite(value))
-    if overflowed:
-        raise ValueError(f"integral check is not finite: float64 overflow in {overflowed}")
+    _require_finite(
+        "integral check",
+        {"exact covariance": exact_float, "integral estimate": estimate, "stderr": stderr},
+    )
     tolerance = max(0.05 * abs(exact_float), 5.0 * stderr)
     passed = abs(estimate - exact_float) <= tolerance
     return IntegralCheck(exact, estimate, stderr, passed, samples, seed)

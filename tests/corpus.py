@@ -206,11 +206,7 @@ def swap_columns(transform, i, j):
     """The same transform with 1-based columns i and j exchanged, blocks kept."""
     order = list(range(transform.n))
     order[i - 1], order[j - 1] = order[j - 1], order[i - 1]
-    return dataclasses.replace(
-        transform,
-        matrix=transform.matrix[:, order],
-        columns=tuple(transform.columns[k] for k in order),
-    )
+    return dataclasses.replace(transform, columns=tuple(transform.columns[k] for k in order))
 
 
 @st.composite

@@ -358,6 +358,42 @@ def test_exit_2_invalid_seed(capsys):
 
 
 @pytest.mark.parametrize(
+    "argv, env",
+    [
+        (("check", "--trials", "x" * 100_000), None),
+        (("check", "--trials", "0"), None),
+        (("check", "--seed", " +7"), None),
+        (("check", "--seed", "-7"), None),
+        (("check", "--seed", "\u0667"), None),
+        (("check", "--seed", "9" * 5000), None),
+        (("cov", "--mc", "--mc-samples", "x" * 100_000), None),
+        (("unlink", "--trials", "1_0"), None),
+        (("check",), "9" * 5000),
+        (("check",), " +7"),
+        (("check",), "0"),
+    ],
+    ids=[
+        "trials-long", "trials-zero", "seed-sign-space", "seed-negative", "seed-arabic-digit",
+        "seed-long", "mc-samples-long", "trials-underscore", "env-long", "env-sign-space", "env-zero",
+    ],
+)
+def test_exit_2_integer_flags_take_positive_ascii_digits(capsys, monkeypatch, argv, env):
+    # --seed, --trials, --mc-samples and UNLINK_SEED share one reader, which quotes no value
+    if env is None:
+        monkeypatch.delenv("UNLINK_SEED", raising=False)
+    else:
+        monkeypatch.setenv("UNLINK_SEED", env)
+    command, *flags = argv
+    inputs = ["--u", str(FIXTURES / "square.poly"), "--v", str(FIXTURES / "square.poly")]
+    if command == "check":
+        inputs = ["--p", str(FIXTURES / "square.poly")]
+    code, out, err = run(capsys, command, *inputs, *flags)
+    assert (code, out) == (2, "")
+    assert "positive" in err and len(err.encode()) < 1024
+    assert repr(env if env is not None else flags[-1]) not in err
+
+
+@pytest.mark.parametrize(
     "u, samples",
     [
         ("x1^2", "1"),  # no variance estimate from one sample

@@ -1,4 +1,9 @@
-"""Exact subspace computations and nested orthonormalization."""
+"""Exact subspace computations and nested orthonormalization.
+
+The nested chain's exact integer columns come from ``exactla``; their
+float checks read the orthonormal matrix that ``OrthogonalTransform``
+renders from them.
+"""
 
 import math
 import random
@@ -19,6 +24,7 @@ from qcunlink.exactla import (
     psd_violation,
     subspace_sum,
 )
+from qcunlink.unlink import OrthogonalTransform
 
 from exact_oracles import (
     intersect,
@@ -129,6 +135,11 @@ def test_subspace_rejects_floats():
 # ---------------------------------------------------------------------------
 
 
+def rendered(columns):
+    """The float matrix Q that a transform renders from the integer columns."""
+    return OrthogonalTransform(columns, u_block=(), v_block=()).matrix
+
+
 def orthogonality_error(q):
     return float(np.max(np.abs(q.T @ q - np.eye(q.shape[0]))))
 
@@ -145,7 +156,7 @@ def prefix_residual(q, space):
 
 
 def test_orthonormalize_single_element():
-    q, _ = orthonormalize_nested([span([(1, 1)], 2)], 2)
+    q = rendered(orthonormalize_nested([span([(1, 1)], 2)], 2))
     s = 1 / np.sqrt(2.0)
     assert np.allclose(np.abs(q), [[s, s], [s, s]])
     assert abs(abs(q[0, 0] * q[0, 1] + q[1, 0] * q[1, 1])) <= 1e-12
@@ -153,7 +164,7 @@ def test_orthonormalize_single_element():
 
 
 def test_orthonormalize_zero_chain():
-    q, _ = orthonormalize_nested([zero(3)], 3)
+    q = rendered(orthonormalize_nested([zero(3)], 3))
     assert q.shape == (3, 3)
     assert orthogonality_error(q) <= 1e-10
 
@@ -161,14 +172,14 @@ def test_orthonormalize_zero_chain():
 @pytest.mark.parametrize("ambient", [0, 1, 3])
 def test_orthonormalize_shape_is_square(ambient):
     for chain in ([], [zero(ambient)], [full(ambient)]):
-        q, columns = orthonormalize_nested(chain, ambient)
-        assert q.shape == (ambient, ambient)
+        columns = orthonormalize_nested(chain, ambient)
         assert len(columns) == ambient
+        assert rendered(columns).shape == (ambient, ambient)
 
 
 def test_orthonormalize_two_element_chain():
     chain = [span([(0, 0, 1)], 3), span([(0, 0, 1), (1, 1, 0)], 3)]
-    q, _ = orthonormalize_nested(chain, 3)
+    q = rendered(orthonormalize_nested(chain, 3))
     s = 1 / np.sqrt(2.0)
     assert np.allclose(np.abs(q[:, 0]), [0, 0, 1])
     assert np.allclose(np.abs(q[:, 1]), [s, s, 0])
@@ -191,10 +202,9 @@ def test_orthonormalize_rejects_unnested_chain():
         orthonormalize_nested([span([(1, 0)], 2)], 3)
     # an element repeated is nested in itself and adds no column
     line = span([(1, 2)], 2)
-    q, columns = orthonormalize_nested([line, line], 2)
-    single_q, single_columns = orthonormalize_nested([line], 2)
-    assert columns == single_columns == ((1, 2), (2, -1))
-    assert np.array_equal(q, single_q)
+    columns = orthonormalize_nested([line, line], 2)
+    assert columns == orthonormalize_nested([line], 2) == ((1, 2), (2, -1))
+    assert_exact_columns(rendered(columns), columns)
 
 
 # ---------------------------------------------------------------------------
@@ -309,7 +319,8 @@ def test_orthonormalize_random_nested_chains():
         inner = Subspace.span(vectors[: rng.randint(0, ambient - 1)], ambient)
         outer = subspace_sum(inner, Subspace.span(vectors, ambient))
         chain = [inner, outer]
-        q, columns = orthonormalize_nested(chain, ambient)
+        columns = orthonormalize_nested(chain, ambient)
+        q = rendered(columns)
         assert orthogonality_error(q) <= 1e-10
         for space in chain:
             assert prefix_residual(q, space) <= 1e-9
@@ -442,6 +453,6 @@ def test_orthonormalize_columns_match_fraction_reference(shape, data):
     outer = Subspace.span(rows, ambient)
     cuts = sorted(data.draw(st.lists(st.integers(0, outer.dimension), max_size=4)))
     chain = [Subspace.span(outer.basis[:cut], ambient) for cut in cuts]
-    _, columns = orthonormalize_nested(chain, ambient)
+    columns = orthonormalize_nested(chain, ambient)
     assert columns == nested_columns_fraction(chain, ambient)
     assert all(type(x) is int for w in columns for x in w)

@@ -227,6 +227,15 @@ def test_mc_estimate_rejects_non_finite_estimates():
         mc_estimate((P("x1^200", 1), P("x1^200", 1)), 1000, seed=1)
 
 
+def test_mc_estimate_stderr_ignores_a_large_offset():
+    # an offset of 10^10 shifts every value and leaves the spread alone; a
+    # sum of squares minus n * mean^2 cancels every digit of the variance
+    offset = mc_estimate(P("10000000000 + x1^2", 1), 200_000, seed=1)
+    plain = mc_estimate(P("x1^2", 1), 200_000, seed=1)
+    assert offset.standard_error > 0 and plain.standard_error > 0
+    assert offset.standard_error == pytest.approx(plain.standard_error, rel=1e-6, abs=0)
+
+
 def test_mc_estimate_bit_reproducible():
     a = mc_estimate(P("x1^4 - x1^2", 1), 70_000, seed=9)
     b = mc_estimate(P("x1^4 - x1^2", 1), 70_000, seed=9)

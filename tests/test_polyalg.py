@@ -31,6 +31,20 @@ from corpus import P
 from exact_oracles import compose_linear, evaluate_float_pow, partial_derivative, restrict_line, tokenize
 
 
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, np.float64("nan")])
+def test_non_finite_floats_are_input_errors(value):
+    # infinity and nan denote no rational: each reader raises ValueError
+    p = P("x1^2 + x2", 2)
+    with pytest.raises(ValueError, match="rational"):
+        Polynomial(1, {(2,): value})
+    with pytest.raises(ValueError, match="rational"):
+        value * p
+    with pytest.raises(ValueError, match="rational"):
+        evaluate(p, [value, 1])
+    with pytest.raises(ValueError, match="rational"):
+        restrict_ray(p, [1.0, value])
+
+
 def directional_derivative(p, direction):
     """Derivative of p along a constant direction: sum_i direction_i * dp/dx_i."""
     out = Polynomial(p.arity)

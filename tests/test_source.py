@@ -112,18 +112,32 @@ def test_every_dataclass_field_is_read():
     assert set(UNREAD_FIELDS) <= {owner for owner, _ in fields}
 
 
+# modules that make no float, and the names each may not use: the
+# structural decisions and the exact linear algebra use no float
+# conversion, no infinity and no numpy, and the command line renders
+# Python values only, so it needs no numpy
+NO_FLOATS = {
+    "structure.py": {"float", "inf", "np", "numpy"},
+    "exactla.py": {"float", "inf", "np", "numpy"},
+    "cli.py": {"np", "numpy"},
+}
+
+
 def test_structure_has_no_floats():
-    # the structural decisions are exact: no float conversion, no
-    # infinity and no numpy anywhere in structure.py
-    path = Path(qcunlink.__file__).parent / "structure.py"
     found = []
-    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-        if isinstance(node, ast.Name) and node.id in {"float", "inf", "np", "numpy"}:
-            found.append(f"{node.id}:{node.lineno}")
-        elif isinstance(node, ast.Attribute) and node.attr == "inf":
-            found.append(f"inf:{node.lineno}")
-        elif isinstance(node, ast.Import):
-            found += [f"{a.name}:{node.lineno}" for a in node.names if a.name.partition(".")[0] == "numpy"]
-        elif isinstance(node, ast.ImportFrom) and (node.module or "").partition(".")[0] == "numpy":
-            found.append(f"{node.module}:{node.lineno}")
+    for name, banned in NO_FLOATS.items():
+        path = Path(qcunlink.__file__).parent / name
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Name) and node.id in banned:
+                found.append(f"{name}:{node.id}:{node.lineno}")
+            elif isinstance(node, ast.Attribute) and node.attr in banned:
+                found.append(f"{name}:{node.attr}:{node.lineno}")
+            elif isinstance(node, ast.Import):
+                found += [
+                    f"{name}:{a.name}:{node.lineno}"
+                    for a in node.names
+                    if a.name.partition(".")[0] == "numpy"
+                ]
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").partition(".")[0] == "numpy":
+                found.append(f"{name}:{node.module}:{node.lineno}")
     assert found == []

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 import os
 import random
 import subprocess
@@ -67,7 +68,6 @@ def span(vectors, ambient):
 
 def identity_transform(n):
     return OrthogonalTransform(
-        matrix=np.eye(n),
         columns=tuple(tuple(int(i == j) for i in range(n)) for j in range(n)),
         u_block=tuple(range(1, n + 1)),
         v_block=(),
@@ -434,9 +434,7 @@ def test_verify_unlinked_rejects_mismatched_transform():
     # four new coordinates, the fourth along e3: p depends on it
     order = [0, 1, 3, 2]
     wide = dataclasses.replace(
-        identity_transform(4),
-        matrix=np.eye(4)[:, order],
-        columns=tuple(identity_transform(4).columns[j] for j in order),
+        identity_transform(4), columns=tuple(identity_transform(4).columns[j] for j in order)
     )
     with pytest.raises(ValueError, match="transform dimension 4 != arity 3"):
         verify_unlinked(p, wide, {4})
@@ -691,6 +689,12 @@ def test_divergence_check_examples():
 
 def test_divergence_check_decaying_direction():
     assert not divergence_check(P("-x1^2", 1), (1.0,))
+
+
+@pytest.mark.parametrize("value", [math.inf, math.nan])
+def test_divergence_check_rejects_non_finite_direction(value):
+    with pytest.raises(ValueError, match="rational"):
+        divergence_check(P("x1^2 + x2^2", 2), [value, 0.0])
 
 
 def test_divergence_check_zero_direction_rejected():
