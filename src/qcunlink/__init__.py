@@ -7,26 +7,12 @@ verifies the orthogonal change of variables under which the two
 polynomials depend on disjoint sets of coordinates.
 """
 
-from .exactla import (
-    Subspace,
-    kernel,
-    orthonormalize_nested,
-    psd_violation,
-    subspace_sum,
-)
-from .gaussmeasure import (
-    McEstimate,
-    covariance,
-    expectation,
-    mc_estimate,
-    partial_expectation,
-    sample_values,
-)
+from .exactla import Subspace, kernel, orthonormalize_nested, psd_violation, subspace_sum
+from .gaussmeasure import covariance, expectation, partial_expectation
 from .polyalg import (
     Polynomial,
     PolynomialSyntaxError,
     evaluate,
-    evaluate_float,
     is_symmetric,
     parse_expression,
     restrict_ray,
@@ -50,8 +36,6 @@ from .unlink import (
     UnlinkResult,
     build_transform,
     concordance,
-    correlation_spotcheck,
-    covariance_integral_check,
     divergence_check,
     normalize_at_origin,
     unlink_decision,
@@ -59,3 +43,17 @@ from .unlink import (
 )
 
 __version__ = "0.1.0"
+
+# names of ``sampling``, imported on first use so that the package loads without numpy
+_SAMPLING = {
+    "McEstimate", "correlation_spotcheck", "covariance_integral_check",
+    "evaluate_float", "mc_estimate", "sample_values",
+}
+
+
+def __getattr__(name: str):
+    if name in _SAMPLING:
+        from . import sampling
+
+        return getattr(sampling, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

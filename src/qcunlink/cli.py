@@ -242,9 +242,10 @@ def _cmd_cov(args) -> tuple[dict, int]:
 
 
 def _mc_covariance(u: Polynomial, v: Polynomial, samples: int, seed: int) -> dict:
-    su, sv = gaussmeasure.sample_values((u, v), samples, seed)
-    estimate, stderr = gaussmeasure.sample_covariance(su, sv)
-    gaussmeasure._require_finite("Monte Carlo covariance", {"mean": estimate, "stderr": stderr})
+    from . import sampling  # numpy loads here, for cov --mc alone
+    su, sv = sampling.sample_values((u, v), samples, seed)
+    estimate, stderr = sampling.sample_covariance(su, sv)
+    sampling._require_finite("Monte Carlo covariance", {"mean": estimate, "stderr": stderr})
     return {
         "mean": estimate,
         "stderr": stderr,

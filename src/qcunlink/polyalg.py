@@ -5,10 +5,7 @@ exponent tuples (length n) to nonzero ``Fraction`` coefficients; the empty
 mapping is the zero polynomial.  All arithmetic is exact.  Wherever a
 number is accepted (coefficients, points, directions), a float is read
 as the exact binary rational it denotes, so float inputs are carried
-without further rounding.  Only ``evaluate_float`` computes in floating
-point, with IEEE-754 multiplication and addition alone: a power x_i^k is
-a product of squares, never a call to ``pow``, so its values do not
-depend on the platform's libm or SIMD ``pow``.
+without further rounding.
 
 Variables are numbered 1-based throughout the public API, matching the
 text syntax (``x1``, ``x2``, ...).  Exponent tuples are positional:
@@ -39,15 +36,12 @@ constructors and arithmetic take polynomials of any size.
 
 from __future__ import annotations
 
-import itertools
 import math
 import numbers
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator, Sequence
-
-import numpy as np
 
 Exponent = tuple[int, ...]
 
@@ -61,7 +55,6 @@ __all__ = [
     "PolynomialSyntaxError",
     "derivative_matrix",
     "evaluate",
-    "evaluate_float",
     "from_json",
     "is_symmetric",
     "parse_expression",
@@ -235,118 +228,6 @@ def _scaled_terms(p: Polynomial) -> tuple[int, list[tuple[Exponent, int]]]:
     """(C, [(e, C*c)]): p's terms over the lcm C of its coefficient denominators."""
     scale = math.lcm(*(c.denominator for c in p.terms.values()))
     return scale, [(e, c.numerator * (scale // c.denominator)) for e, c in p.terms.items()]
-
-
-def evaluate_float(polys: Sequence[Polynomial], points: np.ndarray) -> np.ndarray:
-    """Values in float64 of k polynomials of one arity n at the rows of an (m, n) array.
-
-    Returns a (k, m) array whose row j holds polys[j] at the points.  All
-    polynomials read one power table (see ``_power_table``), so a power
-    shared between them is computed once.
-
-    Each term is formed as float(c) * x_i1^k1 * x_i2^k2 * ... in canonical
-    term order and added in that order to an accumulator that starts at
-    0.0; every power is a product of float64 squares, with no ``pow``
-    call.  So a value is a function of the input bits of its point
-    alone: equal polynomials give bit-identical values on identical
-    points, whatever the other points of the batch and whichever libm
-    the machine has.
-    """
-    if not polys:
-        raise ValueError("no polynomial to evaluate")
-    arity = polys[0].arity
-    for q in polys[1:]:
-        if q.arity != arity:
-            raise ValueError(f"arity mismatch: {arity} != {q.arity}")
-    x = np.asarray(points, dtype=float)
-    if x.ndim != 2 or x.shape[1] != arity:
-        raise ValueError(f"expected points of arity {arity}, got shape {x.shape}")
-    return _evaluate_rows(polys, x)
-
-
-# Error of the power-table evaluation.
-#
-# Write u = 2**-53 and gamma_k = k*u / (1 - k*u) as in ``structure.py``.
-# Squaring s_0 = x gives s_j = fl(s_(j-1) * s_(j-1)) = x^(2^j) times
-# 2^j - 1 factors (1 + delta), |delta| <= u, counted with multiplicity.
-# x^k is the product of the s_j over the set bits j of k, in increasing
-# j, which adds popcount(k) - 1 roundings: k - popcount(k) + popcount(k)
-# - 1 = k - 1 factors in all, as many as the k - 1 sequential products.
-# A term c * x^e of degree D takes one rounding for float(c), k_i - 1 for
-# each power and one product per variable present, so 1 + D factors.
-# Adding t terms to 0.0 in order rounds each term at most t - 1 more
-# times (the first addition is exact).  So every term carries at most
-#     K = D + t,  D = total degree,
-# factors, and Higham's Lemma 3.1 gives for the computed value h
-#     |h - p(x)| <= gamma_(D+t) * M,     M = sum over terms of |c_e| * |x|^e,
-# whenever no power, product or partial sum leaves the normal range.
-# The replaced evaluator took numpy ``x ** k``, which calls ``pow`` for
-# k >= 3: as accurate as the platform's libm, and no more reproducible.
-# ``tests/test_polyalg.py`` compares the two within this bound plus the
-# matching one for the ``pow`` path.
-
-
-def _evaluate_rows(polys: Sequence[Polynomial], x: np.ndarray) -> np.ndarray:
-    """(len(polys), m) values at the rows of the (m, n) array x, from shared power tables.
-
-    One table holds every distinct power x_i^k (k >= 1) that some term of
-    some polynomial uses.  So that it never holds more floats than x,
-    the rows are evaluated in slices of at most n*m / columns rows (and at
-    least one); the values of a row do not depend on the slicing.
-    """
-    columns = sorted({(i, k) for q in polys for e in q.terms for i, k in enumerate(e) if k})
-    index = {column: j for j, column in enumerate(columns)}
-    plans = [
-        [(float(c), [index[(i, k)] for i, k in enumerate(e) if k]) for e, c in q.terms.items()]
-        for q in polys
-    ]
-    m, n = x.shape
-    step = max(1, min(m, m * n // len(columns) if columns else m))
-    values = np.zeros((len(polys), m))
-    table = np.empty((len(columns), step))
-    term = np.empty(step)
-    for start in range(0, m, step):
-        rows = x[start : start + step]
-        width = rows.shape[0]
-        sliced = table[:, :width]
-        _power_table(rows, columns, sliced)
-        product = term[:width]
-        for acc, plan in zip(values[:, start : start + width], plans):
-            for coeff, factors in plan:
-                if not factors:
-                    acc += coeff
-                    continue
-                np.multiply(sliced[factors[0]], coeff, out=product)
-                for f in factors[1:]:
-                    np.multiply(product, sliced[f], out=product)
-                acc += product
-    return values
-
-
-def _power_table(x: np.ndarray, columns: Sequence[tuple[int, int]], table: np.ndarray):
-    """Fill row j of ``table`` with x[:, i] ** k for columns[j] = (i, k), by products alone.
-
-    ``columns`` is sorted.  For each variable the squares s_0 = x_i,
-    s_1 = s_0*s_0, ... are formed once, and x_i^k is the product of the
-    squares at the set bits of k, taken in increasing bit order.
-    """
-    square = np.empty(x.shape[0])
-    start = 0
-    for i, group in itertools.groupby(columns, key=lambda column: column[0]):
-        exponents = [k for _, k in group]
-        rows = table[start : start + len(exponents)]
-        start += len(exponents)
-        np.copyto(square, x[:, i])
-        for bit in range(max(exponents).bit_length()):
-            if bit:
-                np.multiply(square, square, out=square)
-            weight = 1 << bit
-            for row, k in zip(rows, exponents):
-                if k & weight:
-                    if k & (weight - 1):
-                        np.multiply(row, square, out=row)
-                    else:
-                        np.copyto(row, square)
 
 
 def derivative_matrix(p: Polynomial) -> list[list[int]]:

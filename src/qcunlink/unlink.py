@@ -32,11 +32,8 @@ reported as a contradiction witness rather than an error: in practice it
 means quasi-convexity of an input was assumed but does not actually
 hold, and such inputs are worth surfacing.
 
-The module also carries the spot-checks used to exercise the identities
-behind the decision: two Monte Carlo checks, of sublevel-set correlation
-(which must be nonnegative for symmetric convex sets, by the Gaussian
-correlation inequality) and of the double-integral identity for the
-covariance of a pair, and an exact check of divergence along a ray.
+The module also carries an exact check of divergence along a ray; the
+Monte Carlo spot-checks are in ``sampling``.
 """
 
 from __future__ import annotations
@@ -48,20 +45,16 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Optional, Sequence
 
-import numpy as np
-
 from .errors import InvariantViolation
 from .exactla import Subspace, kernel, orthonormalize_nested, subspace_sum
-from .gaussmeasure import _require_finite, covariance, sample_covariance, sample_values
+from .gaussmeasure import covariance
 from .polyalg import Polynomial, derivative_matrix, evaluate, is_symmetric, restrict_ray
 from .structure import CASE_A, QcVerdict, classify_ray, invariance_and_complement, qc_falsify
 
 __all__ = [
     "ConcordanceReport",
-    "CorrelationCheck",
     "HypothesisFalsified",
     "HypothesisReport",
-    "IntegralCheck",
     "InvariantViolation",
     "OrthogonalTransform",
     "UnlinkConfig",
@@ -71,8 +64,6 @@ __all__ = [
     "VERDICT_UNLINKED",
     "build_transform",
     "concordance",
-    "correlation_spotcheck",
-    "covariance_integral_check",
     "divergence_check",
     "normalize_at_origin",
     "unlink_decision",
@@ -85,12 +76,6 @@ VERDICT_CONTRADICTION = "theorem_contradiction_witness"
 
 # largest entry of |Q'Q - I| accepted for the float transform
 TOL_ORTHO = 1e-10
-
-# quadrature grid of the covariance integral check: quantile nodes per
-# threshold axis (at least 2, so that the last one is the cap), and the
-# quantile in (0, 1] that the grid is cut at
-GRID_POINTS = 80
-GRID_CAP = 1.0 - 1e-4
 
 
 class HypothesisFalsified(Exception):
@@ -195,9 +180,9 @@ def concordance(u: Polynomial, v: Polynomial) -> ConcordanceReport:
 class OrthogonalTransform:
     """Exactly orthogonal integer columns w_1..w_n (the new directions) plus the split.
 
-    ``matrix`` is the orthonormal float matrix Q whose column j is
-    w_j / |w_j|, rendered from the columns on first use.  Blocks are
-    1-based variable numbers of the new coordinates y.  With r, t and m
+    ``matrix`` holds the rows of the orthonormal float matrix Q whose
+    column j is w_j / |w_j|, rendered from the columns on first use.
+    Blocks are 1-based variable numbers of the new coordinates y.  With r, t and m
     of the ``ConcordanceReport`` it is built from, ``u_block`` = 1..r+t
     carries u, ``v_block`` = {1..r} and r+t+1..r+t+m carries v, and
     r+t+m+1..n carry neither.  Columns r+1..r+t span the overlap
@@ -214,20 +199,28 @@ class OrthogonalTransform:
         return len(self.columns)
 
     @cached_property
-    def matrix(self) -> np.ndarray:
-        """The n-by-n float matrix Q, with Q'Q = I to within rounding."""
-        q = np.empty((self.n, self.n))
-        for j, w in enumerate(self.columns):
+    def matrix(self) -> tuple[tuple[float, ...], ...]:
+        """The rows of the n-by-n float matrix Q, with Q'Q = I to within rounding."""
+        units = []
+        for w in self.columns:
             # a power of two that brings the entries below 2^500 before they
             # meet floats; 1, so exactly float(x) / norm, for smaller columns
             scale = 1 << max(0, max(map(abs, w)).bit_length() - 500)
             norm = math.sqrt(sum(x * x for x in w) / (scale * scale))
-            q[:, j] = [x / scale / norm for x in w]
-        return q
+            units.append([x / scale / norm for x in w])
+        return tuple(zip(*units))
 
     def orthogonality_error(self) -> float:
-        q = self.matrix
-        return float(np.max(np.abs(q.T @ q - np.eye(q.shape[0])), initial=0.0))
+        """Largest entry of |Q'Q - I|, in float arithmetic."""
+        units = list(zip(*self.matrix))
+        return max(
+            (
+                abs(sum(a * b for a, b in zip(p, q)) - (1.0 if i == j else 0.0))
+                for i, p in enumerate(units)
+                for j, q in enumerate(units[: i + 1])
+            ),
+            default=0.0,
+        )
 
 
 def build_transform(report: ConcordanceReport) -> OrthogonalTransform:
@@ -345,7 +338,7 @@ class UnlinkResult:
             "r": self.report.r,
             "t": self.report.t,
             "m": self.report.m,
-            "transform": self.transform.matrix.tolist() if self.transform else None,
+            "transform": self.transform.matrix if self.transform else None,
             "u_block": list(self.transform.u_block) if self.transform else None,
             "v_block": list(self.transform.v_block) if self.transform else None,
             "hypothesis": self.hypothesis.to_json(),
@@ -369,6 +362,8 @@ def unlink_decision(
     separation certificate), ``hypothesis_failed`` (nonzero exact
     covariance), or ``theorem_contradiction_witness`` (r > 0 with zero
     covariance, which under genuinely quasi-convex inputs cannot happen).
+    A nonzero covariance at r = 0 cannot happen for any input, so it
+    raises :class:`InvariantViolation`.
     """
     if u.arity != v.arity:
         raise ValueError(f"arity mismatch: {u.arity} != {v.arity}")
@@ -394,6 +389,10 @@ def unlink_decision(
     report = concordance(u0, v0)
 
     if cov != 0:
+        # r = 0 puts I_v^perp inside I_u, so u and v are functions of the
+        # projections onto two orthogonal subspaces, which are independent
+        if report.r == 0:
+            raise InvariantViolation("nonzero exact covariance with r = 0")
         return UnlinkResult(VERDICT_HYPOTHESIS_FAILED, hypothesis, report, None)
 
     transform = build_transform(report)
@@ -403,175 +402,6 @@ def unlink_decision(
             raise InvariantViolation(f"{name} depends on a coordinate outside its block")
     verdict = VERDICT_UNLINKED if report.r == 0 else VERDICT_CONTRADICTION
     return UnlinkResult(verdict, hypothesis, report, transform)
-
-
-# ---------------------------------------------------------------------------
-# Numerical spot-checks
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class CorrelationCheck:
-    lhs: float
-    rhs: float
-    lhs_stderr: float
-    rhs_stderr: float
-    passed: bool
-    samples: int
-    seed: int
-
-    def to_json(self) -> dict:
-        return {
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "lhs_stderr": self.lhs_stderr,
-            "rhs_stderr": self.rhs_stderr,
-            "pass": self.passed,
-            "samples": self.samples,
-            "seed": self.seed,
-        }
-
-
-def correlation_spotcheck(
-    u_star: Polynomial,
-    v_star: Polynomial,
-    k1: float,
-    k2: float,
-    samples: int,
-    seed: int,
-) -> CorrelationCheck:
-    """Compare P(both sublevel events) against the product of marginals.
-
-    For symmetric quasi-convex polynomials the sublevel sets are
-    symmetric convex sets, so the joint probability must not fall below
-    the product; the check passes when lhs >= rhs - 4 * combined stderr.
-    All three probabilities are estimated from one shared sample set.
-    """
-    su, sv = sample_values((u_star, v_star), samples, seed)
-    in_a = su <= k1
-    in_b = sv <= k2
-    pa = float(in_a.mean())
-    pb = float(in_b.mean())
-    lhs = float((in_a & in_b).mean())
-    rhs = pa * pb
-
-    def bernoulli_stderr(prob: float) -> float:
-        return (prob * (1.0 - prob) / samples) ** 0.5
-
-    lhs_stderr = bernoulli_stderr(lhs)
-    rhs_stderr = ((pb * bernoulli_stderr(pa)) ** 2 + (pa * bernoulli_stderr(pb)) ** 2) ** 0.5
-    combined = (lhs_stderr**2 + rhs_stderr**2) ** 0.5
-    return CorrelationCheck(
-        lhs, rhs, lhs_stderr, rhs_stderr, lhs >= rhs - 4.0 * combined, samples, seed
-    )
-
-
-@dataclass(frozen=True)
-class IntegralCheck:
-    exact_cov: Fraction
-    integral_estimate: float
-    stderr: float
-    passed: bool
-    samples: int
-    seed: int
-
-    def to_json(self) -> dict:
-        return {
-            "exact_cov": str(self.exact_cov),
-            "integral_estimate": self.integral_estimate,
-            "stderr": self.stderr,
-            "pass": self.passed,
-            "samples": self.samples,
-            "seed": self.seed,
-        }
-
-
-def _axis_bins(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(nodes, bins) for one threshold axis, from one sort of the values.
-
-    ``nodes`` is the threshold grid; ``bins[i]`` is the number of nodes
-    strictly below ``values[i]``, so ``len(nodes)`` marks a value beyond
-    the cap.  Raises ``ValueError`` for a negative or non-finite value.
-    """
-    order = np.argsort(values)
-    ordered = values[order]
-    # NaN sorts last and +inf just before it
-    if float(ordered[0]) < -1e-12:
-        raise ValueError("negative sample value: inputs must be nonnegative polynomials")
-    _require_finite("integral check", {"the sampled values": float(ordered[-1])})
-    # quantile nodes track steep CDF regions (e.g. the sqrt blow-up of a
-    # squared Gaussian near 0); evenly spaced values keep the decaying
-    # tail finely resolved, where pure quantile spacing leaves one huge
-    # interval and the trapezoid rule overshoots
-    # (linspace ends exactly at its stop, so the last quantile is the cap)
-    quantiles = np.quantile(ordered, np.linspace(0.0, GRID_CAP, GRID_POINTS))
-    cap = float(quantiles[-1])
-    nodes = np.concatenate(([0.0], quantiles, np.linspace(0.0, cap, GRID_POINTS)))
-    nodes = np.unique(np.clip(nodes, 0.0, cap))
-    # the values at most nodes[j] are those in bins 0..j
-    at_most = np.searchsorted(ordered, nodes, side="right")
-    per_bin = np.diff(at_most, prepend=0, append=len(values))
-    bins = np.empty(len(values), dtype=np.min_scalar_type(len(nodes)))
-    bins[order] = np.repeat(np.arange(len(nodes) + 1, dtype=bins.dtype), per_bin)
-    return nodes, bins
-
-
-def covariance_integral_check(
-    u_star: Polynomial, v_star: Polynomial, samples: int, seed: int = 42
-) -> IntegralCheck:
-    """Check Cov(u*(Y), v*(Y)) against its sublevel-set double integral.
-
-    For nonnegative u*, v* the covariance equals the integral over
-    thresholds (k1, k2) of P(both sublevel events) minus the product of
-    the marginals.  The integral is estimated by a trapezoid rule on an
-    adaptive grid per threshold axis: ``GRID_POINTS`` empirical quantiles
-    of the sampled values up to the ``GRID_CAP`` quantile, merged with as
-    many evenly spaced values up to that cap.  All probabilities are read
-    off one shared sample set: one sort per axis gives that axis's grid
-    and each sample's grid cell.  Passes when the estimate is within
-    max(5% of |exact|, 5 * stderr) of the exact covariance, where stderr
-    is that of the direct Monte Carlo covariance estimator on the same
-    samples (the two estimators target the same quantity).  Raises
-    ``ValueError`` for negative or non-finite sampled values, and when
-    the exact covariance, the estimate or the stderr is not finite.
-    """
-    if u_star.arity not in (1, 2):
-        raise ValueError("integral check supports arity 1 or 2 only")
-    su, sv = sample_values((u_star, v_star), samples, seed)
-    exact = covariance(u_star, v_star)
-    g1, b1 = _axis_bins(su)
-    g2, b2 = _axis_bins(sv)
-
-    # an overflow leaves a non-finite estimate or stderr, rejected below
-    with np.errstate(over="ignore", invalid="ignore"):
-        # joint counts per grid cell; index len(g) collects values beyond the cap
-        # (widened first: the bins may be as narrow as uint8)
-        flat = b1.astype(np.intp)
-        flat *= len(g2) + 1
-        flat += b2
-        counts = np.bincount(flat, minlength=(len(g1) + 1) * (len(g2) + 1)).reshape(
-            len(g1) + 1, len(g2) + 1
-        )
-        del flat  # not held through the stderr temporaries below
-        cumulative = counts.cumsum(axis=0).cumsum(axis=1) / samples
-        # the last row and column count every value of the other coordinate
-        joint = cumulative[: len(g1), : len(g2)]
-        f1 = cumulative[: len(g1), len(g2)]
-        f2 = cumulative[len(g1), : len(g2)]
-        integrand = joint - np.outer(f1, f2)
-        estimate = float(np.trapezoid(np.trapezoid(integrand, x=g2, axis=1), x=g1))
-    stderr = sample_covariance(su, sv)[1]
-    try:
-        exact_float = float(exact)
-    except OverflowError:
-        exact_float = math.inf
-    _require_finite(
-        "integral check",
-        {"exact covariance": exact_float, "integral estimate": estimate, "stderr": stderr},
-    )
-    tolerance = max(0.05 * abs(exact_float), 5.0 * stderr)
-    passed = abs(estimate - exact_float) <= tolerance
-    return IntegralCheck(exact, estimate, stderr, passed, samples, seed)
 
 
 def divergence_check(u_star: Polynomial, y_star: Sequence[float]) -> bool:

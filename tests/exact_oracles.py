@@ -29,15 +29,15 @@ import numpy as np
 
 from qcunlink.errors import InvariantViolation
 from qcunlink.exactla import Subspace, kernel
-from qcunlink.gaussmeasure import covariance, sample_values
+from qcunlink.gaussmeasure import covariance
 from qcunlink.polyalg import (
     MAX_DIGITS,
     Polynomial,
     PolynomialSyntaxError,
     evaluate,
 )
+from qcunlink.sampling import IntegralCheck, sample_values
 from qcunlink.structure import CASE_A, CASE_B, CASE_CONST, QcWitness, RayClass
-from qcunlink.unlink import IntegralCheck
 
 
 def gaussian_moment(order: int) -> int:

@@ -9,8 +9,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from qcunlink.gaussmeasure import covariance, expectation, mc_estimate
+from qcunlink.gaussmeasure import covariance, expectation
 from qcunlink.polyalg import Polynomial, evaluate
+from qcunlink.sampling import correlation_spotcheck, covariance_integral_check, mc_estimate
 from qcunlink.structure import (
     CASE_A,
     CASE_B,
@@ -26,8 +27,6 @@ from qcunlink.structure import (
 from qcunlink.unlink import (
     VERDICT_UNLINKED,
     concordance,
-    correlation_spotcheck,
-    covariance_integral_check,
     unlink_decision,
     verify_unlinked,
 )

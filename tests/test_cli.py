@@ -783,3 +783,48 @@ def test_floats_use_17_significant_digits(capsys):
     )
     assert code == 0
     assert "0.70710678118654746" in out
+
+
+# ---------------------------------------------------------------------------
+# numpy loads for Monte Carlo alone
+# ---------------------------------------------------------------------------
+
+# runs ``main`` on its arguments, if any, after ``import qcunlink``; prints
+# the exit code and whether numpy was imported
+NUMPY_PROBE = """
+import contextlib, io, sys
+import qcunlink
+code = 0
+if sys.argv[1:]:
+    from qcunlink.cli import main
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(sys.argv[1:])
+print(code, "numpy" in sys.modules)
+"""
+
+ROT = ("--u", str(FIXTURES / "rot_u.poly"), "--v", str(FIXTURES / "rot_v.poly"))
+
+
+@pytest.mark.parametrize(
+    "argv, loads_numpy",
+    [
+        ((), False),
+        (("check", "--p", str(FIXTURES / "square.poly")), False),
+        (("cov", *ROT), False),
+        (("invariance", "--p", str(FIXTURES / "rot_u.poly")), False),
+        (("concordance", *ROT), False),
+        (("marginal", "--p", str(FIXTURES / "square_sum.poly"), "--marginalize", "1"), False),
+        (("verify", str(FIXTURES)), False),
+        (("unlink", *ROT), False),
+        (("cov", *ROT, "--mc", "--mc-samples", "1000"), True),
+    ],
+    ids=["import", "check", "cov", "invariance", "concordance", "marginal", "verify", "unlink", "cov-mc"],
+)
+def test_only_monte_carlo_imports_numpy(argv, loads_numpy):
+    src = str(Path(unlink_module.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-c", NUMPY_PROBE, *argv], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["0", str(loads_numpy)]

@@ -136,8 +136,9 @@ def test_subspace_rejects_floats():
 
 
 def rendered(columns):
-    """The float matrix Q that a transform renders from the integer columns."""
-    return OrthogonalTransform(columns, u_block=(), v_block=()).matrix
+    """The float matrix Q that a transform renders from the integer columns, as an array."""
+    n = len(columns)
+    return np.array(OrthogonalTransform(columns, u_block=(), v_block=()).matrix).reshape(n, n)
 
 
 def orthogonality_error(q):

@@ -3,7 +3,8 @@
 ``perfbench/tracing.py`` wraps every name in each layer module's
 ``__all__`` through ``getattr``, so a stale entry there breaks every
 traced benchmark run.  The package namespace re-exports a subset of
-those names.
+those names; the names of ``sampling`` it resolves on first use, so that
+importing the package does not import numpy.
 """
 
 import importlib
@@ -13,7 +14,17 @@ import pytest
 
 import qcunlink
 
-LAYERS = ("cli", "polyalg", "exactla", "structure", "gaussmeasure", "unlink", "errors")
+LAYERS = ("cli", "polyalg", "exactla", "structure", "gaussmeasure", "unlink", "sampling", "errors")
+
+# package names that resolve to ``sampling`` on first use
+LAZY = (
+    "McEstimate",
+    "correlation_spotcheck",
+    "covariance_integral_check",
+    "evaluate_float",
+    "mc_estimate",
+    "sample_values",
+)
 
 
 def layer(name):
@@ -38,3 +49,12 @@ def test_package_exports_only_layer_names():
     assert [entry for entry in exported if entry not in owners] == []
     for entry in exported:
         assert getattr(qcunlink, entry) is getattr(owners[entry], entry), entry
+
+
+def test_package_resolves_sampling_names_on_use():
+    sampling = layer("sampling")
+    for entry in LAZY:
+        assert getattr(qcunlink, entry) is getattr(sampling, entry), entry
+    assert qcunlink.divergence_check is layer("unlink").divergence_check
+    with pytest.raises(AttributeError, match="no attribute 'sample_covariance'"):
+        qcunlink.sample_covariance

@@ -10,16 +10,10 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from qcunlink.gaussmeasure import (
-    covariance,
-    expectation,
-    gaussian_sample_chunks,
-    mc_estimate,
-    partial_expectation,
-    sample_values,
-)
-from qcunlink import gaussmeasure, polyalg
-from qcunlink.polyalg import Polynomial, evaluate_float
+from qcunlink.gaussmeasure import covariance, expectation, partial_expectation
+from qcunlink import gaussmeasure, sampling
+from qcunlink.polyalg import Polynomial
+from qcunlink.sampling import evaluate_float, mc_estimate, sample_values
 
 from corpus import QC_FIXTURES, P, overlapping_convex_pair, random_psd_quadratic
 from exact_oracles import compose_linear, covariance_by_product, expectation_fraction, gaussian_moment
@@ -112,8 +106,8 @@ def test_sample_values_rows_are_values_at_shared_draws():
     samples = 70_000  # more than one block of draws
     values = sample_values((u, v), samples, seed=3)
     assert values.shape == (2, samples)
-    draws = np.concatenate(list(gaussian_sample_chunks(2, samples, 3)))
-    assert draws.shape == (samples, 2)
+    # the blocks of draws concatenate to the one-shot draw
+    draws = np.random.default_rng(3).standard_normal((samples, 2))
     assert np.array_equal(values[0], evaluate_float((u,), draws)[0])
     assert np.array_equal(values[1], evaluate_float((v,), draws)[0])
     assert np.array_equal(sample_values((v,), samples, seed=3)[0], values[1])
@@ -123,13 +117,13 @@ def test_sample_values_builds_one_power_table_per_block(monkeypatch):
     # three distinct powers over three variables fit one table per block,
     # and u and v read the same table
     tables = []
-    build = polyalg._power_table
+    build = sampling._power_table
 
     def counted(x, columns, table):
         tables.append((x.shape, tuple(columns)))
         build(x, columns, table)
 
-    monkeypatch.setattr(polyalg, "_power_table", counted)
+    monkeypatch.setattr(sampling, "_power_table", counted)
     u, v = P("x1^3 + x2", 3), P("x2*x3^5 - x1^3", 3)
     sample_values((u, v), 70_000, seed=3)
     assert tables == [
@@ -142,7 +136,7 @@ def test_sample_values_slices_wide_tables(monkeypatch):
     # 96 distinct powers over 32 variables: each block is evaluated in
     # three row slices, so the table never outgrows the block
     arity, samples, chunk = 32, 10_000, 4096
-    monkeypatch.setattr(gaussmeasure, "_CHUNK", chunk)
+    monkeypatch.setattr(sampling, "_CHUNK", chunk)
     u = Polynomial(arity, {tuple(4 * (j == i) for j in range(arity)): Fraction(1) for i in range(arity)})
     v = Polynomial(
         arity,
@@ -151,7 +145,7 @@ def test_sample_values_slices_wide_tables(monkeypatch):
             for i in range(arity)
         },
     )
-    draws = np.concatenate(list(gaussian_sample_chunks(arity, samples, 11)))
+    draws = np.random.default_rng(11).standard_normal((samples, arity))
     tracemalloc.start()
     try:
         values = sample_values((u, v), samples, seed=11)
@@ -173,7 +167,7 @@ def test_sample_values_holds_one_block_of_draws(monkeypatch):
     # more than 1.5 blocks beyond the output means that two blocks of
     # draws were resident at once
     arity, chunk = 32, 4096
-    monkeypatch.setattr(gaussmeasure, "_CHUNK", chunk)
+    monkeypatch.setattr(sampling, "_CHUNK", chunk)
     u = P("x1", arity)
     sample_values((u,), 100, seed=5)  # what drawing imports is not counted
     tracemalloc.start()

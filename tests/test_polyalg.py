@@ -17,7 +17,6 @@ from qcunlink.polyalg import (
     PolynomialSyntaxError,
     derivative_matrix,
     evaluate,
-    evaluate_float,
     is_symmetric,
     parse_expression,
     restrict_ray,
@@ -26,6 +25,7 @@ from qcunlink.polyalg import (
     from_json,
 )
 from qcunlink.polyalg import _tokenize
+from qcunlink.sampling import evaluate_float
 
 from corpus import P
 from exact_oracles import compose_linear, evaluate_float_pow, partial_derivative, restrict_line, tokenize
@@ -693,7 +693,7 @@ def test_zero_derivative_implies_constant_lines(arity, seed):
 
 # Differential test of the power-table evaluator against the ``pow`` one.
 #
-# With gamma_k as in the bound comment next to ``polyalg._evaluate_rows``,
+# With gamma_k as in the bound comment next to ``sampling._evaluate_rows``,
 # the power-table value h satisfies |h - p(x)| <= gamma_(D+t) * M, where
 # D is the total degree, t the number of terms and M = sum |c_e| |x|^e.
 # The replaced evaluator rounds float(c) once, multiplies once per

@@ -114,30 +114,45 @@ def test_every_dataclass_field_is_read():
 
 # modules that make no float, and the names each may not use: the
 # structural decisions and the exact linear algebra use no float
-# conversion, no infinity and no numpy, and the command line renders
-# Python values only, so it needs no numpy
+# conversion and no infinity
 NO_FLOATS = {
-    "structure.py": {"float", "inf", "np", "numpy"},
-    "exactla.py": {"float", "inf", "np", "numpy"},
-    "cli.py": {"np", "numpy"},
+    "structure.py": {"float", "inf"},
+    "exactla.py": {"float", "inf"},
 }
 
 
-def test_structure_has_no_floats():
+def names_in(path, banned):
+    """``file:name:line`` for each name or attribute in ``banned`` that the module uses."""
     found = []
-    for name, banned in NO_FLOATS.items():
-        path = Path(qcunlink.__file__).parent / name
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Name) and node.id in banned:
+            found.append(f"{path.name}:{node.id}:{node.lineno}")
+        elif isinstance(node, ast.Attribute) and node.attr in banned:
+            found.append(f"{path.name}:{node.attr}:{node.lineno}")
+    return found
+
+
+def test_structure_has_no_floats():
+    package = Path(qcunlink.__file__).parent
+    found = [entry for name, banned in NO_FLOATS.items() for entry in names_in(package / name, banned)]
+    assert found == []
+
+
+def test_only_sampling_uses_numpy():
+    # Monte Carlo is the one use of numpy, so every exact command runs without it
+    found = []
+    for path in SOURCES:
+        if path.name == "sampling.py":
+            continue
+        found += names_in(path, {"np", "numpy"})
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-            if isinstance(node, ast.Name) and node.id in banned:
-                found.append(f"{name}:{node.id}:{node.lineno}")
-            elif isinstance(node, ast.Attribute) and node.attr in banned:
-                found.append(f"{name}:{node.attr}:{node.lineno}")
-            elif isinstance(node, ast.Import):
+            if isinstance(node, ast.Import):
                 found += [
-                    f"{name}:{a.name}:{node.lineno}"
+                    f"{path.name}:{a.name}:{node.lineno}"
                     for a in node.names
                     if a.name.partition(".")[0] == "numpy"
                 ]
             elif isinstance(node, ast.ImportFrom) and (node.module or "").partition(".")[0] == "numpy":
-                found.append(f"{name}:{node.module}:{node.lineno}")
+                found.append(f"{path.name}:{node.module}:{node.lineno}")
+    assert "sampling.py" in {path.name for path in SOURCES}
     assert found == []

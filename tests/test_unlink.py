@@ -17,13 +17,15 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qcunlink import unlink
+from qcunlink import sampling, unlink
 from qcunlink.exactla import Subspace, subspace_sum
 from qcunlink.gaussmeasure import covariance, expectation
 from qcunlink.polyalg import Polynomial
+from qcunlink.sampling import correlation_spotcheck, covariance_integral_check
 from qcunlink.structure import invariance_subspace
 from qcunlink.unlink import (
     HypothesisFalsified,
+    InvariantViolation,
     OrthogonalTransform,
     UnlinkConfig,
     VERDICT_CONTRADICTION,
@@ -31,8 +33,6 @@ from qcunlink.unlink import (
     VERDICT_UNLINKED,
     build_transform,
     concordance,
-    correlation_spotcheck,
-    covariance_integral_check,
     divergence_check,
     normalize_at_origin,
     unlink_decision,
@@ -212,7 +212,7 @@ except InvariantViolation as exc:
 
 
 def block_span_residual(q, columns, space):
-    cols = q[:, columns]
+    cols = np.array(q)[:, columns]
     worst = 0.0
     for vector in space.basis:
         b = np.array([float(x) for x in vector])
@@ -345,6 +345,25 @@ def test_theorem_direction_on_overlapping_pairs():
         assert report.r == expected_r
         assert report.r >= 1
         assert covariance(u, v) > 0
+
+
+def test_zero_order_forces_zero_covariance():
+    # r = 0 puts I_v^perp inside I_u, so u and v read the projections of
+    # the Gaussian onto two orthogonal subspaces, which are independent
+    rng = random.Random(2021)
+    pairs = [overlapping_convex_pair(rng)[:2] for _ in range(20)]
+    for _ in range(300):
+        arity = rng.randint(2, 4)
+        pairs.append((random_psd_quadratic(rng, arity), random_psd_quadratic(rng, arity)))
+    zero_order = [(u, v) for u, v in pairs if concordance(u, v).r == 0]
+    assert len(zero_order) >= 10
+    assert [covariance(u, v) for u, v in zero_order] == [0] * len(zero_order)
+
+
+def test_unlink_nonzero_covariance_at_zero_order_is_an_invariant_violation(monkeypatch):
+    monkeypatch.setattr(unlink, "covariance", lambda u, v: Fraction(1))
+    with pytest.raises(InvariantViolation, match="r = 0"):
+        unlink_decision(ROT_U, ROT_V)
 
 
 def test_r_invariant_under_exact_orthogonal_maps():
@@ -508,7 +527,7 @@ def test_unlink_decision_is_scale_invariant():
         result = unlink_decision(scale * u, scale * v)
         assert result.verdict == base.verdict, k
         assert (result.report.r, result.report.t, result.report.m) == (0, 2, 1), k
-        assert result.transform.matrix.tolist() == base.transform.matrix.tolist(), k
+        assert result.transform.matrix == base.transform.matrix, k
         assert result.transform.columns == base.transform.columns, k
         assert (result.transform.u_block, result.transform.v_block) == (
             base.transform.u_block,
@@ -576,14 +595,14 @@ def test_integral_check_rejects_large_arity():
 
 
 # the (points, cap) grid of the check as shipped
-DEFAULT_GRID = (unlink.GRID_POINTS, unlink.GRID_CAP)
+DEFAULT_GRID = (sampling.GRID_POINTS, sampling.GRID_CAP)
 
 
 def integral_checks(monkeypatch, u, v, samples, grid, seed):
     """The integral check and its reference, both on the grid (points, cap)."""
     points, cap = grid
-    monkeypatch.setattr(unlink, "GRID_POINTS", points)
-    monkeypatch.setattr(unlink, "GRID_CAP", cap)
+    monkeypatch.setattr(sampling, "GRID_POINTS", points)
+    monkeypatch.setattr(sampling, "GRID_CAP", cap)
     result = covariance_integral_check(u, v, samples, seed=seed)
     reference = covariance_integral_check_reference(u, v, samples, points, cap, seed)
     return dataclasses.astuple(result), dataclasses.astuple(reference)
@@ -597,7 +616,7 @@ def integral_checks(monkeypatch, u, v, samples, grid, seed):
         (P("x1^2", 1), P("x1^2 + 1", 1), 300_000, DEFAULT_GRID),
         (P("3/2*x1^2", 1), P("2*x1^4 + 1/2*x1^2", 1), 200_000, DEFAULT_GRID),
         (P("x1^2 + 3*x2^2", 2), P("3/2*x2^4", 2), 200_000, DEFAULT_GRID),
-        (P("x1^4", 1), P("x1^2", 1), 1000, (2, unlink.GRID_CAP)),
+        (P("x1^4", 1), P("x1^2", 1), 1000, (2, sampling.GRID_CAP)),
     ],
 )
 def test_integral_check_matches_reference(monkeypatch, u, v, samples, grid):
@@ -614,7 +633,7 @@ def test_integral_check_matches_reference(monkeypatch, u, v, samples, grid):
         # over 255 nodes per axis, and values beyond the 0.99 cap
         (P("3/2*x1^2", 1), P("2*x1^4 + 1/2*x1^2", 1), 200_000, (200, 0.99)),
         (P("x1^2 + 3*x2^2", 2), P("3/2*x2^4", 2), 200_000, (200, 0.99)),
-        (P("x1^4", 1), P("x1^2", 1), 200_000, (2, unlink.GRID_CAP)),
+        (P("x1^4", 1), P("x1^2", 1), 200_000, (2, sampling.GRID_CAP)),
         (P("x1^2", 1), P("x1^2 + 1", 1), 50_000, DEFAULT_GRID),
     ],
 )
