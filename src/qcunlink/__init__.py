@@ -32,7 +32,6 @@ from .unlink import (
     HypothesisFalsified,
     InvariantViolation,
     OrthogonalTransform,
-    UnlinkConfig,
     UnlinkResult,
     build_transform,
     concordance,

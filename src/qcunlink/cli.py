@@ -185,7 +185,7 @@ def _parse_index_set(text: str, arity: int) -> list[int]:
 
 def _cmd_check(args) -> tuple[dict, int]:
     p = _load_polynomial(args.p)
-    symmetric = is_symmetric(unlink.normalize_at_origin(p))
+    symmetric = is_symmetric(p)
     verdict = structure.qc_falsify(p, args.trials, args.seed)
     ok = symmetric and not verdict.falsified
     report = {
@@ -271,8 +271,7 @@ def _cmd_marginal(args) -> tuple[dict, int]:
 def _cmd_unlink(args) -> tuple[dict, int]:
     u = _load_polynomial(args.u)
     v = _load_polynomial(args.v)
-    config = unlink.UnlinkConfig(seed=args.seed, qc_trials=args.trials)
-    result = unlink.unlink_decision(u, v, config)
+    result = unlink.unlink_decision(u, v, seed=args.seed, trials=args.trials)
     code = EXIT_COV_NONZERO if result.verdict == unlink.VERDICT_HYPOTHESIS_FAILED else EXIT_OK
     return result.to_json(), code
 
@@ -293,7 +292,7 @@ def _cmd_verify(args) -> tuple[dict, int]:
         normalized = unlink.normalize_at_origin(p)
         round_trip = parse_expression(to_expression(p), p.arity) == p
         via_parity = is_symmetric(p)
-        reflected = Polynomial(
+        reflected = Polynomial._from_terms(
             p.arity, {e: (-c if sum(e) % 2 else c) for e, c in p.terms.items()}
         )
         symmetry_consistent = via_parity == (p - reflected).is_zero

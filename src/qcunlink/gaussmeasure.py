@@ -14,7 +14,7 @@ import functools
 from fractions import Fraction
 from typing import Iterable
 
-from .polyalg import Polynomial, _scaled_terms
+from .polyalg import Polynomial
 
 __all__ = ["covariance", "expectation", "partial_expectation"]
 
@@ -32,7 +32,7 @@ def _moment(order: int) -> int:
 
 def expectation(p: Polynomial) -> Fraction:
     """Exact E[p(X)] for X ~ N(0, I)."""
-    scale, terms = _scaled_terms(p)
+    scale, terms = p._integer_terms
     total = 0
     for exponent, coeff in terms:
         for k in exponent:
@@ -53,8 +53,8 @@ def covariance(u: Polynomial, v: Polynomial) -> Fraction:
     """
     if u.arity != v.arity:
         raise ValueError(f"arity mismatch: {u.arity} != {v.arity}")
-    u_scale, u_terms = _scaled_terms(u)
-    v_scale, v_terms = _scaled_terms(v)
+    u_scale, u_terms = u._integer_terms
+    v_scale, v_terms = v._integer_terms
     buckets: dict[tuple[int, ...], list[tuple[tuple[int, ...], int]]] = {}
     for b, d in v_terms:
         buckets.setdefault(tuple(k & 1 for k in b), []).append((b, d))
@@ -100,4 +100,4 @@ def partial_expectation(p: Polynomial, marginalized: Iterable[int]) -> Polynomia
             continue
         key = tuple(kept)
         out[key] = out.get(key, Fraction(0)) + factor
-    return Polynomial(p.arity, out)
+    return Polynomial._from_terms(p.arity, out)

@@ -12,7 +12,8 @@ text syntax (``x1``, ``x2``, ...).  Exponent tuples are positional:
 position 0 holds the exponent of x1.
 
 All values are immutable after construction and safe to share between
-threads.
+threads.  The integer form of a polynomial is computed on first read;
+two concurrent first reads compute equal values.
 
 The text grammar ("Text form" below) has no parentheses and no
 nesting, so it is read in two flat steps.  One compiled regex with an
@@ -41,6 +42,7 @@ import numbers
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterator, Sequence
 
 Exponent = tuple[int, ...]
@@ -101,8 +103,9 @@ def _as_fraction(value) -> Fraction:
     raise TypeError(f"cannot interpret {value!r} as a rational number")
 
 
-def _grlex(exponent: Exponent) -> tuple[int, Exponent]:
-    return (sum(exponent), exponent)
+def _canonical(terms: dict[Exponent, Fraction]) -> dict[Exponent, Fraction]:
+    """The nonzero terms in ascending graded-lexicographic order."""
+    return {e: terms[e] for e in sorted(terms, key=lambda e: (sum(e), e)) if terms[e]}
 
 
 @dataclass(frozen=True)
@@ -120,8 +123,10 @@ class Polynomial:
     def __post_init__(self):
         if self.arity < 0:
             raise ValueError("arity must be nonnegative")
-        canon: dict[Exponent, Fraction] = {}
-        for exponent, coeff in sorted(self.terms.items(), key=lambda item: _grlex(item[0])):
+        checked: dict[Exponent, Fraction] = {}
+        for exponent, coeff in self.terms.items():
+            if any(k != int(k) for k in exponent):
+                raise ValueError(f"non-integer exponent in {tuple(exponent)}")
             exponent = tuple(int(k) for k in exponent)
             if len(exponent) != self.arity:
                 raise ValueError(
@@ -129,10 +134,22 @@ class Polynomial:
                 )
             if any(k < 0 for k in exponent):
                 raise ValueError(f"negative exponent in {exponent}")
-            coeff = _as_fraction(coeff)
-            if coeff:
-                canon[exponent] = coeff
-        object.__setattr__(self, "terms", canon)
+            checked[exponent] = _as_fraction(coeff)
+        object.__setattr__(self, "terms", _canonical(checked))
+
+    @classmethod
+    def _from_terms(cls, arity: int, terms: dict[Exponent, Fraction]) -> "Polynomial":
+        """The polynomial of checked terms: int exponent tuples of length arity, Fraction values."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "arity", arity)
+        object.__setattr__(p, "terms", _canonical(terms))
+        return p
+
+    @cached_property
+    def _integer_terms(self) -> tuple[int, tuple[tuple[Exponent, int], ...]]:
+        """(C, ((e, C*c), ...)): the terms in order over the lcm C of the coefficient denominators."""
+        scale = math.lcm(*(c.denominator for c in self.terms.values()))
+        return scale, tuple((e, c.numerator * (scale // c.denominator)) for e, c in self.terms.items())
 
     @classmethod
     def constant(cls, arity: int, value) -> "Polynomial":
@@ -158,13 +175,13 @@ class Polynomial:
         out = dict(self.terms)
         for e, c in other.terms.items():
             out[e] = out.get(e, Fraction(0)) + c
-        return Polynomial(self.arity, out)
+        return Polynomial._from_terms(self.arity, out)
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         return self + (-other)
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial(self.arity, {e: -c for e, c in self.terms.items()})
+        return Polynomial._from_terms(self.arity, {e: -c for e, c in self.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, Polynomial):
@@ -174,9 +191,9 @@ class Polynomial:
                 for eb, cb in other.terms.items():
                     e = tuple(i + j for i, j in zip(ea, eb))
                     out[e] = out.get(e, Fraction(0)) + ca * cb
-            return Polynomial(self.arity, out)
+            return Polynomial._from_terms(self.arity, out)
         scalar = _as_fraction(other)
-        return Polynomial(self.arity, {e: c * scalar for e, c in self.terms.items()})
+        return Polynomial._from_terms(self.arity, {e: c * scalar for e, c in self.terms.items()})
 
     __rmul__ = __mul__
 
@@ -221,13 +238,7 @@ def restrict_ray(p: Polynomial, direction: Sequence) -> Polynomial:
     for exponent, term in _term_values(p, direction):
         degree = (sum(exponent),)
         out[degree] = out.get(degree, Fraction(0)) + term
-    return Polynomial(1, out)
-
-
-def _scaled_terms(p: Polynomial) -> tuple[int, list[tuple[Exponent, int]]]:
-    """(C, [(e, C*c)]): p's terms over the lcm C of its coefficient denominators."""
-    scale = math.lcm(*(c.denominator for c in p.terms.values()))
-    return scale, [(e, c.numerator * (scale // c.denominator)) for e, c in p.terms.items()]
+    return Polynomial._from_terms(1, out)
 
 
 def derivative_matrix(p: Polynomial) -> list[list[int]]:
@@ -240,7 +251,7 @@ def derivative_matrix(p: Polynomial) -> list[list[int]]:
     M v are the coefficients of D_v (C * p): for a rational v, D_v p is
     the zero polynomial iff M v = 0.
     """
-    _, terms = _scaled_terms(p)
+    _, terms = p._integer_terms
     rows: dict[Exponent, list[int]] = {}
     for exponent, coeff in terms:
         for i, k in enumerate(exponent):
@@ -282,7 +293,7 @@ def to_expression(p: Polynomial) -> str:
     if p.is_zero:
         return "0"
     parts = []
-    for exponent, coeff in sorted(p.terms.items(), key=lambda item: _grlex(item[0]), reverse=True):
+    for exponent, coeff in reversed(p.terms.items()):
         mono = "*".join(
             f"x{i + 1}^{k}" if k > 1 else f"x{i + 1}"
             for i, k in enumerate(exponent)
@@ -330,7 +341,7 @@ def from_json(obj) -> Polynomial:
     for index, item in enumerate(obj["terms"]):
         exponent, coeff = _json_term(item, arity, index)
         terms[exponent] = terms.get(exponent, Fraction(0)) + coeff
-    return Polynomial(arity, terms)
+    return Polynomial._from_terms(arity, terms)
 
 
 def _json_term(item, arity: int, index: int) -> tuple[Exponent, Fraction]:
@@ -473,4 +484,4 @@ def parse_expression(text: str, arity: int) -> Polynomial:
         i += 1
     if kind != "end":
         raise PolynomialSyntaxError("expected '+', '-', '*' or end of input", tokens[i][2])
-    return Polynomial(arity, terms)
+    return Polynomial._from_terms(arity, terms)

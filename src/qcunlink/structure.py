@@ -33,7 +33,6 @@ from typing import Mapping, Optional, Sequence
 from .exactla import Subspace, kernel_and_row_space, psd_violation
 from .polyalg import (
     Polynomial,
-    _scaled_terms,
     derivative_matrix,
     evaluate,
     restrict_ray,
@@ -118,7 +117,7 @@ def _scaled_hessian(p: Polynomial) -> list[list[int]]:
     """
     n = p.arity
     h = [[0] * n for _ in range(n)]
-    for exponent, coeff in _scaled_terms(p)[1]:
+    for exponent, coeff in p._integer_terms[1]:
         if sum(exponent) != 2:
             continue
         support = [i for i, k in enumerate(exponent) if k]
@@ -190,7 +189,7 @@ _IntegerForm = tuple[list[tuple[int, int]], list[tuple[int, tuple[int, ...]]]]
 
 def _homogenized(p: Polynomial) -> tuple[int, _IntegerForm]:
     """C and the integer form of V, as defined above."""
-    scale, terms = _scaled_terms(p)
+    scale, terms = p._integer_terms
     degree = p.total_degree()
     homogeneous = [(e + (degree - sum(e),), c) for e, c in terms]
     powers = sorted({(i, k) for e, _ in homogeneous for i, k in enumerate(e) if k})

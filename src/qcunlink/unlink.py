@@ -57,7 +57,6 @@ __all__ = [
     "HypothesisReport",
     "InvariantViolation",
     "OrthogonalTransform",
-    "UnlinkConfig",
     "UnlinkResult",
     "VERDICT_CONTRADICTION",
     "VERDICT_HYPOTHESIS_FAILED",
@@ -286,7 +285,7 @@ def _asymmetry_witness(p: Polynomial) -> dict:
     by Schwartz-Zippel one draw is a root with probability at most
     k / (2b + 1) < 1/2.
     """
-    odd = Polynomial(p.arity, {e: c for e, c in p.terms.items() if sum(e) % 2})
+    odd = Polynomial._from_terms(p.arity, {e: c for e, c in p.terms.items() if sum(e) % 2})
     bound = max(9, odd.total_degree())
     rng = random.Random(0xA5)
     for _ in range(200):
@@ -303,16 +302,16 @@ def _asymmetry_witness(p: Polynomial) -> dict:
 
 @dataclass(frozen=True)
 class HypothesisReport:
-    symmetry_u: bool
-    symmetry_v: bool
+    """Falsifier verdicts and exact covariance of a pair; made only once both inputs are symmetric."""
+
     qc_verdict_u: QcVerdict
     qc_verdict_v: QcVerdict
     cov_exact: Fraction
 
     def to_json(self) -> dict:
         return {
-            "symmetry_u": self.symmetry_u,
-            "symmetry_v": self.symmetry_v,
+            "symmetry_u": True,
+            "symmetry_v": True,
             "qc_verdict_u": self.qc_verdict_u.to_json(),
             "qc_verdict_v": self.qc_verdict_v.to_json(),
             "cov_exact": str(self.cov_exact),
@@ -345,17 +344,12 @@ class UnlinkResult:
         }
 
 
-@dataclass(frozen=True)
-class UnlinkConfig:
-    seed: int = 42
-    qc_trials: int = 10_000
-
-
 def unlink_decision(
-    u: Polynomial, v: Polynomial, config: UnlinkConfig = UnlinkConfig()
+    u: Polynomial, v: Polynomial, *, seed: int = 42, trials: int = 10_000
 ) -> UnlinkResult:
     """Run the full pipeline on a polynomial pair.
 
+    ``seed`` and ``trials`` are those of each quasi-convexity falsifier.
     Raises :class:`HypothesisFalsified` when symmetry fails or the
     falsifier finds a quasi-convexity violation.  Otherwise returns a
     result whose verdict is ``unlinked`` (r = 0, zero covariance, exact
@@ -370,22 +364,20 @@ def unlink_decision(
     u0 = normalize_at_origin(u)
     v0 = normalize_at_origin(v)
 
-    symmetry_u = is_symmetric(u0)
-    symmetry_v = is_symmetric(v0)
-    if not symmetry_u:
+    if not is_symmetric(u0):
         raise HypothesisFalsified("u", "symmetry", _asymmetry_witness(u0))
-    if not symmetry_v:
+    if not is_symmetric(v0):
         raise HypothesisFalsified("v", "symmetry", _asymmetry_witness(v0))
 
-    qc_u = qc_falsify(u0, config.qc_trials, config.seed)
+    qc_u = qc_falsify(u0, trials, seed)
     if qc_u.falsified:
         raise HypothesisFalsified("u", "quasi-convexity", qc_u.to_json())
-    qc_v = qc_falsify(v0, config.qc_trials, config.seed)
+    qc_v = qc_falsify(v0, trials, seed)
     if qc_v.falsified:
         raise HypothesisFalsified("v", "quasi-convexity", qc_v.to_json())
 
     cov = covariance(u0, v0)
-    hypothesis = HypothesisReport(symmetry_u, symmetry_v, qc_u, qc_v, cov)
+    hypothesis = HypothesisReport(qc_u, qc_v, cov)
     report = concordance(u0, v0)
 
     if cov != 0:

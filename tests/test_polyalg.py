@@ -1,5 +1,6 @@
 """Exact polynomial arithmetic, parsing, ray restriction and the composition oracle."""
 
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -24,6 +25,7 @@ from qcunlink.polyalg import (
     to_json,
     from_json,
 )
+from qcunlink.gaussmeasure import partial_expectation
 from qcunlink.polyalg import _tokenize
 from qcunlink.sampling import evaluate_float
 
@@ -171,6 +173,19 @@ def test_mul_agrees_with_pointwise_products():
     points = [(0, 0), (1, 1), (-2, 3), (Fraction(1, 2), Fraction(-5, 3)), (7, -11)]
     for point in points:
         assert evaluate(product, point) == evaluate(u, point) * evaluate(v, point)
+
+
+def test_constructor_rejects_malformed_terms():
+    # int() would truncate 1.5 to 1, where it would also overwrite the term of x1
+    for terms, message in [
+        ({(1.5,): 1, (1,): 2}, "non-integer exponent"),
+        ({("1",): 1}, "non-integer exponent"),
+        ({(1, 0): 1}, "expected 1"),
+        ({(-1,): 1}, "negative exponent"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            Polynomial(1, terms)
+    assert Polynomial(1, {(2.0,): 3, (np.int64(1),): 1}) == P("3*x1^2 + x1", 1)
 
 
 def test_combine_arity_mismatch():
@@ -589,6 +604,55 @@ def test_text_round_trip(p):
 @given(polynomials())
 def test_json_round_trip_property(p):
     assert from_json(to_json(p)) == p
+
+
+def assert_checked_form(p):
+    """p is what the checking constructor makes of its own terms, in the same order."""
+    reference = Polynomial(p.arity, dict(p.terms))
+    assert p == reference
+    assert list(p.terms.items()) == list(reference.terms.items())
+    assert all(type(c) is Fraction for c in p.terms.values())
+    assert all(type(k) is int for e in p.terms for k in e)
+
+
+@settings(max_examples=100, deadline=None)
+@given(poly_triples(), coefficients, st.data())
+def test_unchecked_producers_match_the_checking_constructor(triple, scalar, data):
+    # the parser, from_json and the arithmetic skip the constructor's checks,
+    # but must still hand back its sorted, zero-free terms
+    p, q, _ = triple
+    direction = data.draw(st.lists(coefficients, min_size=p.arity, max_size=p.arity))
+    marginalized = data.draw(st.sets(st.integers(1, p.arity)))
+    results = [
+        parse_expression(to_expression(p), p.arity),
+        from_json(to_json(p)),
+        p + q,
+        p - q,
+        p - p,
+        -p,
+        p * q,
+        p * scalar,
+        scalar * p,
+        restrict_ray(p, direction),
+        partial_expectation(p, marginalized),
+    ]
+    for result in results:
+        assert_checked_form(result)
+
+
+@settings(max_examples=80, deadline=None)
+@given(polynomials())
+def test_integer_form_is_cached_and_invisible(p):
+    before = (to_json(p), repr(p))
+    first = p._integer_terms
+    scale, terms = first
+    assert scale == math.lcm(*(c.denominator for c in p.terms.values()))
+    assert isinstance(terms, tuple) and [e for e, _ in terms] == list(p.terms)
+    assert all(type(x) is int and x == scale * p.terms[e] for e, x in terms)
+    assert p._integer_terms is first
+    assert [f.name for f in dataclasses.fields(Polynomial)] == ["arity", "terms"]
+    assert p == Polynomial(p.arity, dict(p.terms))
+    assert (to_json(p), repr(p)) == before
 
 
 @settings(max_examples=60, deadline=None)

@@ -27,7 +27,6 @@ from qcunlink.unlink import (
     HypothesisFalsified,
     InvariantViolation,
     OrthogonalTransform,
-    UnlinkConfig,
     VERDICT_CONTRADICTION,
     VERDICT_HYPOTHESIS_FAILED,
     VERDICT_UNLINKED,
@@ -42,6 +41,7 @@ from qcunlink.unlink import (
 from corpus import (
     QC_FIXTURES,
     P,
+    cayley,
     dense_rotation,
     overlapping_convex_pair,
     random_psd_quadratic,
@@ -307,7 +307,7 @@ def test_unlink_contradiction_witness_when_falsifier_misses():
     u = P("x1^4 - x2^4", 2)
     v = P("x1^4 + x2^4", 2)
     assert covariance(u, v) == 0
-    result = unlink_decision(u, v, UnlinkConfig(seed=1, qc_trials=1))
+    result = unlink_decision(u, v, seed=1, trials=1)
     assert result.verdict == VERDICT_CONTRADICTION
     assert result.report.r == 2
 
@@ -388,6 +388,52 @@ def test_r_invariant_under_exact_orthogonal_maps():
         for q in rotations:
             rotated = concordance(compose_linear(u, q), compose_linear(v, q))
             assert rotated.r == base
+
+
+def seeded_rotation(rng, n):
+    """Exact Cayley rotation of a skew matrix with entries a/b, |a| <= 2 and 1 <= b <= 3."""
+    skew = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            skew[i][j] = Fraction(rng.randint(-2, 2), rng.randint(1, 3))
+            skew[j][i] = -skew[i][j]
+    return cayley(skew)
+
+
+def test_exact_rotations_preserve_the_decision():
+    # X and QX are both standard Gaussian for an orthogonal Q, and
+    # D_a (p o Q) = (D_{Qa} p) o Q, so rotating a pair keeps its covariance
+    # and its r, t and m, and maps I_p to Q^T I_p; where both hypotheses are
+    # decided exactly (degree <= 2) the verdict is kept too
+    rng = random.Random(2022)
+    pairs = []
+    while len(pairs) < 16:
+        u, v, _ = overlapping_convex_pair(rng)
+        if u.arity <= 5 and max(u.total_degree(), v.total_degree()) <= 4:
+            pairs.append((u, v))
+    for _ in range(150):
+        arity = rng.randint(2, 5)
+        pairs.append((random_psd_quadratic(rng, arity), random_psd_quadratic(rng, arity)))
+    zero_order = 0
+    for u, v in pairs:
+        n = u.arity
+        q = seeded_rotation(rng, n)
+        uq, vq = compose_linear(u, q), compose_linear(v, q)
+        cov = covariance(uq, vq)
+        assert cov == covariance(u, v)
+        before, after = concordance(u, v), concordance(uq, vq)
+        assert (after.r, after.t, after.m) == (before.r, before.t, before.m)
+        for p, pq in ((u, uq), (v, vq)):
+            basis = invariance_subspace(p).basis
+            moved = Subspace.span([[sum(q[j][i] * x[j] for j in range(n)) for i in range(n)] for x in basis], n)
+            assert same_space(invariance_subspace(pq), moved)
+            assert invariance_subspace(pq) == moved
+        if after.r == 0:
+            zero_order += 1
+            assert cov == 0
+        if max(u.total_degree(), v.total_degree()) <= 2:
+            assert unlink_decision(uq, vq, trials=1).verdict == unlink_decision(u, v, trials=1).verdict
+    assert zero_order >= 3
 
 
 # ---------------------------------------------------------------------------
