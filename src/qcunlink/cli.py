@@ -142,11 +142,12 @@ def _load_polynomial(path: str) -> Polynomial:
 
     Text format: first non-blank line ``n=<int>``, remaining lines hold
     one expression.  Any extension other than .json is treated as text.
+    Both are read as UTF-8, past a leading byte-order mark if there is one.
     A ``ValueError`` about the content is raised again with the path in
     front; no message quotes the content, which may be of any length.
     """
     try:
-        with open(path, encoding="utf-8") as handle:
+        with open(path, encoding="utf-8-sig") as handle:
             raw = handle.read()
         if os.path.splitext(path)[1].lower() == ".json":
             try:

@@ -1,11 +1,13 @@
-"""Exact rational linear algebra for subspaces of R^n.
+"""Exact integer linear algebra for subspaces of R^n.
 
 Every dimension-bearing computation here (kernel, row space, sum, the
 nestedness of a chain, the sign of a quadratic form) is exact, so ranks
-are exact integers.  The eliminations run fraction-free: each row or
-vector is scaled by a positive integer to clear its denominators, and
-every step works over ``int``, dividing out the content (gcd) of what it
-produces.  Positive scaling changes no zero pattern and no sign, so the
+are exact integers.  Matrices come in over ``int``: each caller already
+holds an integer matrix (a derivative matrix, an integer Hessian,
+subspace rows), so nothing is rescaled, and an entry of any other type
+raises ``TypeError`` where the matrix enters the module.  The
+eliminations run fraction-free, dividing out the content (gcd) of each
+row they produce; that changes no zero pattern and no sign, so the
 pivots, ranks and sign decisions are those of the rational computation,
 and the ``Fraction`` results (RREF rows, PSD witnesses) are recovered by
 one division at the end.  Nothing here is a float: the Gram-Schmidt
@@ -14,16 +16,15 @@ columns, whose count decides whether the chain is nested; normalizing
 them into a float matrix is left to the report that prints it.
 
 Matrices are plain sequences of rows: ``kernel`` takes the rows of the
-constraint matrix and the column count, each entry an ``int`` or a
-``Fraction``.  Subspace bases are canonicalized to reduced row echelon
-form (pivot order, leading entry 1), which is unique for a given row
-space, so all operations return reproducible bases and equal subspaces
-compare equal.  One elimination of a matrix M gives both of its
-subspaces: its nonzero rows are the RREF basis of the row space, which
-is the orthogonal complement of ker M, and its free columns give ker M
-(``kernel_and_row_space``).  A subspace keeps its RREF rows over
-``int``, each scaled to a primitive vector, and the ``Fraction`` rows
-are formed only when a report prints them.
+constraint matrix and the column count.  Subspace bases are
+canonicalized to reduced row echelon form (pivot order, leading entry
+1), which is unique for a given row space, so all operations return
+reproducible bases and equal subspaces compare equal.  One elimination
+of a matrix M gives both of its subspaces: its nonzero rows are the RREF
+basis of the row space, which is the orthogonal complement of ker M, and
+its free columns give ker M (``kernel_and_row_space``).  A subspace
+keeps its RREF rows over ``int``, each scaled to a primitive vector, and
+the ``Fraction`` rows are formed only when a report prints them.
 """
 
 from __future__ import annotations
@@ -54,41 +55,35 @@ def _unit(index: int, length: int) -> list[int]:
     return [int(j == index) for j in range(length)]
 
 
-def _to_vector(values: Sequence, length: int | None = None) -> tuple:
-    """The entries as a tuple, checked to be exact (int or Fraction)."""
+def _to_vector(values: Sequence, length: int | None = None) -> IntVector:
+    """The entries as a tuple, checked to be integers."""
     out = tuple(values)
     for x in out:
-        if not isinstance(x, (int, Fraction)):
-            raise TypeError(f"exact vectors take int or Fraction entries, got {type(x).__name__}")
+        if not isinstance(x, int):
+            raise TypeError(f"exact vectors take int entries, got {type(x).__name__}")
     if length is not None and len(out) != length:
         raise ValueError(f"vector length {len(out)} != ambient dimension {length}")
     return out
 
 
-def _integer_row(row: Sequence) -> list[int]:
-    """The row times the lcm of its denominators: a positive multiple over ``int``."""
-    scale = math.lcm(*(x.denominator for x in row))
-    return [x.numerator * (scale // x.denominator) for x in row]
-
-
-def _content_free(row: list[int]) -> list[int]:
+def _content_free(row: Sequence[int]) -> Sequence[int]:
     """The row divided by the gcd of its entries (a zero row is returned as is)."""
     g = math.gcd(*row)
     return row if g <= 1 else [x // g for x in row]
 
 
-def _echelon(rows: Iterable[Sequence], cols: int) -> tuple[list[list[int]], list[int]]:
+def _echelon(rows: Iterable[Sequence[int]], cols: int) -> tuple[list[Sequence[int]], list[int]]:
     """Fraction-free Gauss-Jordan elimination; returns nonzero rows and pivot columns.
 
-    The rows are scaled to integers.  A row i is cleared at the pivot
-    column by i <- d * i - f * pivot_row, with d the pivot and f the
-    entry of i, then divided by its content.  Every row stays a nonzero
-    multiple of the rational row it stands for, so the pivots are those
-    of rational elimination, and each returned row vanishes on the other
-    rows' pivot columns: divided by its pivot, it is a row of the unique
-    reduced row echelon form.
+    The integer rows start with their content divided out.  A row i is
+    cleared at the pivot column by i <- d * i - f * pivot_row, with d the
+    pivot and f the entry of i, then divided by its content.  Every row
+    stays a nonzero multiple of the rational row it stands for, so the
+    pivots are those of rational elimination, and each returned row
+    vanishes on the other rows' pivot columns: divided by its pivot, it is
+    a row of the unique reduced row echelon form.
     """
-    work = [_content_free(_integer_row(row)) for row in rows]
+    work = [_content_free(row) for row in rows]
     pivots: list[int] = []
     rank = 0
     for col in range(cols):
@@ -126,14 +121,14 @@ class Subspace:
     pivots: tuple[int, ...]
 
     @classmethod
-    def _from_echelon(cls, ambient: int, rows: list[list[int]], pivots: list[int]) -> "Subspace":
+    def _from_echelon(cls, ambient: int, rows: list[Sequence[int]], pivots: list[int]) -> "Subspace":
         """The row space of ``_echelon`` output, each row's sign fixed so its pivot entry is positive."""
         rows = [row if row[col] > 0 else [-x for x in row] for row, col in zip(rows, pivots)]
         return cls(ambient, tuple(map(tuple, rows)), tuple(pivots))
 
     @classmethod
     def span(cls, vectors: Iterable[Sequence], ambient: int) -> "Subspace":
-        """The span of exact (int or Fraction) vectors of length ``ambient``."""
+        """The span of integer vectors of length ``ambient``."""
         if ambient < 0:
             raise ValueError("ambient dimension must be nonnegative")
         return cls._from_echelon(ambient, *_echelon([_to_vector(v, ambient) for v in vectors], ambient))
@@ -158,12 +153,12 @@ class Subspace:
 def kernel_and_row_space(rows: Sequence[Sequence], cols: int) -> tuple[Subspace, Subspace]:
     """ker M and the row space of M, its orthogonal complement, from one elimination.
 
-    Each row of M must have ``cols`` exact (int or Fraction) entries.  The
-    eliminated rows are already the canonical basis of the row space, so
-    they are not reduced a second time.  Each free column, in increasing
-    order, gives the null vector that is nonzero there and 0 at the other
-    free columns, scaled to integers by the lcm of the pivots; those are
-    canonicalized like any other basis.
+    Each row of M must have ``cols`` integer entries.  The eliminated rows
+    are already the canonical basis of the row space, so they are not
+    reduced a second time.  Each free column, in increasing order, gives
+    the null vector that is nonzero there and 0 at the other free
+    columns, scaled to integers by the lcm of the pivots; those are
+    canonicalized by one more elimination.
     """
     work, pivots = _echelon([_to_vector(row, cols) for row in rows], cols)
     scale = math.lcm(*(row[p] for row, p in zip(work, pivots)))
@@ -176,7 +171,8 @@ def kernel_and_row_space(rows: Sequence[Sequence], cols: int) -> tuple[Subspace,
         for row, p in zip(work, pivots):
             v[p] = -row[f] * (scale // row[p])
         vectors.append(v)
-    return Subspace.span(vectors, cols), Subspace._from_echelon(cols, work, pivots)
+    null = Subspace._from_echelon(cols, *_echelon(vectors, cols))
+    return null, Subspace._from_echelon(cols, work, pivots)
 
 
 def kernel(rows: Sequence[Sequence], cols: int) -> Subspace:
@@ -187,37 +183,35 @@ def kernel(rows: Sequence[Sequence], cols: int) -> Subspace:
 def subspace_sum(first: Subspace, second: Subspace) -> Subspace:
     if first.ambient != second.ambient:
         raise ValueError("ambient dimension mismatch")
-    return Subspace.span(first.rows + second.rows, first.ambient)
+    return Subspace._from_echelon(first.ambient, *_echelon(first.rows + second.rows, first.ambient))
 
 
 def psd_violation(entries: Sequence[Sequence]) -> Optional[Vector]:
-    """Direction v with v'Av < 0 for a symmetric rational matrix A, or None.
+    """Rational direction v with v'Av < 0 for a symmetric integer matrix A, or None.
 
     Decides positive semidefiniteness exactly by pivoted symmetric
     elimination (congruence with Schur complements).  The returned
-    witness is verified before being handed back.
+    witness is verified against A before being handed back.
 
-    The elimination runs on L*A for a positive integer L.  A Schur step
-    on the pivot row p with pivot d replaces the active block g by
-    d*g - p p', a positive multiple of the rational Schur complement, and
-    the block is then divided by its content; so every sign, and hence
-    every pivot and witness choice, is the rational one.  Each change of
+    The elimination runs on A itself.  A Schur step on the pivot row p
+    with pivot d replaces the active block g by d*g - p p', a positive
+    multiple of the rational Schur complement, and the block is then
+    divided by its content; so every sign, and hence every pivot and
+    witness choice, is the rational one.  Each change of
     basis vector is kept as an integer multiple of the rational vector,
     whose own coordinate is exactly 1; dividing by that entry recovers
     the rational witness.
     """
-    grid = [list(_to_vector(row)) for row in entries]
-    n = len(grid)
-    if any(len(row) != n for row in grid):
+    original = [_to_vector(row) for row in entries]
+    n = len(original)
+    if any(len(row) != n for row in original):
         raise ValueError("matrix must be square")
     for i in range(n):
         for j in range(i):
-            if grid[i][j] != grid[j][i]:
+            if original[i][j] != original[j][i]:
                 raise ValueError("matrix must be symmetric")
 
-    scale = math.lcm(*(x.denominator for row in grid for x in row))
-    original = [[x.numerator * (scale // x.denominator) for x in row] for row in grid]
-    grid = [row[:] for row in original]
+    grid = [list(row) for row in original]
     # basis[j] is a multiple of the current j-th coordinate direction in original coordinates
     basis = [_unit(j, n) for j in range(n)]
     active = list(range(n))

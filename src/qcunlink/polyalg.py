@@ -125,9 +125,13 @@ class Polynomial:
             raise ValueError("arity must be nonnegative")
         checked: dict[Exponent, Fraction] = {}
         for exponent, coeff in self.terms.items():
-            if any(k != int(k) for k in exponent):
+            try:
+                integral = tuple(int(k) for k in exponent)
+            except (OverflowError, ValueError):  # inf, nan, non-numeric text
+                integral = None
+            if integral != tuple(exponent):
                 raise ValueError(f"non-integer exponent in {tuple(exponent)}")
-            exponent = tuple(int(k) for k in exponent)
+            exponent = integral
             if len(exponent) != self.arity:
                 raise ValueError(
                     f"exponent tuple {exponent} has length {len(exponent)}, expected {self.arity}"

@@ -54,7 +54,6 @@ from .structure import CASE_A, QcVerdict, classify_ray, invariance_and_complemen
 __all__ = [
     "ConcordanceReport",
     "HypothesisFalsified",
-    "HypothesisReport",
     "InvariantViolation",
     "OrthogonalTransform",
     "UnlinkResult",
@@ -301,33 +300,15 @@ def _asymmetry_witness(p: Polynomial) -> dict:
 
 
 @dataclass(frozen=True)
-class HypothesisReport:
-    """Falsifier verdicts and exact covariance of a pair; made only once both inputs are symmetric."""
+class UnlinkResult:
+    """The verdict on a symmetric pair, with its falsifier verdicts and exact covariance."""
 
+    verdict: str
     qc_verdict_u: QcVerdict
     qc_verdict_v: QcVerdict
     cov_exact: Fraction
-
-    def to_json(self) -> dict:
-        return {
-            "symmetry_u": True,
-            "symmetry_v": True,
-            "qc_verdict_u": self.qc_verdict_u.to_json(),
-            "qc_verdict_v": self.qc_verdict_v.to_json(),
-            "cov_exact": str(self.cov_exact),
-        }
-
-
-@dataclass(frozen=True)
-class UnlinkResult:
-    verdict: str
-    hypothesis: HypothesisReport
     report: ConcordanceReport
     transform: Optional[OrthogonalTransform]
-
-    @property
-    def cov_exact(self) -> Fraction:
-        return self.hypothesis.cov_exact
 
     def to_json(self) -> dict:
         """Fixed field order; floats are emitted by the report writer."""
@@ -340,7 +321,13 @@ class UnlinkResult:
             "transform": self.transform.matrix if self.transform else None,
             "u_block": list(self.transform.u_block) if self.transform else None,
             "v_block": list(self.transform.v_block) if self.transform else None,
-            "hypothesis": self.hypothesis.to_json(),
+            "hypothesis": {
+                "symmetry_u": True,
+                "symmetry_v": True,
+                "qc_verdict_u": self.qc_verdict_u.to_json(),
+                "qc_verdict_v": self.qc_verdict_v.to_json(),
+                "cov_exact": str(self.cov_exact),
+            },
         }
 
 
@@ -377,7 +364,6 @@ def unlink_decision(
         raise HypothesisFalsified("v", "quasi-convexity", qc_v.to_json())
 
     cov = covariance(u0, v0)
-    hypothesis = HypothesisReport(qc_u, qc_v, cov)
     report = concordance(u0, v0)
 
     if cov != 0:
@@ -385,7 +371,7 @@ def unlink_decision(
         # projections onto two orthogonal subspaces, which are independent
         if report.r == 0:
             raise InvariantViolation("nonzero exact covariance with r = 0")
-        return UnlinkResult(VERDICT_HYPOTHESIS_FAILED, hypothesis, report, None)
+        return UnlinkResult(VERDICT_HYPOTHESIS_FAILED, qc_u, qc_v, cov, report, None)
 
     transform = build_transform(report)
     coordinates = set(range(1, report.n + 1))
@@ -393,7 +379,7 @@ def unlink_decision(
         if not verify_unlinked(p, transform, coordinates - set(block)):
             raise InvariantViolation(f"{name} depends on a coordinate outside its block")
     verdict = VERDICT_UNLINKED if report.r == 0 else VERDICT_CONTRADICTION
-    return UnlinkResult(verdict, hypothesis, report, transform)
+    return UnlinkResult(verdict, qc_u, qc_v, cov, report, transform)
 
 
 def divergence_check(u_star: Polynomial, y_star: Sequence[float]) -> bool:

@@ -16,8 +16,9 @@ that took powers with ``pow``, compared within a rounding bound,
 sorted the samples again for its marginals, compared bit for bit, and
 ``tokenize`` is the per-character scanner the regex tokenizer replaced.
 ``quadratic_form_fraction`` is the ``Fraction`` quadratic form that the
-integer Hessian replaced in the PSD test of a quadratic.
-Nothing here is used by the package.
+integer Hessian replaced in the PSD test of a quadratic.  ``exactla``
+takes integer matrices only; ``integer_rows`` scales rational rows to
+the integer rows it takes.  Nothing here is used by the package.
 """
 
 from __future__ import annotations
@@ -149,6 +150,16 @@ def classify_ray_probe(g: Polynomial) -> RayClass:
     return RayClass(frozenset(cases), estimates)
 
 
+def integer_rows(rows) -> list[list[int]]:
+    """Each rational row times the lcm of its denominators, a positive multiple over ``int``."""
+    out = []
+    for row in rows:
+        row = [Fraction(x) for x in row]
+        scale = math.lcm(*(x.denominator for x in row))
+        out.append([x.numerator * (scale // x.denominator) for x in row])
+    return out
+
+
 def same_space(first: Subspace, second: Subspace) -> bool:
     """Set equality of two subspaces, by mutual containment over ``Fraction``."""
     return all(contains_vector_fraction(first, row) for row in second.basis) and all(
@@ -226,7 +237,7 @@ def kernel_fraction(rows, cols):
 
 def orthogonal_complement(space: Subspace) -> Subspace:
     """All vectors orthogonal to the given subspace (standard inner product)."""
-    return kernel(space.basis, space.ambient)
+    return kernel(space.rows, space.ambient)
 
 
 def invariance_subspace_by_partials(p: Polynomial) -> Subspace:
@@ -235,7 +246,7 @@ def invariance_subspace_by_partials(p: Polynomial) -> Subspace:
     partials = [partial_derivative(p, i) for i in range(1, n + 1)]
     monomials = sorted({e for q in partials for e in q.terms}, key=lambda e: (sum(e), e))
     rows = [tuple(q.terms.get(m, Fraction(0)) for q in partials) for m in monomials]
-    return kernel(rows, n)
+    return kernel(integer_rows(rows), n)
 
 
 def contains_vector_fraction(space: Subspace, vector) -> bool:
@@ -266,7 +277,7 @@ def intersect(first: Subspace, second: Subspace) -> Subspace:
     """Exact intersection via the stacked constraint systems of both complements."""
     if first.ambient != second.ambient:
         raise ValueError("ambient dimension mismatch")
-    constraints = orthogonal_complement(first).basis + orthogonal_complement(second).basis
+    constraints = orthogonal_complement(first).rows + orthogonal_complement(second).rows
     return kernel(constraints, first.ambient)
 
 

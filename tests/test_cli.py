@@ -622,6 +622,22 @@ def test_cov_accepts_json_input(capsys):
     assert report["cov_exact"] == "2"
 
 
+@pytest.mark.parametrize("name", ["square.poly", "square_sum.json"])
+def test_input_with_byte_order_mark(capsys, tmp_path, monkeypatch, name):
+    # a file saved with a UTF-8 byte-order mark reads as the same polynomial;
+    # both copies share a relative path, so the reports can match byte for byte
+    content = (FIXTURES / name).read_bytes()
+    reports = []
+    for prefix in (b"", b"\xef\xbb\xbf"):
+        directory = tmp_path / ("marked" if prefix else "plain")
+        directory.mkdir()
+        (directory / name).write_bytes(prefix + content)
+        monkeypatch.chdir(directory)
+        reports.append(run(capsys, "cov", "--u", name, "--v", name))
+    assert reports[0][0] == 0
+    assert reports[1] == reports[0]
+
+
 def test_marginal_report(capsys, tmp_path):
     source = tmp_path / "mixed.poly"
     source.write_text("n=2\nx1^4 + x1^2*x2^4\n")

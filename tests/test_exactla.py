@@ -27,6 +27,7 @@ from qcunlink.exactla import (
 from qcunlink.unlink import OrthogonalTransform
 
 from exact_oracles import (
+    integer_rows,
     intersect,
     kernel_fraction,
     nested_columns_fraction,
@@ -38,7 +39,7 @@ from exact_oracles import (
 
 
 def span(vectors, ambient):
-    return Subspace.span([[Fraction(x) for x in v] for v in vectors], ambient)
+    return Subspace.span(integer_rows(vectors), ambient)
 
 
 def zero(ambient):
@@ -75,12 +76,12 @@ def test_kernel_no_rows_is_full_space():
 
 
 def test_kernel_validates_rows():
-    # rows are exact vectors of the declared length; int and Fraction entries agree
-    assert kernel([[1, 2], [3, 4]], 2) == kernel(rows_of([1, 2], [3, 4]), 2)
+    # rows are integer vectors of the declared length
     with pytest.raises(ValueError, match="length 1"):
-        kernel([[Fraction(1), Fraction(0)], [Fraction(1)]], 2)
-    with pytest.raises(TypeError, match="float"):
-        kernel([[0.5, 1]], 2)
+        kernel([[1, 0], [1]], 2)
+    for entry in (0.5, Fraction(1, 2)):
+        with pytest.raises(TypeError, match=type(entry).__name__):
+            kernel([[entry, 1]], 2)
 
 
 # ---------------------------------------------------------------------------
@@ -128,6 +129,20 @@ def test_ambient_mismatch_rejected():
 def test_subspace_rejects_floats():
     with pytest.raises(TypeError):
         Subspace.span([[0.5, 1.0]], 2)
+
+
+def test_public_functions_reject_fraction_entries():
+    # matrices enter over int (kernel: test_kernel_validates_rows); nothing scales rational rows
+    half = Fraction(1, 2)
+    calls = [
+        lambda: kernel_and_row_space([[1, 0], [half, 1]], 2),
+        lambda: Subspace.span([[1, half]], 2),
+        lambda: subspace_sum(Subspace(2, ((1, half),), (0,)), zero(2)),
+        lambda: psd_violation([[half]]),
+    ]
+    for call in calls:
+        with pytest.raises(TypeError, match="Fraction"):
+            call()
 
 
 # ---------------------------------------------------------------------------
@@ -227,13 +242,13 @@ def test_psd_negative_diagonal():
 
 
 def test_psd_indefinite_off_diagonal():
-    a = [[Fraction(0), Fraction(1)], [Fraction(1), Fraction(0)]]
+    a = [[0, 1], [1, 0]]
     v = psd_violation(a)
     assert v is not None and quadratic_value(a, v) < 0
 
 
 def test_psd_schur_detects_hidden_negativity():
-    a = [[Fraction(1), Fraction(2)], [Fraction(2), Fraction(1)]]
+    a = [[1, 2], [2, 1]]
     v = psd_violation(a)
     assert v is not None and quadratic_value(a, v) < 0
 
@@ -249,7 +264,7 @@ def test_psd_matches_eigenvalue_oracle(n, seed):
     rng = np.random.default_rng(seed)
     raw = rng.integers(-4, 5, size=(n, n))
     sym = raw + raw.T
-    a = [[Fraction(int(sym[i, j])) for j in range(n)] for i in range(n)]
+    a = [[int(sym[i, j]) for j in range(n)] for i in range(n)]
     violation = psd_violation(a)
     eigenvalues = np.linalg.eigvalsh(sym.astype(float))
     if violation is None:
@@ -279,9 +294,7 @@ def test_rank_nullity_with_numpy_oracle(rows, cols, seed):
 
 def random_subspace(rng: random.Random, ambient: int) -> Subspace:
     count = rng.randint(0, ambient)
-    vectors = [
-        [Fraction(rng.randint(-4, 4)) for _ in range(ambient)] for _ in range(count)
-    ]
+    vectors = [[rng.randint(-4, 4) for _ in range(ambient)] for _ in range(count)]
     return Subspace.span(vectors, ambient)
 
 
@@ -291,9 +304,9 @@ def test_double_complement_is_identity():
         ambient = rng.randint(1, 6)
         s = random_subspace(rng, ambient)
         # the row space of a basis is the subspace itself, basis for basis
-        complement, rows = kernel_and_row_space(s.basis, ambient)
+        complement, rows = kernel_and_row_space(s.rows, ambient)
         assert rows == s
-        assert kernel_and_row_space(complement.basis, ambient) == (s, complement)
+        assert kernel_and_row_space(complement.rows, ambient) == (s, complement)
         assert complement == orthogonal_complement(s)
 
 
@@ -313,10 +326,7 @@ def test_orthonormalize_random_nested_chains():
     rng = random.Random(17)
     for _ in range(40):
         ambient = rng.randint(2, 7)
-        vectors = [
-            [Fraction(rng.randint(-4, 4)) for _ in range(ambient)]
-            for _ in range(ambient)
-        ]
+        vectors = [[rng.randint(-4, 4) for _ in range(ambient)] for _ in range(ambient)]
         inner = Subspace.span(vectors[: rng.randint(0, ambient - 1)], ambient)
         outer = subspace_sum(inner, Subspace.span(vectors, ambient))
         chain = [inner, outer]
@@ -366,7 +376,10 @@ fractions = st.fractions(min_value=-6, max_value=6, max_denominator=12)
 
 @st.composite
 def rational_rows(draw, max_rows=6, max_cols=6):
-    """(rows, cols): random rows plus zero rows and combinations of drawn rows, shuffled."""
+    """(rows, cols): random rows plus zero rows and combinations of drawn rows, shuffled.
+
+    Each rational row is handed over as its integer multiple.
+    """
     cols = draw(st.integers(0, max_cols))
     row = st.lists(fractions, min_size=cols, max_size=cols)
     rows = draw(st.lists(row, max_size=max_rows))
@@ -377,11 +390,17 @@ def rational_rows(draw, max_rows=6, max_cols=6):
             rows.append([s * x + t * y for x, y in zip(a, b)])
         else:
             rows.append([Fraction(0)] * cols)
-    return draw(st.permutations(rows)), cols
+    return integer_rows(draw(st.permutations(rows))), cols
 
 
 def rows_of(*rows):
-    return [[Fraction(x) for x in row] for row in rows]
+    return integer_rows(rows)
+
+
+def integer_matrix(a):
+    """A times the lcm of all its denominators: one scale, so a symmetric A stays symmetric."""
+    scale = math.lcm(*(Fraction(x).denominator for row in a for x in row))
+    return [[int(x * scale) for x in row] for row in a]
 
 
 @settings(max_examples=150, deadline=None)
@@ -412,7 +431,7 @@ def test_rref_and_kernel_match_fraction_reference(shape):
 def symmetric_matrices(draw, max_n=5):
     """Symmetric rational matrices: random, low-rank Gram forms, zero or boosted diagonals.
 
-    A "late" matrix has its leading diagonal raised, so several Schur
+    Each is handed over as its integer multiple.  A "late" matrix has its leading diagonal raised, so several Schur
     steps run before a negative pivot or a zero diagonal shows.
     """
     n = draw(st.integers(0, max_n))
@@ -421,9 +440,9 @@ def symmetric_matrices(draw, max_n=5):
         k = draw(st.integers(0, n))
         b = [draw(st.lists(fractions, min_size=n, max_size=n)) for _ in range(k)]
         signs = [draw(st.sampled_from([1, 1, -1])) for _ in range(k)]
-        return [
-            [sum(s * r[i] * r[j] for s, r in zip(signs, b)) for j in range(n)] for i in range(n)
-        ]
+        return integer_matrix(
+            [[sum(s * r[i] * r[j] for s, r in zip(signs, b)) for j in range(n)] for i in range(n)]
+        )
     a = [[Fraction(0)] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
@@ -431,14 +450,14 @@ def symmetric_matrices(draw, max_n=5):
                 a[i][j] = a[j][i] = draw(fractions)
         if kind == "late" and i < n - 1:
             a[i][i] += 6
-    return a
+    return integer_matrix(a)
 
 
 @settings(max_examples=200, deadline=None)
 @given(symmetric_matrices())
 @example(rows_of([0, 1], [1, 0]))
 @example(rows_of([4, 6], [6, 5]))
-@example(rows_of([Fraction(1, 3), Fraction(1, 2)], [Fraction(1, 2), 0]))
+@example(integer_matrix([[Fraction(1, 3), Fraction(1, 2)], [Fraction(1, 2), 0]]))
 @example(rows_of([9, -3, -2], [-3, 5, -3], [-2, -3, 1]))  # negative after two Schur steps
 def test_psd_violation_matches_fraction_reference(a):
     witness = psd_violation(a)
@@ -453,7 +472,7 @@ def test_orthonormalize_columns_match_fraction_reference(shape, data):
     rows, ambient = shape
     outer = Subspace.span(rows, ambient)
     cuts = sorted(data.draw(st.lists(st.integers(0, outer.dimension), max_size=4)))
-    chain = [Subspace.span(outer.basis[:cut], ambient) for cut in cuts]
+    chain = [Subspace.span(outer.rows[:cut], ambient) for cut in cuts]
     columns = orthonormalize_nested(chain, ambient)
     assert columns == nested_columns_fraction(chain, ambient)
     assert all(type(x) is int for w in columns for x in w)

@@ -180,6 +180,9 @@ def test_constructor_rejects_malformed_terms():
     for terms, message in [
         ({(1.5,): 1, (1,): 2}, "non-integer exponent"),
         ({("1",): 1}, "non-integer exponent"),
+        ({(float("inf"),): 1}, "non-integer exponent"),
+        ({(float("-inf"),): 1}, "non-integer exponent"),
+        ({(float("nan"),): 1}, "non-integer exponent"),
         ({(1, 0): 1}, "expected 1"),
         ({(-1,): 1}, "negative exponent"),
     ]:

@@ -33,6 +33,7 @@ from exact_oracles import (
     classify_ray_probe,
     invariance_subspace_by_partials,
     orthogonal_complement,
+    psd_violation_fraction,
     quadratic_form_fraction,
     quadratic_witness_doubling,
     restrict_line,
@@ -208,7 +209,7 @@ def scaled_quadratics(draw):
 def test_scaled_hessian_matches_fraction_reference(p):
     # the integer Hessian is a positive multiple of the rational quadratic
     # form, so the PSD test takes the same pivots and returns the same witness
-    reference = psd_violation(quadratic_form_fraction(p))
+    reference = psd_violation_fraction(quadratic_form_fraction(p))
     assert psd_violation(structure._scaled_hessian(p)) == reference
     if reference is None:
         expected = QcVerdict(CERTIFIED_CONVEX_QUADRATIC, None, 0, 5)
@@ -456,9 +457,7 @@ def test_classify_ray_corpus_matches_probe_reference():
 
 def test_invariance_subspace_plane_pair_3d():
     space = invariance_subspace(P("x1^2 + 2*x1*x2 + x2^2", 3))
-    expected = Subspace.span(
-        [[Fraction(1), Fraction(-1), Fraction(0)], [Fraction(0), Fraction(0), Fraction(1)]], 3
-    )
+    expected = Subspace.span([[1, -1, 0], [0, 0, 1]], 3)
     assert same_space(space, expected)
 
 

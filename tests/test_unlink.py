@@ -52,6 +52,7 @@ from exact_oracles import (
     compose_linear,
     contains_vector_fraction,
     covariance_integral_check_reference,
+    integer_rows,
     intersect,
     orthogonal_complement,
     same_space,
@@ -63,7 +64,7 @@ ROT_V = P("x1^2 - 2*x1*x2 + x2^2", 2)
 
 
 def span(vectors, ambient):
-    return Subspace.span([[Fraction(x) for x in v] for v in vectors], ambient)
+    return Subspace.span(integer_rows(vectors), ambient)
 
 
 def identity_transform(n):
@@ -425,7 +426,9 @@ def test_exact_rotations_preserve_the_decision():
         assert (after.r, after.t, after.m) == (before.r, before.t, before.m)
         for p, pq in ((u, uq), (v, vq)):
             basis = invariance_subspace(p).basis
-            moved = Subspace.span([[sum(q[j][i] * x[j] for j in range(n)) for i in range(n)] for x in basis], n)
+            moved = Subspace.span(
+                integer_rows([[sum(q[j][i] * x[j] for j in range(n)) for i in range(n)] for x in basis]), n
+            )
             assert same_space(invariance_subspace(pq), moved)
             assert invariance_subspace(pq) == moved
         if after.r == 0:
