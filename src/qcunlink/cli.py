@@ -11,10 +11,10 @@ randomized work is seeded (flag ``--seed``, falling back to the
 UNLINK_SEED environment variable, then 42), field order is fixed, and
 floats are rendered with 17 significant digits.
 
-Exit codes: 0 success, 2 usage or input parse error, 3 a hypothesis was
-falsified (symmetry or quasi-convexity; the witness is in the report),
-4 the unlink pipeline found a nonzero exact covariance, 5 internal
-invariant violation.
+Exit codes: 0 success, 2 usage or input parse error, or a request too
+large for memory, 3 a hypothesis was falsified (symmetry or
+quasi-convexity; the witness is in the report), 4 the unlink pipeline
+found a nonzero exact covariance, 5 internal invariant violation.
 """
 
 from __future__ import annotations
@@ -204,8 +204,7 @@ def _cmd_check(args) -> tuple[dict, int]:
 def _cmd_invariance(args) -> tuple[dict, int]:
     p = _load_polynomial(args.p)
     constant = p.constant_term()
-    normalized = unlink.normalize_at_origin(p)
-    space = structure.invariance_subspace(normalized)
+    space = structure.invariance_subspace(p)
     report = {
         "command": "invariance",
         "p": args.p,
@@ -219,9 +218,7 @@ def _cmd_invariance(args) -> tuple[dict, int]:
 
 
 def _cmd_concordance(args) -> tuple[dict, int]:
-    u = unlink.normalize_at_origin(_load_polynomial(args.u))
-    v = unlink.normalize_at_origin(_load_polynomial(args.v))
-    report = unlink.concordance(u, v)
+    report = unlink.concordance(_load_polynomial(args.u), _load_polynomial(args.v))
     payload = {"command": "concordance", "u": args.u, "v": args.v}
     payload.update(report.to_json())
     return payload, EXIT_OK
@@ -286,19 +283,18 @@ def _cmd_verify(args) -> tuple[dict, int]:
         raise ValueError(f"{directory}: no .poly or .json fixtures found")
     rng = random.Random(args.seed)
     fixtures = []
-    loaded: list[tuple[str, Polynomial]] = []
+    loaded: list[Polynomial] = []
     all_pass = True
     for path in paths:
         p = _load_polynomial(str(path))
-        normalized = unlink.normalize_at_origin(p)
         round_trip = parse_expression(to_expression(p), p.arity) == p
         via_parity = is_symmetric(p)
         reflected = Polynomial._from_terms(
             p.arity, {e: (-c if sum(e) % 2 else c) for e, c in p.terms.items()}
         )
         symmetry_consistent = via_parity == (p - reflected).is_zero
-        space = structure.invariance_subspace(normalized)
-        basis_rays = all(structure.ray_constant(normalized, vec) for vec in space.basis)
+        space = structure.invariance_subspace(p)
+        basis_rays = all(structure.ray_constant(p, vec) for vec in space.basis)
         combos = True
         for _ in range(20):
             if not space.basis:
@@ -308,7 +304,7 @@ def _cmd_verify(args) -> tuple[dict, int]:
                 sum(c * row[i] for c, row in zip(coeffs, space.basis))
                 for i in range(p.arity)
             ]
-            if not structure.ray_constant(normalized, vec):
+            if not structure.ray_constant(p, vec):
                 combos = False
                 break
         entry_pass = round_trip and symmetry_consistent and basis_rays and combos
@@ -323,10 +319,10 @@ def _cmd_verify(args) -> tuple[dict, int]:
                 "pass": entry_pass,
             }
         )
-        loaded.append((path.name, normalized))
+        loaded.append(p)
     pairs = 0
     concordance_symmetric = True
-    for (_, a), (_, b) in itertools.combinations(loaded, 2):
+    for a, b in itertools.combinations(loaded, 2):
         if a.arity != b.arity:
             continue
         pairs += 1
@@ -471,6 +467,10 @@ def main(argv=None) -> int:
             _emit(report, args.out)
     except (ValueError, OSError) as exc:
         print(f"qcunlink: error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError:
+        # numpy's message quotes the requested size, so none is echoed
+        print("qcunlink: error: not enough memory for this command", file=sys.stderr)
         return EXIT_USAGE
     except unlink.InvariantViolation as exc:
         print(f"qcunlink: internal invariant violation: {exc}", file=sys.stderr)

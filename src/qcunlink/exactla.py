@@ -110,10 +110,10 @@ class Subspace:
 
     ``rows`` are the rows of the reduced row echelon form (RREF) of any
     spanning set, each scaled to the primitive integer vector with a
-    positive leading entry, and ``pivots`` their leading columns; build
-    one with ``span``.  ``basis`` is the RREF itself, ``Fraction`` rows
-    with leading entry 1, formed on first use.  All three are unique for
-    the subspace.
+    positive leading entry, and ``pivots`` their leading columns; the
+    span of integer rows is ``kernel_and_row_space(rows, n)[1]``.
+    ``basis`` is the RREF itself, ``Fraction`` rows with leading entry
+    1, formed on first use.  All three are unique for the subspace.
     """
 
     ambient: int
@@ -125,13 +125,6 @@ class Subspace:
         """The row space of ``_echelon`` output, each row's sign fixed so its pivot entry is positive."""
         rows = [row if row[col] > 0 else [-x for x in row] for row, col in zip(rows, pivots)]
         return cls(ambient, tuple(map(tuple, rows)), tuple(pivots))
-
-    @classmethod
-    def span(cls, vectors: Iterable[Sequence], ambient: int) -> "Subspace":
-        """The span of integer vectors of length ``ambient``."""
-        if ambient < 0:
-            raise ValueError("ambient dimension must be nonnegative")
-        return cls._from_echelon(ambient, *_echelon([_to_vector(v, ambient) for v in vectors], ambient))
 
     @cached_property
     def basis(self) -> tuple[Vector, ...]:

@@ -13,13 +13,14 @@ most two, where convexity (equivalently quasi-convexity) reduces to an
 exact positive-semidefiniteness test of the quadratic form; a failed
 test yields a deterministic witness instead of relying on sampling luck.
 
-The invariance subspace of p (all directions a with p(t*a) = 0 for every
-t, for normalized p with p(0) = 0) is computed as the kernel of the
-linear map v -> derivative of p along v, which is a finite exact
-computation.  That kernel is always contained in the invariance set; for
-quasi-convex inputs the two coincide.  The map's integer matrix is built
-once from p's terms (``derivative_matrix``), and one elimination of it
-gives both the subspace and its orthogonal complement, the row space.
+The invariance subspace of p (all directions a with p(t*a) = p(0) for
+every t) is computed as the kernel of the linear map v -> derivative of
+p along v, which is a finite exact computation; the constant term of p
+never enters it, so p is taken as it is.  That kernel is always
+contained in the invariance set; for quasi-convex inputs the two
+coincide.  The map's integer matrix is built once from p's terms
+(``derivative_matrix``), and one elimination of it gives both the
+subspace and its orthogonal complement, the row space.
 """
 
 from __future__ import annotations
@@ -325,18 +326,13 @@ def classify_ray(g: Polynomial) -> RayClass:
     return RayClass(frozenset(estimates), estimates)
 
 
-def _require_zero_at_origin(p: Polynomial):
-    if p.constant_term() != 0:
-        raise ValueError("polynomial must vanish at the origin; subtract p(0) first")
-
-
 def invariance_subspace(p: Polynomial) -> Subspace:
-    """Exact subspace of directions v along which p is constant on every line.
+    """Exact subspace of directions a with p(t*a) = p(0) for every t.
 
     Computed as the kernel of the matrix of the linear map
     v -> derivative of p along v (``derivative_matrix``).  The order of
     its rows does not matter: the basis is the RREF basis of the kernel,
-    unique for the subspace.  Requires p(0) = 0.
+    unique for the subspace.
     """
     return invariance_and_complement(p)[0]
 
@@ -345,21 +341,13 @@ def invariance_and_complement(p: Polynomial) -> tuple[Subspace, Subspace]:
     """The invariance subspace I_p and its orthogonal complement, from one elimination.
 
     I_p is the kernel of the derivative matrix M of p, so its complement
-    is the row space of M, read off the same elimination.  Requires
-    p(0) = 0.
+    is the row space of M, read off the same elimination.
     """
-    _require_zero_at_origin(p)
     return kernel_and_row_space(derivative_matrix(p), p.arity)
 
 
 def ray_constant(p: Polynomial, direction: Sequence) -> bool:
-    """Exact test that p vanishes identically on the line through 0 along a.
-
-    Requires p(0) = 0; then the restriction t -> p(t*a) must be the zero
-    polynomial.
-    """
-    _require_zero_at_origin(p)
+    """Exact test that p(t*a) = p(0) for every t: p is constant on the line through 0 along a."""
     if len(direction) != p.arity:
         raise ValueError("direction length must equal the arity")
-    return restrict_ray(p, direction).is_zero
-
+    return restrict_ray(p, direction).total_degree() == 0

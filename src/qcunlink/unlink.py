@@ -6,7 +6,9 @@ pipeline decides this for a pair (u, v) of symmetric quasi-convex
 polynomials over a standard Gaussian vector:
 
 1. normalize so both vanish at the origin (subtracting the value at 0
-   changes neither symmetry, quasi-convexity, nor covariance);
+   changes neither symmetry, quasi-convexity, covariance nor the
+   invariance subspaces), so that the witness values in a report are
+   those of u - u(0) and v - v(0);
 2. check symmetry exactly and run the quasi-convexity falsifier, both
    hard hypotheses;
 3. compute the exact covariance; a nonzero value already rules the pair
@@ -139,9 +141,8 @@ class ConcordanceReport:
 def concordance(u: Polynomial, v: Polynomial) -> ConcordanceReport:
     """Exact concordance order r and the bases behind it.
 
-    Both inputs must vanish at the origin (normalize first).  The order
-    is computed from each side and must agree; a mismatch would be a bug
-    in the exact linear algebra.
+    The order is computed from each side and must agree; a mismatch
+    would be a bug in the exact linear algebra.
     """
     if u.arity != v.arity:
         raise ValueError(f"arity mismatch: {u.arity} != {v.arity}")

@@ -147,6 +147,17 @@ def test_exit_2_missing_file(capsys):
     assert code == 2
 
 
+def test_exit_2_request_too_large_for_memory(capsys):
+    # 2 x 10^14 float64 values are 1.42 PiB: numpy refuses them at once,
+    # allocating nothing, and its message (with the size) is not echoed
+    square = str(FIXTURES / "square.poly")
+    argv = ["cov", "--u", square, "--v", square, "--mc", "--mc-samples", str(10**14)]
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == "qcunlink: error: not enough memory for this command\n"
+
+
 @pytest.mark.parametrize(
     "terms, message",
     [

@@ -4,6 +4,7 @@ import ast
 import dataclasses
 import importlib
 import inspect
+import re
 from pathlib import Path
 
 import qcunlink
@@ -35,8 +36,9 @@ UNCALLED_SPOTCHECKS = {
 def referenced_names(path):
     """(name, enclosing definition) for every name and attribute read in a module.
 
-    The enclosing definition is the top-level function or class, or
-    ``Class.method`` inside a method.
+    An attribute of a plain name is also recorded qualified, as
+    ``Class.method`` for ``Class.method``.  The enclosing definition is
+    the top-level function or class, or ``Class.method`` inside a method.
     """
     found = set()
     for top in ast.parse(path.read_text(), filename=str(path)).body:
@@ -52,6 +54,8 @@ def referenced_names(path):
                     found.add((node.id, owner))
                 elif isinstance(node, ast.Attribute):
                     found.add((node.attr, owner))
+                    if isinstance(node.value, ast.Name):
+                        found.add((f"{node.value.id}.{node.attr}", owner))
     return found
 
 
@@ -59,7 +63,8 @@ def test_every_public_function_has_a_caller():
     # a public function, or a public method of an exported class, is used
     # somewhere in the package outside its own body; names are matched as
     # identifiers, so any function, method or attribute of the same name
-    # counts as a use
+    # counts as a use; a classmethod or staticmethod counts as used only
+    # where it is named through its class, as ``Class.method``
     uses = {}
     for path in SOURCES:
         if path.name != "__init__.py":
@@ -77,7 +82,8 @@ def test_every_public_function_has_a_caller():
                 for method, member in vars(value).items():
                     owner = f"{name}.{method}"
                     if not method.startswith("_") and inspect.isroutine(member):
-                        if not uses.get(method, set()) - {(path.stem, owner)}:
+                        used_as = owner if isinstance(member, (classmethod, staticmethod)) else method
+                        if not uses.get(used_as, set()) - {(path.stem, owner)}:
                             uncalled.append(f"{path.stem}.{owner}")
     assert uncalled == []
     assert all(hasattr(qcunlink, name) for name in UNCALLED_SPOTCHECKS)
@@ -156,3 +162,12 @@ def test_only_sampling_uses_numpy():
                 found.append(f"{path.name}:{node.module}:{node.lineno}")
     assert "sampling.py" in {path.name for path in SOURCES}
     assert found == []
+
+
+def test_declared_python_floor_is_at_least_3_10_7():
+    # every command calls sys.get_int_max_str_digits, which first appears in
+    # 3.10.7; the floor is read by regex, since 3.10 has no tomllib
+    text = (Path(__file__).parent.parent / "pyproject.toml").read_text()
+    match = re.search(r'^requires-python = ">=(\d+)\.(\d+)(?:\.(\d+))?"$', text, re.MULTILINE)
+    assert match
+    assert tuple(int(part or 0) for part in match.groups()) >= (3, 10, 7)

@@ -10,7 +10,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from qcunlink import structure
-from qcunlink.exactla import Subspace, psd_violation
+from qcunlink.exactla import kernel_and_row_space, psd_violation
 from qcunlink.polyalg import Polynomial, evaluate
 from qcunlink.structure import (
     CASE_A,
@@ -457,7 +457,7 @@ def test_classify_ray_corpus_matches_probe_reference():
 
 def test_invariance_subspace_plane_pair_3d():
     space = invariance_subspace(P("x1^2 + 2*x1*x2 + x2^2", 3))
-    expected = Subspace.span([[1, -1, 0], [0, 0, 1]], 3)
+    expected = kernel_and_row_space([[1, -1, 0], [0, 0, 1]], 3)[1]
     assert same_space(space, expected)
 
 
@@ -469,9 +469,20 @@ def test_invariance_subspace_zero_polynomial_full():
     assert invariance_subspace(Polynomial(2)).dimension == 2
 
 
-def test_invariance_subspace_requires_vanishing_origin():
-    with pytest.raises(ValueError, match="origin"):
-        invariance_subspace(P("x1^2 + 1", 1))
+# constants added to a polynomial; none of them moves its invariance subspace
+SHIFTS = (1, Fraction(7, 3), -5, Fraction(10**50, 3))
+
+
+def shifted(p, c):
+    return p + Polynomial.constant(p.arity, c)
+
+
+def test_invariance_ignores_the_constant_term():
+    for name, p in QC_FIXTURES + NON_QC_FIXTURES:
+        for c in SHIFTS:
+            q = shifted(p, c)
+            assert invariance_subspace(q) == invariance_subspace(p), (name, c)
+            assert invariance_and_complement(q) == invariance_and_complement(p), (name, c)
 
 
 def test_ray_constant_examples():
@@ -479,6 +490,20 @@ def test_ray_constant_examples():
     assert ray_constant(p, (1, -1))
     assert not ray_constant(p, (1, 0))
     assert ray_constant(p, (0, 0))
+
+
+def test_ray_constant_ignores_the_constant_term():
+    rng = random.Random(37)
+    for name, p in QC_FIXTURES + NON_QC_FIXTURES:
+        space = invariance_subspace(p)
+        directions = list(space.basis)
+        directions += [[Fraction(rng.randint(-5, 5)) for _ in range(p.arity)] for _ in range(4)]
+        for direction in directions:
+            for c in SHIFTS:
+                assert ray_constant(shifted(p, c), direction) == ray_constant(p, direction), name
+    # both answers occur
+    p = shifted(P("x1^2 + 2*x1*x2 + x2^2", 2), 3)
+    assert ray_constant(p, (1, -1)) and not ray_constant(p, (1, 1))
 
 
 def test_check_translation_invariance_examples():
@@ -512,27 +537,21 @@ coefficients = st.fractions(min_value=-3, max_value=3, max_denominator=6)
 
 
 @st.composite
-def arbitrary_zero_at_origin(draw):
+def arbitrary_polynomials(draw):
     arity = draw(st.integers(1, 3))
     terms = {}
     for _ in range(draw(st.integers(1, 5))):
         exponent = tuple(draw(st.integers(0, 3)) for _ in range(arity))
-        if not any(exponent):
-            continue
         terms[exponent] = draw(coefficients)
     return Polynomial(arity, terms)
 
 
 @settings(max_examples=80, deadline=None)
-@given(arbitrary_zero_at_origin())
+@given(arbitrary_polynomials())
 def test_derivative_kernel_inside_invariance_set(p):
-    # holds for any polynomial with p(0) = 0, quasi-convex or not
+    # holds for any polynomial, quasi-convex or not, whatever its constant term
     for vector in invariance_subspace(p).basis:
         assert ray_constant(p, vector)
-
-
-def at_origin_zero(p):
-    return p - Polynomial.constant(p.arity, p.constant_term())
 
 
 @settings(max_examples=60, deadline=None)
@@ -542,7 +561,6 @@ def at_origin_zero(p):
 def test_invariance_pair_matches_partial_derivative_reference(p):
     # one elimination of the integer matrix gives the bases that the
     # partial-derivative kernel and its kernel-of-kernel complement gave
-    p = at_origin_zero(p)
     inv, perp = invariance_and_complement(p)
     reference = invariance_subspace_by_partials(p)
     assert inv.basis == reference.basis

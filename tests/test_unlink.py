@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qcunlink import sampling, unlink
-from qcunlink.exactla import Subspace, subspace_sum
+from qcunlink.exactla import kernel_and_row_space, subspace_sum
 from qcunlink.gaussmeasure import covariance, expectation
 from qcunlink.polyalg import Polynomial
 from qcunlink.sampling import correlation_spotcheck, covariance_integral_check
@@ -64,7 +64,7 @@ ROT_V = P("x1^2 - 2*x1*x2 + x2^2", 2)
 
 
 def span(vectors, ambient):
-    return Subspace.span(integer_rows(vectors), ambient)
+    return kernel_and_row_space(integer_rows(vectors), ambient)[1]
 
 
 def identity_transform(n):
@@ -107,9 +107,18 @@ def test_concordance_disjoint_squares():
     assert (report.r, report.t, report.m) == (0, 1, 1)
 
 
-def test_concordance_requires_normalized_inputs():
-    with pytest.raises(ValueError, match="origin"):
-        concordance(P("x1^2 + 1", 1), P("x1^2", 1))
+def test_concordance_ignores_the_constant_terms():
+    # r, t, m and every basis are those of the inputs without their constants
+    shifts = (0, 1, Fraction(7, 3), -5, Fraction(-(10**50), 7))
+    for name_u, u in QC_FIXTURES:
+        for name_v, v in QC_FIXTURES:
+            if u.arity != v.arity:
+                continue
+            report = concordance(u, v)
+            for c1, c2 in zip(shifts, shifts[::-1]):
+                moved_u = u + Polynomial.constant(u.arity, c1)
+                moved_v = v + Polynomial.constant(v.arity, c2)
+                assert concordance(moved_u, moved_v) == report, (name_u, name_v, c1, c2)
 
 
 def test_concordance_arity_mismatch():
@@ -426,9 +435,7 @@ def test_exact_rotations_preserve_the_decision():
         assert (after.r, after.t, after.m) == (before.r, before.t, before.m)
         for p, pq in ((u, uq), (v, vq)):
             basis = invariance_subspace(p).basis
-            moved = Subspace.span(
-                integer_rows([[sum(q[j][i] * x[j] for j in range(n)) for i in range(n)] for x in basis]), n
-            )
+            moved = span([[sum(q[j][i] * x[j] for j in range(n)) for i in range(n)] for x in basis], n)
             assert same_space(invariance_subspace(pq), moved)
             assert invariance_subspace(pq) == moved
         if after.r == 0:
@@ -523,7 +530,7 @@ def test_verify_unlinked_rejects_mismatched_transform():
 def test_certificate_matches_directional_derivative_reference(p, data):
     # columns from the invariance subspace are certified, any other column is refused
     n = p.arity
-    space = invariance_subspace(p - Polynomial.constant(n, p.constant_term()))
+    space = invariance_subspace(p)
     entries = st.integers(-3, 3)
     columns = []
     for _ in range(n):
