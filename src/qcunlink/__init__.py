@@ -36,7 +36,6 @@ from .unlink import (
     build_transform,
     concordance,
     divergence_check,
-    normalize_at_origin,
     unlink_decision,
     verify_unlinked,
 )

@@ -121,8 +121,11 @@ class Polynomial:
     terms: dict[Exponent, Fraction] = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.arity < 0:
-            raise ValueError("arity must be nonnegative")
+        arity = self.arity
+        # bool is Integral, and a float arity would reach tuple repetition
+        if isinstance(arity, bool) or not isinstance(arity, numbers.Integral) or arity < 0:
+            raise ValueError("arity must be a nonnegative integer")
+        object.__setattr__(self, "arity", int(arity))
         checked: dict[Exponent, Fraction] = {}
         for exponent, coeff in self.terms.items():
             try:

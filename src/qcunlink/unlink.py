@@ -5,19 +5,15 @@ variables makes them depend on disjoint sets of coordinates.  The
 pipeline decides this for a pair (u, v) of symmetric quasi-convex
 polynomials over a standard Gaussian vector:
 
-1. normalize so both vanish at the origin (subtracting the value at 0
-   changes neither symmetry, quasi-convexity, covariance nor the
-   invariance subspaces), so that the witness values in a report are
-   those of u - u(0) and v - v(0);
-2. check symmetry exactly and run the quasi-convexity falsifier, both
+1. check symmetry exactly and run the quasi-convexity falsifier, both
    hard hypotheses;
-3. compute the exact covariance; a nonzero value already rules the pair
+2. compute the exact covariance; a nonzero value already rules the pair
    out;
-4. compute the concordance order r: with I_u the invariance subspace of
+3. compute the concordance order r: with I_u the invariance subspace of
    u, r = dim(I_u complement) - dim(I_u complement intersected with
    I_v).  The count is symmetric in u and v and is computed both ways as
    a consistency check;
-5. if r = 0, assemble an orthonormal basis adapted to the nested chain
+4. if r = 0, assemble an orthonormal basis adapted to the nested chain
    (overlap) < (I_u complement) < (I_u complement + I_v complement) and
    certify exactly that each polynomial, composed with it, does not
    depend on the other's coordinates.  Since
@@ -65,7 +61,6 @@ __all__ = [
     "build_transform",
     "concordance",
     "divergence_check",
-    "normalize_at_origin",
     "unlink_decision",
     "verify_unlinked",
 ]
@@ -82,7 +77,10 @@ class HypothesisFalsified(Exception):
     """A hard hypothesis (symmetry or quasi-convexity) fails for an input.
 
     ``which`` names the failing input ("u" or "v"), ``kind`` the failed
-    hypothesis, and ``witness`` a JSON-ready certificate.
+    hypothesis, and ``witness`` a JSON-ready certificate.  Its values are
+    values of the input as given, constant term included, so a
+    quasi-convexity witness is the one ``qc_falsify`` reports for that
+    input on its own.
     """
 
     def __init__(self, which: str, kind: str, witness: dict):
@@ -90,12 +88,6 @@ class HypothesisFalsified(Exception):
         self.which = which
         self.kind = kind
         self.witness = witness
-
-
-def normalize_at_origin(p: Polynomial) -> Polynomial:
-    """Subtract the constant term so the polynomial vanishes at 0."""
-    c = p.constant_term()
-    return p if c == 0 else p - Polynomial.constant(p.arity, c)
 
 
 @dataclass(frozen=True)
@@ -349,23 +341,21 @@ def unlink_decision(
     """
     if u.arity != v.arity:
         raise ValueError(f"arity mismatch: {u.arity} != {v.arity}")
-    u0 = normalize_at_origin(u)
-    v0 = normalize_at_origin(v)
 
-    if not is_symmetric(u0):
-        raise HypothesisFalsified("u", "symmetry", _asymmetry_witness(u0))
-    if not is_symmetric(v0):
-        raise HypothesisFalsified("v", "symmetry", _asymmetry_witness(v0))
+    if not is_symmetric(u):
+        raise HypothesisFalsified("u", "symmetry", _asymmetry_witness(u))
+    if not is_symmetric(v):
+        raise HypothesisFalsified("v", "symmetry", _asymmetry_witness(v))
 
-    qc_u = qc_falsify(u0, trials, seed)
+    qc_u = qc_falsify(u, trials, seed)
     if qc_u.falsified:
         raise HypothesisFalsified("u", "quasi-convexity", qc_u.to_json())
-    qc_v = qc_falsify(v0, trials, seed)
+    qc_v = qc_falsify(v, trials, seed)
     if qc_v.falsified:
         raise HypothesisFalsified("v", "quasi-convexity", qc_v.to_json())
 
-    cov = covariance(u0, v0)
-    report = concordance(u0, v0)
+    cov = covariance(u, v)
+    report = concordance(u, v)
 
     if cov != 0:
         # r = 0 puts I_v^perp inside I_u, so u and v are functions of the
@@ -376,7 +366,7 @@ def unlink_decision(
 
     transform = build_transform(report)
     coordinates = set(range(1, report.n + 1))
-    for name, p, block in (("u", u0, transform.u_block), ("v", v0, transform.v_block)):
+    for name, p, block in (("u", u, transform.u_block), ("v", v, transform.v_block)):
         if not verify_unlinked(p, transform, coordinates - set(block)):
             raise InvariantViolation(f"{name} depends on a coordinate outside its block")
     verdict = VERDICT_UNLINKED if report.r == 0 else VERDICT_CONTRADICTION

@@ -481,6 +481,22 @@ def test_exit_3_unlink_tiny_non_quasi_convex(capsys, tmp_path):
     assert values[2] > max(values[:2])
 
 
+def test_unlink_and_check_report_the_same_witness_on_a_shifted_input(capsys, tmp_path):
+    # the constant term is part of the input: both commands print values of u itself
+    u = tmp_path / "u.poly"
+    u.write_text("n=2\nx1^2 + x2^2 - 1/10*x1^4 + 3\n")
+    v = tmp_path / "v.poly"
+    v.write_text("n=2\nx2^2\n")
+    flags = ("--seed", "1", "--trials", "2000")
+    code, unlinked, _ = run_json(capsys, "unlink", "--u", str(u), "--v", str(v), *flags)
+    assert code == 3
+    assert (unlinked["input"], unlinked["kind"]) == ("u", "quasi-convexity")
+    code, checked, _ = run_json(capsys, "check", "--p", str(u), *flags)
+    assert code == 3
+    assert unlinked["witness"]["witness"] == checked["qc"]["witness"]
+    assert unlinked["witness"]["trials"] == checked["qc"]["trials"]
+
+
 def test_exit_3_unlink_asymmetric_many_variables(capsys, tmp_path):
     # a product of 255 variables vanishes on most points with one zero coordinate in [-9, 9]
     u = tmp_path / "u.poly"

@@ -191,6 +191,23 @@ def test_constructor_rejects_malformed_terms():
     assert Polynomial(1, {(2.0,): 3, (np.int64(1),): 1}) == P("3*x1^2 + x1", 1)
 
 
+@pytest.mark.parametrize(
+    "arity, terms",
+    [(2.0, {(2, 0): 1}), (True, {(2,): 1}), (False, {}), ("2", {}), (None, {}), (-1, {})],
+)
+def test_constructor_rejects_non_integer_arity(arity, terms):
+    # bool is Integral, and a float arity would fail only later, in tuple repetition
+    with pytest.raises(ValueError, match="arity must be a nonnegative integer"):
+        Polynomial(arity, terms)
+
+
+def test_constructor_stores_an_integral_arity_as_int():
+    p = Polynomial(np.int64(2), {(2, 0): 1})
+    assert type(p.arity) is int
+    assert p == P("x1^2", 2)
+    assert p.constant_term() == 0
+
+
 def test_combine_arity_mismatch():
     with pytest.raises(ValueError, match="arity"):
         P("x1", 1) + P("x1", 2)

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from qcunlink import sampling, unlink
 from qcunlink.exactla import kernel_and_row_space, subspace_sum
 from qcunlink.gaussmeasure import covariance, expectation
-from qcunlink.polyalg import Polynomial
+from qcunlink.polyalg import Polynomial, evaluate
 from qcunlink.sampling import correlation_spotcheck, covariance_integral_check
 from qcunlink.structure import invariance_subspace
 from qcunlink.unlink import (
@@ -33,12 +33,12 @@ from qcunlink.unlink import (
     build_transform,
     concordance,
     divergence_check,
-    normalize_at_origin,
     unlink_decision,
     verify_unlinked,
 )
 
 from corpus import (
+    NON_QC_FIXTURES,
     QC_FIXTURES,
     P,
     cayley,
@@ -290,9 +290,54 @@ def test_unlink_already_separated_quartics():
     assert separated(P("x2^4", 2), result.transform, result.transform.v_block)
 
 
-def test_unlink_normalizes_constant_offsets():
+SHIFTS = (1, Fraction(7, 3), -5, Fraction(-(10**50), 7))
+
+
+def shifted(p, c):
+    return p + Polynomial.constant(p.arity, c)
+
+
+def falsification(u, v):
+    with pytest.raises(HypothesisFalsified) as err:
+        unlink_decision(u, v, seed=1, trials=2000)
+    return err.value
+
+
+def test_unlink_ignores_constant_offsets():
+    # symmetry, quasi-convexity, covariance and the invariance subspaces
+    # are unchanged by a constant, so the whole result is; a witness keeps
+    # its points and trial, and its values are those of the shifted input
     result = unlink_decision(P("x1^4 + 5", 2), P("x2^4 - 1/3", 2))
+    assert result == unlink_decision(P("x1^4", 2), P("x2^4", 2))
     assert result.verdict == VERDICT_UNLINKED
+    for k, (u, v) in enumerate(decision_pairs(random.Random(2022))):
+        c1, c2 = SHIFTS[k % 4], SHIFTS[-1 - k % 4]
+        assert unlink_decision(shifted(u, c1), shifted(v, c2), trials=20) == unlink_decision(u, v, trials=20)
+    falsified = [p for _, p in NON_QC_FIXTURES] + [P("x1^2 + x2^2 - 1/10*x1^4 + 3", 2)]
+    for p, c in ((p, c) for p in falsified for c in SHIFTS):
+        square, moved = P("x1^2", p.arity), shifted(p, c)
+        sides = (("u", (p, square), (moved, square)), ("v", (square, p), (square, moved)))
+        for which, pair, moved_pair in sides:
+            before, after = falsification(*pair), falsification(*moved_pair)
+            assert (after.which, after.kind) == (which, "quasi-convexity")
+            assert {**after.witness, "witness": None} == {**before.witness, "witness": None}
+            old, new = before.witness["witness"], after.witness["witness"]
+            assert {**new, "values": None} == {**old, "values": None}
+            assert [Fraction(a) - Fraction(b) for a, b in zip(new["values"], old["values"])] == [c] * 3
+            x, y = ([Fraction(t) for t in new[key]] for key in ("x", "y"))
+            alpha = Fraction(new["alpha"])
+            mid = [alpha * a + (1 - alpha) * b for a, b in zip(x, y)]
+            assert [Fraction(t) for t in new["values"]] == [
+                evaluate(moved, point) for point in (x, y, mid)
+            ]
+    for p in (P("x1^3 + x2^2", 2), P("x1^3 + x1^2", 2), P("x1*x2^2 + x2^4", 2)):
+        for c in SHIFTS:
+            before = falsification(p, P("x1^2", 2)).witness
+            after = falsification(shifted(p, c), P("x1^2", 2)).witness
+            assert after["x"] == before["x"]
+            x = [Fraction(t) for t in after["x"]]
+            assert Fraction(after["p_x"]) == Fraction(before["p_x"]) + c == evaluate(shifted(p, c), x)
+            assert Fraction(after["p_minus_x"]) == evaluate(shifted(p, c), [-t for t in x])
 
 
 def test_unlink_rejects_asymmetric_input():
@@ -340,11 +385,10 @@ def test_unlinked_verdicts_have_zero_covariance_and_clean_blocks():
         assert result.cov_exact == 0
         transform = result.transform
         n = transform.n
-        u0, v0 = normalize_at_origin(u), normalize_at_origin(v)
         forbidden_u = set(range(1, n + 1)) - set(transform.u_block)
-        assert verify_unlinked(u0, transform, forbidden_u) is True
+        assert verify_unlinked(u, transform, forbidden_u) is True
         overlap_coords = range(result.report.r + 1, result.report.r + result.report.t + 1)
-        assert verify_unlinked(v0, transform, overlap_coords) is True
+        assert verify_unlinked(v, transform, overlap_coords) is True
 
 
 def test_theorem_direction_on_overlapping_pairs():
@@ -410,12 +454,8 @@ def seeded_rotation(rng, n):
     return cayley(skew)
 
 
-def test_exact_rotations_preserve_the_decision():
-    # X and QX are both standard Gaussian for an orthogonal Q, and
-    # D_a (p o Q) = (D_{Qa} p) o Q, so rotating a pair keeps its covariance
-    # and its r, t and m, and maps I_p to Q^T I_p; where both hypotheses are
-    # decided exactly (degree <= 2) the verdict is kept too
-    rng = random.Random(2022)
+def decision_pairs(rng):
+    """16 overlapping convex pairs of arity <= 5 and degree <= 4, then 150 PSD quadratic pairs."""
     pairs = []
     while len(pairs) < 16:
         u, v, _ = overlapping_convex_pair(rng)
@@ -424,8 +464,17 @@ def test_exact_rotations_preserve_the_decision():
     for _ in range(150):
         arity = rng.randint(2, 5)
         pairs.append((random_psd_quadratic(rng, arity), random_psd_quadratic(rng, arity)))
+    return pairs
+
+
+def test_exact_rotations_preserve_the_decision():
+    # X and QX are both standard Gaussian for an orthogonal Q, and
+    # D_a (p o Q) = (D_{Qa} p) o Q, so rotating a pair keeps its covariance
+    # and its r, t and m, and maps I_p to Q^T I_p; where both hypotheses are
+    # decided exactly (degree <= 2) the verdict is kept too
+    rng = random.Random(2022)
     zero_order = 0
-    for u, v in pairs:
+    for u, v in decision_pairs(rng):
         n = u.arity
         q = seeded_rotation(rng, n)
         uq, vq = compose_linear(u, q), compose_linear(v, q)
