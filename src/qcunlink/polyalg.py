@@ -158,6 +158,21 @@ class Polynomial:
         scale = math.lcm(*(c.denominator for c in self.terms.values()))
         return scale, tuple((e, c.numerator * (scale // c.denominator)) for e, c in self.terms.items())
 
+    @cached_property
+    def _derivative_matrix(self) -> tuple[tuple[int, ...], ...]:
+        """The rows of ``derivative_matrix(self)``, built once."""
+        rows: dict[Exponent, list[int]] = {}
+        for exponent, coeff in self._integer_terms[1]:
+            for i, k in enumerate(exponent):
+                if k:
+                    monomial = exponent[:i] + (k - 1,) + exponent[i + 1 :]
+                    row = rows.get(monomial)
+                    if row is None:
+                        row = rows[monomial] = [0] * self.arity
+                    # x^monomial * x_i is the one term that reaches this entry
+                    row[i] = coeff * k
+        return tuple(map(tuple, rows.values()))
+
     @classmethod
     def constant(cls, arity: int, value) -> "Polynomial":
         return cls(arity, {(0,) * arity: value})
@@ -248,7 +263,7 @@ def restrict_ray(p: Polynomial, direction: Sequence) -> Polynomial:
     return Polynomial._from_terms(1, out)
 
 
-def derivative_matrix(p: Polynomial) -> list[list[int]]:
+def derivative_matrix(p: Polynomial) -> tuple[tuple[int, ...], ...]:
     """Integer matrix M of the linear map v -> D_v p = sum_i v_i * dp/dx_i.
 
     M has one column per variable and one row per monomial of a partial
@@ -256,20 +271,10 @@ def derivative_matrix(p: Polynomial) -> list[list[int]]:
     the lcm of p's coefficient denominators, a term c * x^e puts
     C * c * e_i into column i of the row of e - e_i, so the entries of
     M v are the coefficients of D_v (C * p): for a rational v, D_v p is
-    the zero polynomial iff M v = 0.
+    the zero polynomial iff M v = 0.  M is built once per polynomial and
+    shared by every caller, so its rows are tuples.
     """
-    _, terms = p._integer_terms
-    rows: dict[Exponent, list[int]] = {}
-    for exponent, coeff in terms:
-        for i, k in enumerate(exponent):
-            if k:
-                monomial = exponent[:i] + (k - 1,) + exponent[i + 1 :]
-                row = rows.get(monomial)
-                if row is None:
-                    row = rows[monomial] = [0] * p.arity
-                # x^monomial * x_i is the one term that reaches this entry
-                row[i] = coeff * k
-    return list(rows.values())
+    return p._derivative_matrix
 
 
 def is_symmetric(p: Polynomial) -> bool:

@@ -4,8 +4,8 @@ Quasi-convexity of a general polynomial is only falsified here, never
 certified: the sampler hunts for rational points x, y and a weight alpha
 where the value at alpha*x + (1-alpha)*y strictly exceeds both endpoint
 values.  Each trial is decided exactly over ``int``: p is brought to
-integer coefficients and homogenized, and the three points to one
-common denominator, so comparing p(mid) with p(x) and p(y) is comparing
+integer coefficients and homogenized, and the three points are put over
+one fixed denominator, so comparing p(mid) with p(x) and p(y) is comparing
 integers, whatever the scale of the coefficients.  There is no floating
 point in the search and no false positive or negative; the witness is
 the first violating trial.  The one decidable case is total degree at
@@ -13,14 +13,17 @@ most two, where convexity (equivalently quasi-convexity) reduces to an
 exact positive-semidefiniteness test of the quadratic form; a failed
 test yields a deterministic witness instead of relying on sampling luck.
 
-The invariance subspace of p (all directions a with p(t*a) = p(0) for
-every t) is computed as the kernel of the linear map v -> derivative of
-p along v, which is a finite exact computation; the constant term of p
-never enters it, so p is taken as it is.  That kernel is always
-contained in the invariance set; for quasi-convex inputs the two
-coincide.  The map's integer matrix is built once from p's terms
-(``derivative_matrix``), and one elimination of it gives both the
-subspace and its orthogonal complement, the row space.
+The invariance subspace I_p of p is the set of directions a along which
+p is translation-invariant, p(x + t*a) = p(x) for every x and t.  It is
+computed as the kernel of the linear map v -> derivative of p along v,
+which is a finite exact computation; the constant term of p never
+enters it, so p is taken as it is.  Every a in I_p also makes p constant
+on the line through 0, p(t*a) = p(0) for every t, but not conversely:
+x1*x2 is constant on the x1 axis and has I_p = {0}.  For symmetric
+quasi-convex inputs the two sets coincide.  The map's integer matrix is
+built once from p's terms (``derivative_matrix``), and one elimination
+of it gives both the subspace and its orthogonal complement, the row
+space.
 """
 
 from __future__ import annotations
@@ -176,11 +179,31 @@ def qc_falsify(p: Polynomial, trials: int, seed: int) -> QcVerdict:
 # The homogenization of C*p in one more variable s,
 #     V(Z, s) = sum over terms of c_e * Z^e * s^(D - |e|),
 # has integer coefficients, and p(Z / L) = V(Z, L) / (C * L^D) for L > 0.
-# Over the common denominator L of x and y, x = X / L, y = Y / L and the
-# midpoint with weight a/d is M / (d*L) with M = a*X + (d - a)*Y, all
-# integer vectors.  Multiplying through by the positive C * (d*L)^D gives
+# Every drawn denominator divides the fixed L = lcm(1..POINT_MAX_DENOMINATOR)
+# = 720720, so x = X / L and y = Y / L with integer vectors X, Y, and the
+# midpoint with weight a/d is M / (d*L) with M = a*X + (d - a)*Y.
+# Multiplying through by the positive C * (d*L)^D gives
 #     p(mid) > p(x)  iff  V(M, d*L) > d^D * V(X, L),
-# and likewise for y, so a trial is decided over ``int`` alone.
+# and likewise for y, so a trial is decided over ``int`` alone.  V is
+# homogeneous of degree D, so V(k*Z, k*s) = k^D * V(Z, s) for k > 0: any
+# common multiple of the drawn denominators scales both sides of each
+# comparison by the same positive factor, and the witness values, which
+# divide by C * (d*L)^D, by none.  Which L is used changes no verdict,
+# trial count or witness.
+DENOMINATOR_LCM = math.lcm(*range(1, POINT_MAX_DENOMINATOR + 1))
+
+# The draw tables of ``_sample_violation``, which depend on nothing but the
+# bounds above.  A randint over a range of size n draws getrandbits(k),
+# k = n.bit_length(), until the draw is below n.  Per denominator den, at
+# index den - 1: k and n of the numerator range [-POINT_BOUND*den,
+# POINT_BOUND*den], and L // den, so that a numerator drawn as
+# -POINT_BOUND*den + r puts r * (L // den) - POINT_BOUND*L into X.
+_NUMERATOR_DRAWS = tuple(
+    ((2 * POINT_BOUND * den + 1).bit_length(), 2 * POINT_BOUND * den + 1, DENOMINATOR_LCM // den)
+    for den in range(1, POINT_MAX_DENOMINATOR + 1)
+)
+# per weight denominator d: k of the range 1..d - 1 of the weight numerator a
+_WEIGHT_BITS = tuple((d - 1).bit_length() for d in range(POINT_MAX_DENOMINATOR + 1))
 
 # the distinct powers (variable index, exponent) that V uses, with s at
 # index n, and per term its integer coefficient and the positions of its
@@ -215,43 +238,58 @@ def _sample_violation(p: Polynomial, trials: int, seed: int) -> QcVerdict:
     """The sampled search: trials in order, each decided exactly over the integers.
 
     The draws are the values of ``random.Random(seed).randint``, in the
-    same order: the local ``randint`` runs the rejection loop that
-    ``Random.randint`` reaches through ``randrange`` and
-    ``_randbelow_with_getrandbits``, without those frames.
+    same order.  Each ``randint(low, high)`` is written out as the
+    rejection loop that ``Random.randint`` reaches through ``randrange``
+    and ``_randbelow_with_getrandbits``, with the bit counts and range
+    sizes of the tables above.  A coordinate is drawn as its denominator
+    den, then its numerator in [-POINT_BOUND*den, POINT_BOUND*den], and
+    is kept as the integer numerator * (L // den) over the fixed L above.
     """
     scale, form = _homogenized(p)
     degree = p.total_degree()
+    arity = p.arity
+    common = DENOMINATOR_LCM
+    low = -POINT_BOUND * common
+    numerators = _NUMERATOR_DRAWS
+    weight_bits = _WEIGHT_BITS
+    weights = [d**degree for d in range(POINT_MAX_DENOMINATOR + 1)]
+    # sizes and bit counts of randint(1, POINT_MAX_DENOMINATOR), randint(2, POINT_MAX_DENOMINATOR)
+    den_size = POINT_MAX_DENOMINATOR
+    den_bits = den_size.bit_length()
+    d_size = POINT_MAX_DENOMINATOR - 1
+    d_bits = d_size.bit_length()
     getrandbits = random.Random(seed).getrandbits
-
-    def randint(low: int, high: int) -> int:
-        n = high - low + 1
-        k = n.bit_length()
-        r = getrandbits(k)
-        while r >= n:
-            r = getrandbits(k)
-        return low + r
-
-    def point() -> list[tuple[int, int]]:
-        """Numerators and denominators of a random point in [-POINT_BOUND, POINT_BOUND]^n."""
-        coordinates = []
-        for _ in range(p.arity):
-            denominator = randint(1, POINT_MAX_DENOMINATOR)
-            numerator = randint(-POINT_BOUND * denominator, POINT_BOUND * denominator)
-            coordinates.append((numerator, denominator))
-        return coordinates
+    coordinates = range(2 * arity)
 
     for trial in range(1, trials + 1):
-        x = point()
-        y = point()
-        d = randint(2, POINT_MAX_DENOMINATOR)
-        a = randint(1, d - 1)
-        common = math.lcm(*[den for _, den in x], *[den for _, den in y])
-        # the points (X, L), (Y, L) and (M, d*L) of V
-        big_x = [n * (common // den) for n, den in x] + [common]
-        big_y = [n * (common // den) for n, den in y] + [common]
-        mid = [a * u + (d - a) * w for u, w in zip(big_x, big_y)]
+        # the entries of X, then of Y
+        drawn = []
+        for _ in coordinates:
+            r = getrandbits(den_bits)
+            while r >= den_size:
+                r = getrandbits(den_bits)
+            k, n, step = numerators[r]
+            r = getrandbits(k)
+            while r >= n:
+                r = getrandbits(k)
+            drawn.append(r * step + low)
+        # the points (X, L) and (Y, L) of V
+        big_x = [*drawn[:arity], common]
+        big_y = [*drawn[arity:], common]
+        r = getrandbits(d_bits)
+        while r >= d_size:
+            r = getrandbits(d_bits)
+        d = r + 2
+        k = weight_bits[d]
+        r = getrandbits(k)
+        while r >= d - 1:
+            r = getrandbits(k)
+        a = r + 1
+        # the point (M, d*L) of V
+        b = d - a
+        mid = [a * u + b * w for u, w in zip(big_x, big_y)]
         v_mid = _integer_value(form, mid)
-        weight = d**degree
+        weight = weights[d]
         v_x = weight * _integer_value(form, big_x)
         if v_mid <= v_x:
             continue
@@ -260,8 +298,8 @@ def _sample_violation(p: Polynomial, trials: int, seed: int) -> QcVerdict:
             continue
         denominator = scale * (d * common) ** degree
         witness = QcWitness(
-            tuple(Fraction(*r) for r in x),
-            tuple(Fraction(*r) for r in y),
+            tuple(Fraction(u, common) for u in drawn[:arity]),
+            tuple(Fraction(w, common) for w in drawn[arity:]),
             Fraction(a, d),
             (Fraction(v_x, denominator), Fraction(v_y, denominator), Fraction(v_mid, denominator)),
         )
@@ -327,12 +365,14 @@ def classify_ray(g: Polynomial) -> RayClass:
 
 
 def invariance_subspace(p: Polynomial) -> Subspace:
-    """Exact subspace of directions a with p(t*a) = p(0) for every t.
+    """Exact subspace of directions a with p(x + t*a) = p(x) for every x and t.
 
-    Computed as the kernel of the matrix of the linear map
-    v -> derivative of p along v (``derivative_matrix``).  The order of
-    its rows does not matter: the basis is the RREF basis of the kernel,
-    unique for the subspace.
+    This is translation invariance, not constancy on the line through 0
+    (``ray_constant``), which is weaker: x1*x2 is constant on the x1 axis,
+    yet its subspace is {0}.  Computed as the kernel of the matrix of the
+    linear map v -> derivative of p along v (``derivative_matrix``).  The
+    order of its rows does not matter: the basis is the RREF basis of the
+    kernel, unique for the subspace.
     """
     return invariance_and_complement(p)[0]
 

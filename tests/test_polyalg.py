@@ -65,10 +65,12 @@ def test_derivative_matrix_maps_directions_to_scaled_derivatives():
         coefficients = sorted(x for x in (sum(a * b for a, b in zip(row, direction)) for row in matrix) if x)
         expected = directional_derivative(p, direction) * 6
         assert coefficients == sorted(expected.terms.values())
-    assert derivative_matrix(Polynomial(2)) == []
-    assert derivative_matrix(Polynomial.constant(2, 5)) == []
+    assert derivative_matrix(Polynomial(2)) == ()
+    assert derivative_matrix(Polynomial.constant(2, 5)) == ()
     # the rows of x2 (from d/dx1) and of x1 (from d/dx2), in the order first met
-    assert derivative_matrix(P("x1*x2", 2)) == [[1, 0], [0, 1]]
+    assert derivative_matrix(P("x1*x2", 2)) == ((1, 0), (0, 1))
+    # built once per polynomial
+    assert derivative_matrix(p) is matrix
 
 
 def uni(coeffs: dict[int, object]) -> Polynomial:

@@ -242,6 +242,22 @@ def test_screened_trials_match_exact_reference_on_corpus(p, seed):
     "p, trials, status",
     [
         pytest.param(P("2*x1^4 + 3*x2^4 + x3^2", 3), 300, NOT_FALSIFIED, id="convex-full-trials"),
+        # not homogeneous: the homogenizing variable s carries powers of the fixed denominator
+        pytest.param(P("x1^4 + 3*x1^2 + 5", 1), 300, NOT_FALSIFIED, id="inhomogeneous-arity-1"),
+        pytest.param(
+            P("x1^2 + x2^2 - 1/100*x1^4", 2), 300, NOT_FALSIFIED, id="inhomogeneous-outside-box"
+        ),
+        # the benchmark's rotated full-trial shape, x1^4 + 3*(4/5*x2 - 3/5*x3)^4
+        pytest.param(
+            P(
+                "x1^4 + 768/625*x2^4 - 2304/625*x2^3*x3 + 2592/625*x2^2*x3^2"
+                " - 1296/625*x2*x3^3 + 243/625*x3^4",
+                3,
+            ),
+            300,
+            NOT_FALSIFIED,
+            id="rotated-full-trials",
+        ),
         pytest.param(
             P("-" + " - ".join(f"x{i}^4" for i in range(1, 9)), 8),
             300,
@@ -302,7 +318,7 @@ def test_trial_ties_are_no_violation(monkeypatch):
     assert verdict == exact_reference_falsify(p, 3, 1)
 
 
-def test_screen_off_outside_normal_range_still_exact():
+def test_falsifier_exact_at_coefficients_beyond_float_range():
     # coefficients far below and far above the float range: every trial is decided exactly
     for scale in (Fraction(1, 2**1100), Fraction(2**1100)):
         p = P("x1^4 + x2^4", 2) * scale
@@ -344,7 +360,7 @@ def symmetric_terms(draw, arity, degree):
 
 
 @st.composite
-def screened_inputs(draw):
+def symmetric_falsifier_inputs(draw):
     """Symmetric polynomials of degree 4 or 6 in 1-4 variables, scaled by 10^k, |k| <= 400.
 
     Convex ones (even powers of linear forms), arbitrary ones (mostly not
@@ -365,8 +381,8 @@ def screened_inputs(draw):
 
 
 @settings(max_examples=40, deadline=None)
-@given(screened_inputs(), st.integers(1, 300), st.integers(1, 2**31 - 1))
-def test_screened_falsifier_matches_exact_reference(p, trials, seed):
+@given(symmetric_falsifier_inputs(), st.integers(1, 300), st.integers(1, 2**31 - 1))
+def test_falsifier_matches_exact_reference_on_generated_inputs(p, trials, seed):
     assert qc_falsify(p, trials, seed) == exact_reference_falsify(p, trials, seed)
 
 
@@ -490,6 +506,11 @@ def test_ray_constant_examples():
     assert ray_constant(p, (1, -1))
     assert not ray_constant(p, (1, 0))
     assert ray_constant(p, (0, 0))
+    # constancy on the line through 0 is weaker than translation invariance:
+    # x1*x2 vanishes on the x1 axis, yet no direction leaves it unchanged
+    q = P("x1*x2", 2)
+    assert ray_constant(q, (1, 0))
+    assert invariance_subspace(q).dimension == 0
 
 
 def test_ray_constant_ignores_the_constant_term():
