@@ -33,6 +33,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
+from operator import mul
 from typing import Iterable, Optional, Sequence
 
 from .errors import InvariantViolation
@@ -43,6 +44,7 @@ __all__ = [
     "kernel_and_row_space",
     "orthonormalize_nested",
     "psd_violation",
+    "rank",
     "subspace_sum",
 ]
 
@@ -173,27 +175,80 @@ def kernel(rows: Sequence[Sequence], cols: int) -> Subspace:
     return kernel_and_row_space(rows, cols)[0]
 
 
+def rank(rows: Sequence[Sequence], cols: int) -> int:
+    """Exact rank of the matrix with the given rows, each of ``cols`` integer entries."""
+    return len(_echelon([_to_vector(row, cols) for row in rows], cols)[1])
+
+
 def subspace_sum(first: Subspace, second: Subspace) -> Subspace:
     if first.ambient != second.ambient:
         raise ValueError("ambient dimension mismatch")
     return Subspace._from_echelon(first.ambient, *_echelon(first.rows + second.rows, first.ambient))
 
 
+def _congruence(
+    grid: list[list[int]], basis: Optional[list[Sequence[int]]]
+) -> Optional[tuple[int, int]]:
+    """Pivoted symmetric elimination of ``grid`` in place, up to a negative direction.
+
+    Returns None when the form is positive semidefinite.  Otherwise
+    returns (i, i) when the active diagonal entry i turned negative, or
+    (i, j), i < j, when every active diagonal entry is zero and entry
+    (i, j) is not.  A Schur step on the pivot row p with pivot d
+    replaces the active block g by d*g - p p', a positive multiple of
+    the rational Schur complement, and the block is then divided by its
+    content; so every sign, and hence every pivot and the direction
+    returned, is the rational one.  ``basis``, when given, starts as the
+    unit vectors and is carried along: basis[j] stays an integer multiple
+    of the j-th coordinate direction of the current form, in the original
+    coordinates, whose own coordinate basis[j][j] is that multiple.
+    """
+    active = list(range(len(grid)))
+    while active:
+        negative = next((i for i in active if grid[i][i] < 0), None)
+        if negative is not None:
+            return negative, negative
+        pivot = next((i for i in active if grid[i][i] > 0), None)
+        if pivot is None:
+            # all active diagonal entries are zero
+            return next(((i, j) for i in active for j in active if i < j and grid[i][j]), None)
+        active.remove(pivot)
+        pivot_row = grid[pivot]
+        d = pivot_row[pivot]
+        if basis is not None:
+            # basis[j] - (p_j / d) basis[pivot] over the own coordinates of both vectors
+            pivot_basis = basis[pivot]
+            s_p = d * pivot_basis[pivot]
+            for j in active:
+                s_j = basis[j][j] * pivot_row[j]
+                if s_j:
+                    update = [s_p * a - s_j * b for a, b in zip(basis[j], pivot_basis)]
+                    basis[j] = _content_free(update)
+        for j in active:
+            row = grid[j]
+            p_j = pivot_row[j]
+            for k in active:
+                row[k] = d * row[k] - p_j * pivot_row[k]
+        g = math.gcd(*(grid[j][k] for j in active for k in active))
+        if g > 1:
+            for j in active:
+                row = grid[j]
+                for k in active:
+                    row[k] //= g
+    return None
+
+
 def psd_violation(entries: Sequence[Sequence]) -> Optional[Vector]:
     """Rational direction v with v'Av < 0 for a symmetric integer matrix A, or None.
 
     Decides positive semidefiniteness exactly by pivoted symmetric
-    elimination (congruence with Schur complements).  The returned
-    witness is verified against A before being handed back.
-
-    The elimination runs on A itself.  A Schur step on the pivot row p
-    with pivot d replaces the active block g by d*g - p p', a positive
-    multiple of the rational Schur complement, and the block is then
-    divided by its content; so every sign, and hence every pivot and
-    witness choice, is the rational one.  Each change of
-    basis vector is kept as an integer multiple of the rational vector,
-    whose own coordinate is exactly 1; dividing by that entry recovers
-    the rational witness.
+    elimination (congruence with Schur complements, ``_congruence``) on
+    A itself, without the change of basis.  Only when a negative
+    direction turns up is the same elimination replayed with the change
+    of basis vectors, each kept as an integer multiple of the rational
+    vector whose own coordinate is exactly 1; dividing by that entry
+    recovers the rational witness, which is verified against A before
+    being handed back.
     """
     original = [_to_vector(row) for row in entries]
     n = len(original)
@@ -203,60 +258,24 @@ def psd_violation(entries: Sequence[Sequence]) -> Optional[Vector]:
         for j in range(i):
             if original[i][j] != original[j][i]:
                 raise ValueError("matrix must be symmetric")
+    if _congruence([list(row) for row in original], None) is None:
+        return None
 
     grid = [list(row) for row in original]
-    # basis[j] is a multiple of the current j-th coordinate direction in original coordinates
     basis = [_unit(j, n) for j in range(n)]
-    active = list(range(n))
-
-    def _checked(v: list[int], denominator: int) -> Vector:
-        value = sum(v[i] * original[i][j] * v[j] for i in range(n) for j in range(n))
-        if value >= 0 or denominator <= 0:
-            raise InvariantViolation("PSD witness is not a violating direction")
-        return tuple(Fraction(x, denominator) for x in v)
-
-    while active:
-        negative = next((i for i in active if grid[i][i] < 0), None)
-        if negative is not None:
-            return _checked(basis[negative], basis[negative][negative])
-        pivot = next((i for i in active if grid[i][i] > 0), None)
-        if pivot is not None:
-            active.remove(pivot)
-            pivot_row = grid[pivot]
-            pivot_basis = basis[pivot]
-            d = pivot_row[pivot]
-            # basis[j] - (p_j / d) basis[pivot] over the own coordinates of both vectors
-            s_p = d * pivot_basis[pivot]
-            for j in active:
-                s_j = basis[j][j] * pivot_row[j]
-                if s_j:
-                    update = [s_p * a - s_j * b for a, b in zip(basis[j], pivot_basis)]
-                    basis[j] = _content_free(update)
-            for j in active:
-                row = grid[j]
-                p_j = pivot_row[j]
-                for k in active:
-                    row[k] = d * row[k] - p_j * pivot_row[k]
-            g = math.gcd(*(grid[j][k] for j in active for k in active))
-            if g > 1:
-                for j in active:
-                    row = grid[j]
-                    for k in active:
-                        row[k] //= g
-            continue
-        # all active diagonal entries are zero
-        off = next(
-            ((i, j) for i in active for j in active if i < j and grid[i][j] != 0), None
-        )
-        if off is None:
-            return None
-        i, j = off
+    i, j = _congruence(grid, basis)
+    if i == j:
+        v, denominator = basis[i], basis[i][i]
+    else:
         sign = 1 if grid[i][j] > 0 else -1
         # basis[i] / s_i - sign * basis[j] / s_j, over the common denominator s_i * s_j
         s_i, s_j = basis[i][i], basis[j][j]
         v = [s_j * a - sign * s_i * b for a, b in zip(basis[i], basis[j])]
-        return _checked(v, s_i * s_j)
-    return None
+        denominator = s_i * s_j
+    value = sum(v[i] * original[i][j] * v[j] for i in range(n) for j in range(n))
+    if value >= 0 or denominator <= 0:
+        raise InvariantViolation("PSD witness is not a violating direction")
+    return tuple(Fraction(x, denominator) for x in v)
 
 
 def _primitive(vector: list[int]) -> list[int]:
@@ -268,18 +287,18 @@ def _primitive(vector: list[int]) -> list[int]:
     return ints
 
 
-def _orthogonalize_exact(vector: Sequence[int], ortho: list[list[int]]) -> list[int]:
+def _orthogonalize_exact(vector: Sequence[int], ortho: list[tuple[list[int], int]]) -> list[int]:
     """A positive integer multiple of vector minus its projections onto ``ortho``.
 
-    Each step u <- ww*u - uw*w is ww times the rational step
-    u - (uw/ww) w, and ww > 0, so ``_primitive`` of the result is that
-    of the rational Gram-Schmidt vector.
+    ``ortho`` holds pairs (w, ww) of a column and its squared norm.  Each
+    step u <- ww*u - uw*w is ww times the rational step u - (uw/ww) w,
+    and ww > 0, so ``_primitive`` of the result is that of the rational
+    Gram-Schmidt vector.
     """
     u = list(vector)
-    for w in ortho:
-        uw = sum(a * b for a, b in zip(u, w))
+    for w, ww in ortho:
+        uw = sum(map(mul, u, w))
         if uw:
-            ww = sum(x * x for x in w)
             u = _content_free([ww * a - uw * b for a, b in zip(u, w)])
     return u
 
@@ -289,10 +308,11 @@ def orthonormalize_nested(chain: Sequence[Subspace], ambient: int) -> tuple[IntV
 
     Exact Gram-Schmidt over the rationals runs through the rows of each
     chain element T_1, T_2, ... in turn, then through e_1..e_n, and keeps
-    every nonzero residue as a primitive integer column.  After T_i the
-    columns span T_1 + ... + T_i, so their count equals dim(T_i) exactly
-    when T_i contains its predecessors: a larger count raises
-    ``ValueError`` (the chain is not nested), a smaller one
+    every nonzero residue as a primitive integer column, with its squared
+    norm computed once beside it for every later projection onto it.
+    After T_i the columns span T_1 + ... + T_i, so their count equals
+    dim(T_i) exactly when T_i contains its predecessors: a larger count
+    raises ``ValueError`` (the chain is not nested), a smaller one
     ``InvariantViolation``.  A repeated element adds no column, and the
     last element need not be all of R^n: the e_i extend the basis to a
     full one.  Returns the n pairwise exactly orthogonal integer columns
@@ -303,16 +323,17 @@ def orthonormalize_nested(chain: Sequence[Subspace], ambient: int) -> tuple[IntV
             raise ValueError("chain element has wrong ambient dimension")
     stages = [(space.rows, space.dimension) for space in chain]
     stages.append(((_unit(i, ambient) for i in range(ambient)), ambient))
-    ortho: list[list[int]] = []
+    ortho: list[tuple[list[int], int]] = []
     for vectors, dimension in stages:
         for vector in vectors:
             if len(ortho) == ambient:
                 break
             u = _orthogonalize_exact(vector, ortho)
             if any(u):
-                ortho.append(_primitive(u))
+                w = _primitive(u)
+                ortho.append((w, sum(map(mul, w, w))))
         if len(ortho) > dimension:
             raise ValueError("chain not nested: an element does not contain its predecessors")
         if len(ortho) < dimension:
             raise InvariantViolation("exact Gram-Schmidt lost a dimension")
-    return tuple(map(tuple, ortho))
+    return tuple(tuple(w) for w, _ in ortho)

@@ -16,13 +16,17 @@ threads.  The integer form of a polynomial is computed on first read;
 two concurrent first reads compute equal values.
 
 The text grammar ("Text form" below) has no parentheses and no
-nesting, so it is read in two flat steps.  One compiled regex with an
-alternative per token kind (number, variable, operator, any other
-non-space character) cuts the whole text into tokens before parsing
-starts, so a lexical error anywhere is reported ahead of a syntax error.
-One loop in ``parse_expression`` then walks the tokens term by term,
-keeping each term's coefficient as an integer numerator and denominator,
-and makes one ``Fraction`` per term.
+nesting, so it is read in flat steps.  Before parsing starts, one regex
+search over the whole text finds the first character that starts no
+token (an ``x`` without an index included), and a second, up to that
+character, the first integer of too many digits; so a lexical error
+anywhere is reported ahead of a syntax error.  A compiled regex with an
+alternative per token kind (number, variable, operator) then lists the
+tokens as plain strings, and one loop in ``parse_expression`` walks
+them term by term, keeping each term's coefficient as an integer
+numerator and denominator, and makes one ``Fraction`` per term.  Tokens
+carry no offsets: a syntax error finds its offset by walking the token
+matches up to the failing token.
 
 The text parser and ``from_json`` read untrusted input, so they enforce
 the limits ``MAX_ARITY`` (variables), ``MAX_EXPONENT`` (exponent of one
@@ -37,6 +41,7 @@ constructors and arithmetic take polynomials of any size.
 
 from __future__ import annotations
 
+import itertools
 import math
 import numbers
 import re
@@ -404,31 +409,37 @@ def _integer(text: str, start: int, end: int) -> int:
     return int(text[start:end])
 
 
-# one alternative per token kind; ``finditer`` skips the whitespace between
-# matches, since ``\S`` takes every other character.  [0-9] is ASCII only:
-# str.isdigit also accepts other scripts' digits and superscripts, which
-# int() reads differently or rejects
-_TOKEN = re.compile(r"([0-9]+)|x([0-9]*)|([-+*/^])|(\S)")
+# one alternative per token kind.  [0-9] is ASCII only: str.isdigit also
+# accepts other scripts' digits and superscripts, which int() reads
+# differently or rejects
+_TOKEN = re.compile(r"[0-9]+|x[0-9]+|[-+*/^]")
+# a character that starts no token: neither whitespace, a digit nor an
+# operator, and not an 'x' followed by a digit
+_BAD_CHARACTER = re.compile(r"[^\s0-9+*/^-](?:(?<!x)|(?![0-9]))")
+# a whole run of more than MAX_DIGITS digits; shorter texts fail at once
+_LONG_INTEGER = re.compile(rf"(?<![0-9])[0-9]{{{MAX_DIGITS + 1},}}")
+# ends the token list; no token is "$", so no comparison matches it
+_END = "$"
 
 
-def _tokenize(text: str) -> list[tuple[str, object, int]]:
-    """(kind, value, offset) tokens of the whole text, ending with ("end", None, len(text))."""
-    tokens: list[tuple[str, object, int]] = []
-    for match in _TOKEN.finditer(text):
-        start = match.start()
-        group = match.lastindex
-        if group == 1:
-            tokens.append(("int", _integer(text, start, match.end()), start))
-        elif group == 2:
-            if match.end() == start + 1:
-                raise PolynomialSyntaxError("expected a variable index after 'x'", start)
-            tokens.append(("var", _integer(text, start + 1, match.end()), start))
-        elif group == 3:
-            tokens.append((match.group(3), match.group(3), start))
-        else:
-            raise PolynomialSyntaxError(f"unexpected character {match.group(4)!r}", start)
-    tokens.append(("end", None, len(text)))
-    return tokens
+def _check_lexical(text: str):
+    """Raise the first lexical error of text, the one a left-to-right scan meets."""
+    bad = _BAD_CHARACTER.search(text)
+    end = len(text) if bad is None else bad.start()
+    # a run of digits cannot straddle the bad character, which is no digit
+    long = _LONG_INTEGER.search(text, 0, end)
+    if long is not None:
+        _integer(text, *long.span())  # raises: the run is too long
+    if bad is not None:
+        if bad.group() == "x":
+            raise PolynomialSyntaxError("expected a variable index after 'x'", end)
+        raise PolynomialSyntaxError(f"unexpected character {bad.group()!r}", end)
+
+
+def _syntax_error(message: str, text: str, index: int) -> PolynomialSyntaxError:
+    """A syntax error at token number ``index`` of text, or at its end past the last token."""
+    match = next(itertools.islice(_TOKEN.finditer(text), index, None), None)
+    return PolynomialSyntaxError(message, len(text) if match is None else match.start())
 
 
 def parse_expression(text: str, arity: int) -> Polynomial:
@@ -440,60 +451,66 @@ def parse_expression(text: str, arity: int) -> Polynomial:
     if arity < 0:
         raise ValueError("arity must be nonnegative")
     _check_arity_limit(arity)
-    tokens = _tokenize(text)
+    _check_lexical(text)
+    tokens = _TOKEN.findall(text)
+    tokens.append(_END)
     terms: dict[Exponent, Fraction] = {}
-    kind = tokens[0][0]
-    negative = kind == "-"
-    i = 1 if kind in ("+", "-") else 0
+    token = tokens[0]
+    negative = token == "-"
+    i = 1 if token in ("+", "-") else 0
     count = 0
     while True:  # one term per pass
         count += 1
         if count > MAX_TERMS:
-            raise PolynomialSyntaxError(f"more than {MAX_TERMS} terms", tokens[i][2])
+            raise _syntax_error(f"more than {MAX_TERMS} terms", text, i)
         exponent = [0] * arity
         numerator = denominator = 1
-        while True:  # one factor per pass
-            kind, value, position = tokens[i]
-            i += 1
-            if kind == "int":
-                numerator *= value
-                if tokens[i][0] == "/":
-                    kind, value, position = tokens[i + 1]
+        while True:  # one factor per pass, ending on its last token
+            token = tokens[i]
+            if token.isdigit():
+                numerator *= int(token)
+                if tokens[i + 1] == "/":
                     i += 2
-                    if kind != "int":
-                        raise PolynomialSyntaxError("expected an integer denominator", position)
+                    token = tokens[i]
+                    if not token.isdigit():
+                        raise _syntax_error("expected an integer denominator", text, i)
+                    value = int(token)
                     if value == 0:
-                        raise PolynomialSyntaxError("zero denominator in a coefficient", position)
+                        raise _syntax_error("zero denominator in a coefficient", text, i)
                     denominator *= value
-            elif kind == "var":
+            elif token[0] == "x":
+                variable = i
+                value = int(token[1:])
                 if not 1 <= value <= arity:
-                    raise PolynomialSyntaxError(f"variable index out of range 1..{arity}", position)
+                    raise _syntax_error(f"variable index out of range 1..{arity}", text, i)
                 power = 1
-                if tokens[i][0] == "^":
-                    ekind, power, epos = tokens[i + 1]
+                if tokens[i + 1] == "^":
                     i += 2
-                    if ekind != "int":
-                        raise PolynomialSyntaxError("expected an integer exponent", epos)
+                    token = tokens[i]
+                    if not token.isdigit():
+                        raise _syntax_error("expected an integer exponent", text, i)
+                    power = int(token)
                     if power < 1:
-                        raise PolynomialSyntaxError("exponent must be a positive integer", epos)
+                        raise _syntax_error("exponent must be a positive integer", text, i)
                 exponent[value - 1] += power
                 if exponent[value - 1] > MAX_EXPONENT:
-                    raise PolynomialSyntaxError(
-                        f"exponent of x{value} exceeds the limit of {MAX_EXPONENT}", position
+                    raise _syntax_error(
+                        f"exponent of x{value} exceeds the limit of {MAX_EXPONENT}", text, variable
                     )
             else:
-                raise PolynomialSyntaxError("expected a coefficient or a variable", position)
-            if tokens[i][0] != "*":
+                raise _syntax_error("expected a coefficient or a variable", text, i)
+            i += 1
+            if tokens[i] != "*":
                 break
             i += 1
         coeff = Fraction(-numerator if negative else numerator, denominator)
         key = tuple(exponent)
         terms[key] = terms[key] + coeff if key in terms else coeff
-        kind = tokens[i][0]
-        if kind not in ("+", "-"):
+        token = tokens[i]
+        if token not in ("+", "-"):
             break
-        negative = kind == "-"
+        negative = token == "-"
         i += 1
-    if kind != "end":
-        raise PolynomialSyntaxError("expected '+', '-', '*' or end of input", tokens[i][2])
+    if token != _END:
+        raise _syntax_error("expected '+', '-', '*' or end of input", text, i)
     return Polynomial._from_terms(arity, terms)

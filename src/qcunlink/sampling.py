@@ -6,12 +6,13 @@ library spot-checks), so the exact layers and commands run without it.
 Every estimate reads one thing: the values of a few polynomials at
 shared draws of a standard Gaussian vector.  ``sample_values`` is the
 one loop that produces them; the mean estimate, the two spot-checks and
-``cov --mc`` all read its output.  ``sample_covariance`` is the one
-variance and covariance estimator over it, and ``_require_finite`` the
-one check that rejects a result that overflowed float64.  Draws come in
-a fixed order from one ``numpy.random.Generator`` with the PCG64 bit
-generator, in blocks of ``_CHUNK`` rows that concatenate to the one-shot
-draw ``default_rng(seed).standard_normal((samples, arity))``.  Each
+``cov --mc`` all read its output.  ``_centered_products`` is the one
+variance and covariance estimator over it (``sample_covariance`` adds
+its standard error), and ``_require_finite`` the one check that rejects
+a result that overflowed float64.  Draws come in a fixed order from
+one ``numpy.random.Generator`` with the PCG64 bit generator, in blocks
+of ``_CHUNK`` rows that concatenate to the one-shot draw
+``default_rng(seed).standard_normal((samples, arity))``.  Each
 block is evaluated by ``evaluate_float`` for all the polynomials at
 once, from one table of the powers they use; the powers are float64
 products, not ``pow`` calls.  So for a fixed (seed, samples) pair the
@@ -203,6 +204,13 @@ def _require_finite(what: str, quantities: dict[str, float]) -> None:
         raise ValueError(f"{what} is not finite: float64 overflow in {overflowed}")
 
 
+def _centered_products(su: np.ndarray, sv: np.ndarray) -> tuple[np.ndarray, float]:
+    """The centered products (su - mean) * (sv - mean) and their sum over n - 1."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        centered = (su - su.mean()) * (sv - sv.mean())
+        return centered, float(centered.sum() / (len(su) - 1))
+
+
 def sample_covariance(su: np.ndarray, sv: np.ndarray) -> tuple[float, float]:
     """Covariance estimate of paired samples and its standard error.
 
@@ -211,10 +219,9 @@ def sample_covariance(su: np.ndarray, sv: np.ndarray) -> tuple[float, float]:
     deviation over sqrt(n).  A float64 overflow leaves either one inf or
     nan, without a warning; each caller decides what that means.
     """
-    samples = len(su)
+    centered, estimate = _centered_products(su, sv)
     with np.errstate(over="ignore", invalid="ignore"):
-        centered = (su - su.mean()) * (sv - sv.mean())
-        return float(centered.sum() / (samples - 1)), float(centered.std(ddof=1) / samples**0.5)
+        return estimate, float(centered.std(ddof=1) / len(su) ** 0.5)
 
 
 @dataclass(frozen=True)
@@ -237,10 +244,10 @@ def mc_estimate(expr, samples: int, seed: int) -> McEstimate:
     """Monte Carlo mean and standard error of p(X) or of u(X)*v(X).
 
     ``expr`` is a Polynomial, or a pair (u, v) whose pointwise product is
-    averaged; the variance is ``sample_covariance`` of the values with
-    themselves.  Raises ``ValueError`` when the mean or the standard
-    error is not a finite float (the sampled values or their squares
-    overflow).
+    averaged; the variance is the covariance estimate of the values with
+    themselves, without the standard error ``sample_covariance`` adds.
+    Raises ``ValueError`` when the mean or the standard error is not a
+    finite float (the sampled values or their squares overflow).
     """
     if isinstance(expr, Polynomial):
         polys = (expr,)
@@ -250,7 +257,7 @@ def mc_estimate(expr, samples: int, seed: int) -> McEstimate:
     with np.errstate(over="ignore", invalid="ignore"):
         values = sample_values(polys, samples, seed).prod(axis=0)
         mean = float(values.sum()) / samples
-    standard_error = (sample_covariance(values, values)[0] / samples) ** 0.5
+    standard_error = (_centered_products(values, values)[1] / samples) ** 0.5
     _require_finite("Monte Carlo estimate", {"mean": mean, "stderr": standard_error})
     return McEstimate(mean, standard_error, samples, seed)
 

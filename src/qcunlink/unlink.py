@@ -41,10 +41,11 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from operator import mul
 from typing import Optional, Sequence
 
 from .errors import InvariantViolation
-from .exactla import Subspace, kernel, orthonormalize_nested, subspace_sum
+from .exactla import Subspace, kernel, orthonormalize_nested, rank, subspace_sum
 from .gaussmeasure import covariance
 from .polyalg import Polynomial, derivative_matrix, evaluate, is_symmetric, restrict_ray
 from .structure import CASE_A, QcVerdict, classify_ray, invariance_and_complement, qc_falsify
@@ -146,8 +147,10 @@ def concordance(u: Polynomial, v: Polynomial) -> ConcordanceReport:
     overlap = kernel(inv_u.rows + inv_v_perp.rows, n)
     t = overlap.dimension
     r = inv_u_perp.dimension - t
-    other_overlap = kernel(inv_v.rows + inv_u_perp.rows, n)
-    r_other = inv_v_perp.dimension - other_overlap.dimension
+    # the same count from v's side: (I_v complement) intersected with I_u is
+    # the kernel of the rows of I_v and of I_u complement, so only its
+    # dimension n - rank is needed
+    r_other = inv_v_perp.dimension - (n - rank(inv_v.rows + inv_u_perp.rows, n))
     if r != r_other:
         raise InvariantViolation(
             f"concordance order disagrees between sides: {r} vs {r_other}"
@@ -264,7 +267,7 @@ def verify_unlinked(p: Polynomial, transform: OrthogonalTransform, forbidden) ->
         column = transform.columns[j - 1]
         if len(column) != n:
             raise ValueError(f"column {j} has length {len(column)}, expected {n}")
-        if any(sum(a * w for a, w in zip(row, column)) for row in matrix):
+        if any(sum(map(mul, row, column)) for row in matrix):
             return False
     return True
 

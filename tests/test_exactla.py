@@ -22,6 +22,7 @@ from qcunlink.exactla import (
     kernel_and_row_space,
     orthonormalize_nested,
     psd_violation,
+    rank,
     subspace_sum,
 )
 from qcunlink.unlink import OrthogonalTransform
@@ -143,6 +144,7 @@ def test_public_functions_reject_fraction_entries():
         lambda: kernel_and_row_space([[1, 0], [half, 1]], 2),
         lambda: subspace_sum(Subspace(2, ((1, half),), (0,)), zero(2)),
         lambda: psd_violation([[half]]),
+        lambda: rank([[1, 0], [half, 1]], 2),
     ]
     for call in calls:
         with pytest.raises(TypeError, match="Fraction"):
@@ -290,8 +292,9 @@ def test_rank_nullity_with_numpy_oracle(rows, cols, seed):
     raw = rng.integers(-5, 6, size=(rows, cols))
     m = raw.tolist()
     null = kernel(m, cols)
-    rank = np.linalg.matrix_rank(raw.astype(float))
-    assert null.dimension + rank == cols
+    expected = np.linalg.matrix_rank(raw.astype(float))
+    assert null.dimension + expected == cols
+    assert rank(m, cols) == expected
     for vector in null.basis:
         assert all(sum(row[j] * vector[j] for j in range(cols)) == 0 for row in m)
 
@@ -364,6 +367,16 @@ def test_orthonormalize_lost_dimension_raises(monkeypatch):
         orthonormalize_nested([span([(1, 1)], 2)], 2)
 
 
+@pytest.mark.parametrize("a", [[[1, 0], [0, 1]], [[4, 6], [6, 9]]], ids=["identity", "rank_one"])
+def test_psd_decision_builds_no_change_of_basis(monkeypatch, a):
+    # the change of basis is built only to replay a negative direction into a witness
+    def unit(index, length):
+        raise AssertionError("change of basis built for a PSD matrix")
+
+    monkeypatch.setattr(exactla, "_unit", unit)
+    assert psd_violation(a) is None
+
+
 def test_psd_unverified_witness_raises(monkeypatch):
     # a corrupted change of basis makes the candidate direction fail its exact check
     monkeypatch.setattr(exactla, "_unit", lambda index, length: [Fraction(0)] * length)
@@ -428,6 +441,7 @@ def test_rref_and_kernel_match_fraction_reference(shape):
         assert ints[col] > 0 and [x * ints[col] for x in row] == list(ints)
     null = kernel(rows, cols)
     assert null.basis == tuple(tuple(row) for row in kernel_fraction(rows, cols))
+    assert rank(rows, cols) == len(pivots)
 
 
 @st.composite

@@ -26,7 +26,6 @@ from qcunlink.polyalg import (
     from_json,
 )
 from qcunlink.gaussmeasure import partial_expectation
-from qcunlink.polyalg import _tokenize
 from qcunlink.sampling import evaluate_float
 
 from corpus import P
@@ -597,12 +596,16 @@ def test_parser_matches_reference(case):
     assert parse_outcome(parse_expression, text, arity) == expected
 
 
-def token_outcome(tokenizer, text):
-    """The tokens, or the syntax error's message and offset."""
+def lexical_outcome(text):
+    """The lexical error of the per-character scanner, or "ok"."""
     try:
-        return "ok", tokenizer(text)
+        tokenize(text)
     except PolynomialSyntaxError as exc:
         return "error", str(exc), exc.position
+    return "ok"
+
+
+LEXICAL_MESSAGES = ("unexpected character", "expected a variable index", "digits exceeds the limit")
 
 
 @settings(max_examples=300, deadline=None)
@@ -611,9 +614,15 @@ def token_outcome(tokenizer, text):
 @example(("x1 + x" + "2" * (MAX_DIGITS + 1), 1))
 @example(("x1^\n2 +\r\x0b\x0c\u2028 x1", 1))
 def test_tokenizer_matches_reference(case):
-    # the regex tokenizer against the per-character scanner it replaced
-    text, _ = case
-    assert token_outcome(_tokenize, text) == token_outcome(tokenize, text)
+    # the lexical-error search against the per-character scanner it replaced:
+    # the same first error, and none where the scanner finds none
+    text, arity = case
+    outcome = parse_outcome(parse_expression, text, arity)
+    expected = lexical_outcome(text)
+    if expected == "ok":
+        assert outcome[0] == "ok" or not any(m in outcome[1] for m in LEXICAL_MESSAGES)
+    else:
+        assert outcome == expected
 
 
 @settings(max_examples=80, deadline=None)

@@ -17,7 +17,7 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qcunlink import sampling, unlink
+from qcunlink import exactla, sampling, unlink
 from qcunlink.exactla import kernel_and_row_space, subspace_sum
 from qcunlink.gaussmeasure import covariance, expectation
 from qcunlink.polyalg import Polynomial, evaluate
@@ -168,6 +168,13 @@ def test_concordance_overlap_matches_stacked_intersection():
         inv_v_perp = orthogonal_complement(report.inv_v)
         other = orthogonal_complement(subspace_sum(report.inv_v, report.inv_u_perp))
         assert other.basis == intersect(inv_v_perp, report.inv_u).basis
+
+
+def test_concordance_cross_check_fires(monkeypatch):
+    # a rank off by one on v's side makes the two counts of r disagree
+    monkeypatch.setattr(unlink, "rank", lambda rows, cols: exactla.rank(rows, cols) + 1)
+    with pytest.raises(InvariantViolation, match="concordance order disagrees between sides: 0 vs 1"):
+        concordance(ROT_U, ROT_V)
 
 
 # ---------------------------------------------------------------------------
