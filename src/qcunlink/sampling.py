@@ -176,13 +176,16 @@ def sample_values(polys: Sequence[Polynomial], samples: int, seed: int) -> np.nd
     """Values of each polynomial at ``samples`` shared standard Gaussian draws.
 
     Returns a (len(polys), samples) array whose row i holds polys[i] at
-    the draws, in draw order.  The polynomials must share an arity of at
-    least one; ``evaluate_float`` rejects a mismatch at the first block.
+    the draws, in draw order.  There must be at least one polynomial, and
+    all must share an arity of at least one; ``evaluate_float`` rejects a
+    mismatch at the first block.
     Each block of draws is evaluated for all of them at once, so they
     share one table of powers per block, and only one block is held at a
     time.  Values that overflow float64 come back as inf or nan
     without a warning; each caller decides what a non-finite value means.
     """
+    if not polys:
+        raise ValueError("no polynomial to evaluate")
     if samples < 2:
         raise ValueError("need at least 2 samples")
     arity = polys[0].arity

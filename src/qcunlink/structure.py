@@ -1,17 +1,18 @@
 """Structural analysis: symmetry, quasi-convexity, rays, invariant directions.
 
 Quasi-convexity of a general polynomial is only falsified here, never
-certified: the sampler hunts for rational points x, y and a weight alpha
-where the value at alpha*x + (1-alpha)*y strictly exceeds both endpoint
-values.  Each trial is decided exactly over ``int``: p is brought to
-integer coefficients and homogenized, and the three points are put over
-one fixed denominator, so comparing p(mid) with p(x) and p(y) is comparing
-integers, whatever the scale of the coefficients.  There is no floating
-point in the search and no false positive or negative; the witness is
-the first violating trial.  The one decidable case is total degree at
-most two, where convexity (equivalently quasi-convexity) reduces to an
-exact positive-semidefiniteness test of the quadratic form; a failed
-test yields a deterministic witness instead of relying on sampling luck.
+certified: the sampler hunts for dyadic points x, y and a dyadic weight
+alpha where the value at alpha*x + (1-alpha)*y strictly exceeds both
+endpoint values.  Each trial is decided exactly over ``int``: p is
+brought to integer coefficients and homogenized, and the three points
+are put over one fixed power-of-two denominator, so comparing p(mid)
+with p(x) and p(y) is comparing integers, whatever the scale of the
+coefficients.  There is no floating point in the search and no false
+positive or negative; the witness is the first violating trial.  The
+one decidable case is total degree at most two, where convexity
+(equivalently quasi-convexity) reduces to an exact
+positive-semidefiniteness test of the quadratic form; a failed test
+yields a deterministic witness instead of relying on sampling luck.
 
 The invariance subspace I_p of p is the set of directions a along which
 p is translation-invariant, p(x + t*a) = p(x) for every x and t.  It is
@@ -28,7 +29,6 @@ space.
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -64,10 +64,12 @@ CASE_A = "A"  # eventually increasing, diverges at +infinity
 CASE_B = "B"  # eventually increasing toward the left, diverges at -infinity
 CASE_CONST = "CONST"
 
-# the falsifier samples points with entries in [-POINT_BOUND, POINT_BOUND]
-# and denominators at most POINT_MAX_DENOMINATOR
+# the falsifier samples points with entries m/2^j in [-POINT_BOUND, POINT_BOUND)
+# at a level j uniform in 0..POINT_LEVELS - 1, and weights (2i+1)/2^k with k
+# uniform in 1..WEIGHT_LEVELS; all three are powers of two
 POINT_BOUND = 4
-POINT_MAX_DENOMINATOR = 16
+POINT_LEVELS = 8
+WEIGHT_LEVELS = 4
 
 
 @dataclass(frozen=True)
@@ -154,10 +156,11 @@ def _quadratic_witness(p: Polynomial, direction: Sequence[Fraction]) -> QcWitnes
 def qc_falsify(p: Polynomial, trials: int, seed: int) -> QcVerdict:
     """Search for a quasi-convexity violation of p.
 
-    Sample points have entries in [-POINT_BOUND, POINT_BOUND] with
-    denominators at most ``POINT_MAX_DENOMINATOR``.  Each trial is
-    decided in exact integer arithmetic, so the verdict is exact and the
-    witness is the first violating trial.  For total degree <= 2 the
+    Sample points have dyadic entries m/2^j in [-POINT_BOUND,
+    POINT_BOUND), the level j uniform in 0..POINT_LEVELS - 1, and the
+    weight is (2i+1)/2^k with k uniform in 1..WEIGHT_LEVELS.  Each trial
+    is decided in exact integer arithmetic, so the verdict is exact and
+    the witness is the first violating trial.  For total degree <= 2 the
     answer is decided exactly instead of sampled: the quadratic form is
     either positive semidefinite (certificate) or it supplies a concave
     direction from which a witness is built.
@@ -179,31 +182,15 @@ def qc_falsify(p: Polynomial, trials: int, seed: int) -> QcVerdict:
 # The homogenization of C*p in one more variable s,
 #     V(Z, s) = sum over terms of c_e * Z^e * s^(D - |e|),
 # has integer coefficients, and p(Z / L) = V(Z, L) / (C * L^D) for L > 0.
-# Every drawn denominator divides the fixed L = lcm(1..POINT_MAX_DENOMINATOR)
-# = 720720, so x = X / L and y = Y / L with integer vectors X, Y, and the
-# midpoint with weight a/d is M / (d*L) with M = a*X + (d - a)*Y.
-# Multiplying through by the positive C * (d*L)^D gives
+# Every coordinate is drawn over the fixed L = 2^(POINT_LEVELS - 1) = 128 and
+# every weight over the fixed d = 2^WEIGHT_LEVELS = 16, so x = X / L and
+# y = Y / L with integer vectors X, Y, and the midpoint with weight a/d is
+# M / (d*L) with M = a*X + (d - a)*Y.  Multiplying through by the positive
+# C * (d*L)^D gives
 #     p(mid) > p(x)  iff  V(M, d*L) > d^D * V(X, L),
-# and likewise for y, so a trial is decided over ``int`` alone.  V is
-# homogeneous of degree D, so V(k*Z, k*s) = k^D * V(Z, s) for k > 0: any
-# common multiple of the drawn denominators scales both sides of each
-# comparison by the same positive factor, and the witness values, which
-# divide by C * (d*L)^D, by none.  Which L is used changes no verdict,
-# trial count or witness.
-DENOMINATOR_LCM = math.lcm(*range(1, POINT_MAX_DENOMINATOR + 1))
-
-# The draw tables of ``_sample_violation``, which depend on nothing but the
-# bounds above.  A randint over a range of size n draws getrandbits(k),
-# k = n.bit_length(), until the draw is below n.  Per denominator den, at
-# index den - 1: k and n of the numerator range [-POINT_BOUND*den,
-# POINT_BOUND*den], and L // den, so that a numerator drawn as
-# -POINT_BOUND*den + r puts r * (L // den) - POINT_BOUND*L into X.
-_NUMERATOR_DRAWS = tuple(
-    ((2 * POINT_BOUND * den + 1).bit_length(), 2 * POINT_BOUND * den + 1, DENOMINATOR_LCM // den)
-    for den in range(1, POINT_MAX_DENOMINATOR + 1)
-)
-# per weight denominator d: k of the range 1..d - 1 of the weight numerator a
-_WEIGHT_BITS = tuple((d - 1).bit_length() for d in range(POINT_MAX_DENOMINATOR + 1))
+# and likewise for y, so a trial is decided over ``int`` alone.  Over the
+# same C * (d*L)^D, p(x), p(y) and p(mid) are d^D * V(X, L), d^D * V(Y, L)
+# and V(M, d*L), the witness values.
 
 # the distinct powers (variable index, exponent) that V uses, with s at
 # index n, and per term its integer coefficient and the positions of its
@@ -237,66 +224,55 @@ def _integer_value(form: _IntegerForm, point: Sequence[int]) -> int:
 def _sample_violation(p: Polynomial, trials: int, seed: int) -> QcVerdict:
     """The sampled search: trials in order, each decided exactly over the integers.
 
-    The draws are the values of ``random.Random(seed).randint``, in the
-    same order.  Each ``randint(low, high)`` is written out as the
-    rejection loop that ``Random.randint`` reaches through ``randrange``
-    and ``_randbelow_with_getrandbits``, with the bit counts and range
-    sizes of the tables above.  A coordinate is drawn as its denominator
-    den, then its numerator in [-POINT_BOUND*den, POINT_BOUND*den], and
-    is kept as the integer numerator * (L // den) over the fixed L above.
+    A trial makes 2n + 1 calls to ``random.Random(seed).getrandbits``,
+    none of them rejected: one per entry of x, then of y, then one for
+    alpha.  An entry's draw r of 3 + 10 bits has the level j = r & 7 and
+    the value v = r >> 3 in 0..1023; clearing the low 7 - j bits of v
+    leaves a multiple of 2^(7 - j), so X = v - 512 with those bits clear
+    is the entry m/2^j over L = 128, uniform on the 8*2^j points of its
+    level.  The weight's draw r of 2 + 4 bits has k = (r & 3) + 1, and
+    a = ((r >> 2 >> (4 - k)) | 1) << (4 - k) puts alpha = a/16 uniform on
+    the odd multiples of 1/2^k.  Those widths follow from POINT_BOUND = 4,
+    POINT_LEVELS = 8 and WEIGHT_LEVELS = 4.
     """
     scale, form = _homogenized(p)
     degree = p.total_degree()
     arity = p.arity
-    common = DENOMINATOR_LCM
-    low = -POINT_BOUND * common
-    numerators = _NUMERATOR_DRAWS
-    weight_bits = _WEIGHT_BITS
-    weights = [d**degree for d in range(POINT_MAX_DENOMINATOR + 1)]
-    # sizes and bit counts of randint(1, POINT_MAX_DENOMINATOR), randint(2, POINT_MAX_DENOMINATOR)
-    den_size = POINT_MAX_DENOMINATOR
-    den_bits = den_size.bit_length()
-    d_size = POINT_MAX_DENOMINATOR - 1
-    d_bits = d_size.bit_length()
+    finest = POINT_LEVELS - 1
+    common = 1 << finest
+    level_bits = finest.bit_length()
+    # the width of each entry's draw, and per level j the mask that clears the low finest - j bits
+    draws = [level_bits + (2 * POINT_BOUND * common - 1).bit_length()] * (2 * arity)
+    masks = [-1 << (finest - j) for j in range(POINT_LEVELS)]
+    low = POINT_BOUND * common
+    # a weight draw holds k - 1 in its low k_bits
+    k_mask = WEIGHT_LEVELS - 1
+    k_bits = k_mask.bit_length()
+    weight_bits = k_bits + WEIGHT_LEVELS
+    d = 1 << WEIGHT_LEVELS
+    weight = d**degree
+    denominator = scale * (d * common) ** degree
     getrandbits = random.Random(seed).getrandbits
-    coordinates = range(2 * arity)
 
     for trial in range(1, trials + 1):
         # the entries of X, then of Y
-        drawn = []
-        for _ in coordinates:
-            r = getrandbits(den_bits)
-            while r >= den_size:
-                r = getrandbits(den_bits)
-            k, n, step = numerators[r]
-            r = getrandbits(k)
-            while r >= n:
-                r = getrandbits(k)
-            drawn.append(r * step + low)
+        drawn = [(r >> level_bits & masks[r & finest]) - low for r in map(getrandbits, draws)]
         # the points (X, L) and (Y, L) of V
         big_x = [*drawn[:arity], common]
         big_y = [*drawn[arity:], common]
-        r = getrandbits(d_bits)
-        while r >= d_size:
-            r = getrandbits(d_bits)
-        d = r + 2
-        k = weight_bits[d]
-        r = getrandbits(k)
-        while r >= d - 1:
-            r = getrandbits(k)
-        a = r + 1
+        r = getrandbits(weight_bits)
+        shift = k_mask - (r & k_mask)
+        a = (r >> k_bits >> shift | 1) << shift
         # the point (M, d*L) of V
         b = d - a
         mid = [a * u + b * w for u, w in zip(big_x, big_y)]
         v_mid = _integer_value(form, mid)
-        weight = weights[d]
         v_x = weight * _integer_value(form, big_x)
         if v_mid <= v_x:
             continue
         v_y = weight * _integer_value(form, big_y)
         if v_mid <= v_y:
             continue
-        denominator = scale * (d * common) ** degree
         witness = QcWitness(
             tuple(Fraction(u, common) for u in drawn[:arity]),
             tuple(Fraction(w, common) for w in drawn[arity:]),

@@ -199,6 +199,13 @@ def test_sample_values_rejects_bad_inputs():
         sample_values((Polynomial(0),), 10, seed=1)
 
 
+def test_sample_values_of_no_polynomial_raises_as_evaluate_float_does():
+    with pytest.raises(ValueError, match="^no polynomial to evaluate$"):
+        sample_values((), 10, seed=1)
+    with pytest.raises(ValueError, match="^no polynomial to evaluate$"):
+        evaluate_float((), np.zeros((1, 1)))
+
+
 def test_mc_estimate_unit_variance():
     estimate = mc_estimate(P("x1^2", 1), 200_000, seed=42)
     assert abs(estimate.mean - 1.0) <= 4 * estimate.standard_error

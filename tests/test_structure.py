@@ -49,25 +49,39 @@ def exact_violation(p, witness):
 
 
 def random_fraction(rng):
-    """A rational in [-POINT_BOUND, POINT_BOUND], drawn as the falsifier draws one."""
-    denominator = rng.randint(1, structure.POINT_MAX_DENOMINATOR)
-    bound = structure.POINT_BOUND * denominator
-    return Fraction(rng.randint(-bound, bound), denominator)
+    """A dyadic rational in [-POINT_BOUND, POINT_BOUND), drawn as the falsifier draws one.
+
+    One 13-bit draw: level j = r & 7, and the top 3 + j of the other 10
+    bits count steps of 1/2^j up from -4.
+    """
+    r = rng.getrandbits(13)
+    j = r & 7
+    return Fraction(r >> 3 >> (7 - j), 2**j) - structure.POINT_BOUND
+
+
+def random_weight(rng):
+    """A weight alpha = (2i+1)/2^k in (0, 1), k = 1..4, drawn as the falsifier draws one.
+
+    One 6-bit draw: k = (r & 3) + 1, and i is the top k - 1 of the other 4 bits.
+    """
+    r = rng.getrandbits(6)
+    k = (r & 3) + 1
+    return Fraction(2 * (r >> 2 >> (5 - k)) + 1, 2**k)
 
 
 def exact_reference_falsify(p, trials, seed):
     """Reference oracle for the sampled falsifier: every trial checked exactly.
 
-    Draws its trials with ``random.Random(seed).randint``, the stream that
-    ``qc_falsify`` reproduces without calling it, and accepts the first
-    trial with p(alpha*x + (1-alpha)*y) > max(p(x), p(y)).
+    Draws its trials with ``random_fraction`` and ``random_weight`` from
+    ``random.Random(seed)``, the stream that ``qc_falsify`` decodes on its
+    own, and accepts the first trial with
+    p(alpha*x + (1-alpha)*y) > max(p(x), p(y)), evaluated over ``Fraction``.
     """
     rng = random.Random(seed)
     for trial in range(1, trials + 1):
         x = [random_fraction(rng) for _ in range(p.arity)]
         y = [random_fraction(rng) for _ in range(p.arity)]
-        d = rng.randint(2, structure.POINT_MAX_DENOMINATOR)
-        alpha = Fraction(rng.randint(1, d - 1), d)
+        alpha = random_weight(rng)
         mid = [alpha * a + (1 - alpha) * b for a, b in zip(x, y)]
         px, py, pmid = evaluate(p, x), evaluate(p, y), evaluate(p, mid)
         if pmid > max(px, py):
@@ -264,7 +278,7 @@ def test_screened_trials_match_exact_reference_on_corpus(p, seed):
             FALSIFIED,
             id="concave-quartic-n8",
         ),
-        # falsified at trials 460 to 5010 of these seeds: a witness this late
+        # falsified at trials 322 to 5704 of these seeds: a witness this late
         # matches only if every draw before it does
         pytest.param(
             P("2*x1^4 + 3*x2^4 + x3^2 - x1^2*x2^2", 3), 10_000, FALSIFIED, id="late-falsified"
@@ -272,41 +286,50 @@ def test_screened_trials_match_exact_reference_on_corpus(p, seed):
     ],
 )
 def test_falsifier_draws_the_randint_stream(p, trials, status, seed):
-    # the falsifier draws with its own rejection loop on getrandbits; the
-    # reference calls random.Random.randint, so a Python whose randint draws
-    # differently fails here
+    # differential test against the reference, which decodes the same
+    # getrandbits stream by its own arithmetic and decides over Fraction;
+    # the name is that of the randint stream the falsifier drew before its
+    # dyadic draws, kept so that the 30 test ids stay comparable across runs
     verdict = qc_falsify(p, trials, seed)
     assert verdict == exact_reference_falsify(p, trials, seed)
     assert verdict.status == status
 
 
 class ScriptedRandom(random.Random):
-    """``random.Random`` whose ``getrandbits`` replays fixed offsets.
+    """``random.Random`` whose ``getrandbits`` replays fixed raw values.
 
-    ``randint(low, high)`` then returns low plus the next offset, in the
-    falsifier and in the reference alike.
+    Each value must fit the requested width, so a script of 13-bit point
+    draws and 6-bit weight draws also checks the widths the falsifier asks for.
     """
 
     script = ()
 
     def __init__(self, seed):
         super().__init__(seed)
-        self.offsets = iter(self.script)
+        self.values = iter(self.script)
 
     def getrandbits(self, k):
-        offset = next(self.offsets)
-        assert 0 <= offset < 2**k
-        return offset
+        value = next(self.values)
+        assert 0 <= value < 2**k
+        return value
+
+
+def point_draw(x, level, noise=0):
+    """The 13-bit draw of the entry x at a level: noise fills the bits that level ignores."""
+    steps = (x + structure.POINT_BOUND) * 2**level
+    assert steps.denominator == 1 and noise < 2 ** (7 - level)
+    return (int(steps) << (7 - level) | noise) << 3 | level
 
 
 def test_trial_ties_are_no_violation(monkeypatch):
-    # x^4 - 2x^2 at alpha = 2/3 between -1 and 1/2 has p(mid) = p(1/2) > p(-1),
+    # x^4 - 2x^2 at alpha = 1/2 between -3/4 and 1/4 has p(mid) = p(-1/4) = p(1/4) > p(-3/4),
     # a tie with y; the mirrored trial ties with x; only the third trial is strict.
-    # Offsets above the ranges' lows (1, -4*den, 2, 1): den, num, den, num, d, a.
+    # A trial is the draws of x, y and alpha; the weight draw 0b010100 has
+    # k = 1 and alpha = 1/2.
     monkeypatch.setattr(ScriptedRandom, "script", (
-        0, 3, 1, 9, 1, 1,  # x = -1, y = 1/2, alpha = 2/3: mid = -1/2
-        1, 9, 0, 3, 1, 0,  # x = 1/2, y = -1, alpha = 1/3: mid = -1/2
-        0, 3, 0, 5, 0, 0,  # x = -1, y = 1, alpha = 1/2: mid = 0
+        point_draw(Fraction(-3, 4), 2, 17), point_draw(Fraction(1, 4), 3, 9), 0b010100,
+        point_draw(Fraction(1, 4), 7), point_draw(Fraction(-3, 4), 5, 1), 0b010100,
+        point_draw(Fraction(-1), 0, 127), point_draw(Fraction(1), 0), 0,
     ))
     monkeypatch.setattr(random, "Random", ScriptedRandom)
     p = P("x1^4 - 2*x1^2", 1)
@@ -316,6 +339,38 @@ def test_trial_ties_are_no_violation(monkeypatch):
         (Fraction(-1),), (Fraction(1),), Fraction(1, 2), (Fraction(-1), Fraction(-1), Fraction(0))
     )
     assert verdict == exact_reference_falsify(p, 3, 1)
+
+
+def test_every_draw_decodes_to_its_documented_point_and_weight(monkeypatch):
+    # -x2^2 is violated by every trial with x2 = -1 and y2 = 1, so the
+    # witness of a one-trial search shows how the draws of x1 and alpha decode
+    p = P("-x2^2", 2)
+    minus_one, one = point_draw(Fraction(-1), 0), point_draw(Fraction(1), 0)
+
+    def witness(script):
+        monkeypatch.setattr(ScriptedRandom, "script", script)
+        found = structure._sample_violation(p, 1, 0).witness
+        reference = ScriptedRandom(0)
+        x = [random_fraction(reference) for _ in range(2)]
+        y = [random_fraction(reference) for _ in range(2)]
+        assert (found.x, found.y, found.alpha) == (tuple(x), tuple(y), random_weight(reference))
+        return found
+
+    monkeypatch.setattr(random, "Random", ScriptedRandom)
+    levels = {j: [] for j in range(8)}
+    for r in range(2**13):
+        levels[r & 7].append(witness((r, minus_one, 0, one, 0)).x[0])
+    for j, points in levels.items():
+        # 1024 draws per level, each point of the grid of step 1/2^j in [-4, 4) 2^(7-j) times
+        grid = [Fraction(m, 2**j) - 4 for m in range(8 * 2**j)]
+        assert sorted(points) == sorted(grid * 2 ** (7 - j))
+    weights = {k: [] for k in range(1, 5)}
+    for r in range(2**6):
+        weights[(r & 3) + 1].append(witness((0, minus_one, 0, one, r)).alpha)
+    for k, alphas in weights.items():
+        # 16 draws per k, each odd multiple of 1/2^k in (0, 1) equally often
+        odd = [Fraction(2 * i + 1, 2**k) for i in range(2 ** (k - 1))]
+        assert sorted(alphas) == sorted(odd * (16 // 2 ** (k - 1)))
 
 
 def test_falsifier_exact_at_coefficients_beyond_float_range():
