@@ -356,7 +356,7 @@ def _default_seed() -> int:
         raise ValueError(f"UNLINK_SEED: {exc}") from None
 
 
-def _add_common(sub, *, u=False, v=False, p=False):
+def _add_common(sub, *, u=False, v=False, p=False, trials=False):
     if u:
         sub.add_argument("--u", required=True, help="path to the first polynomial")
     if v:
@@ -365,6 +365,9 @@ def _add_common(sub, *, u=False, v=False, p=False):
         sub.add_argument("--p", required=True, help="path to the polynomial")
     sub.add_argument("--seed", type=_positive_integer, help="random seed (default: UNLINK_SEED or 42)")
     sub.add_argument("--out", default=None, help="write the report here instead of stdout")
+    if trials:
+        trials_help = "falsifier trials (default: 10^4)"
+        sub.add_argument("--trials", type=_positive_integer, default=DEFAULT_TRIALS, help=trials_help)
 
 
 @functools.cache
@@ -383,8 +386,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     check = sub.add_parser("check", help="symmetry and quasi-convexity falsifier")
-    _add_common(check, p=True)
-    check.add_argument("--trials", type=_positive_integer, default=DEFAULT_TRIALS)
+    _add_common(check, p=True, trials=True)
 
     invariance = sub.add_parser("invariance", help="basis of the invariance subspace")
     _add_common(invariance, p=True)
@@ -404,13 +406,11 @@ def _build_parser() -> argparse.ArgumentParser:
     )
 
     unlink_cmd = sub.add_parser("unlink", help="full unlinking pipeline")
-    _add_common(unlink_cmd, u=True, v=True)
-    unlink_cmd.add_argument("--trials", type=_positive_integer, default=DEFAULT_TRIALS)
+    _add_common(unlink_cmd, u=True, v=True, trials=True)
 
     verify = sub.add_parser("verify", help="run the property suite over a fixture directory")
     verify.add_argument("fixtures", help="directory of .poly/.json fixtures")
-    verify.add_argument("--seed", type=_positive_integer)
-    verify.add_argument("--out", default=None)
+    _add_common(verify)
 
     return parser
 

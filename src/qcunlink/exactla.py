@@ -3,9 +3,9 @@
 Every dimension-bearing computation here (kernel, row space, sum, the
 nestedness of a chain, the sign of a quadratic form) is exact, so ranks
 are exact integers.  Matrices come in over ``int``: each caller already
-holds an integer matrix (a derivative matrix, an integer Hessian,
-subspace rows), so nothing is rescaled, and an entry of any other type
-raises ``TypeError`` where the matrix enters the module.  The
+holds an integer matrix (a derivative matrix, the Hessian among its
+rows, subspace rows), so nothing is rescaled, and an entry of any other
+type raises ``TypeError`` where the matrix enters the module.  The
 eliminations run fraction-free, dividing out the content (gcd) of each
 row they produce; that changes no zero pattern and no sign, so the
 pivots, ranks and sign decisions are those of the rational computation,

@@ -164,8 +164,8 @@ class Polynomial:
         return scale, tuple((e, c.numerator * (scale // c.denominator)) for e, c in self.terms.items())
 
     @cached_property
-    def _derivative_matrix(self) -> tuple[tuple[int, ...], ...]:
-        """The rows of ``derivative_matrix(self)``, built once."""
+    def _derivative_rows(self) -> dict[Exponent, tuple[int, ...]]:
+        """The rows of ``derivative_matrix(self)`` keyed by their monomial, built once; read only."""
         rows: dict[Exponent, list[int]] = {}
         for exponent, coeff in self._integer_terms[1]:
             for i, k in enumerate(exponent):
@@ -176,7 +176,22 @@ class Polynomial:
                         row = rows[monomial] = [0] * self.arity
                     # x^monomial * x_i is the one term that reaches this entry
                     row[i] = coeff * k
-        return tuple(map(tuple, rows.values()))
+        return {monomial: tuple(row) for monomial, row in rows.items()}
+
+    @cached_property
+    def _derivative_matrix(self) -> tuple[tuple[int, ...], ...]:
+        """The rows of ``derivative_matrix(self)``, in the order their monomials were first met."""
+        return tuple(self._derivative_rows.values())
+
+    def _hessian_rows(self) -> list[tuple[int, ...]]:
+        """The rows of ``derivative_matrix(self)`` at x_1..x_n, a zero row where one is absent.
+
+        Only C*c*x_j^2 (2*C*c in column j) and C*c*x_i*x_j (C*c in column i)
+        reach the row of x_j, so these are C times the Hessian of the degree-2 part.
+        """
+        zero = (0,) * self.arity
+        rows = self._derivative_rows
+        return [rows.get(zero[:j] + (1,) + zero[j + 1 :], zero) for j in range(self.arity)]
 
     @classmethod
     def constant(cls, arity: int, value) -> "Polynomial":
@@ -277,7 +292,8 @@ def derivative_matrix(p: Polynomial) -> tuple[tuple[int, ...], ...]:
     C * c * e_i into column i of the row of e - e_i, so the entries of
     M v are the coefficients of D_v (C * p): for a rational v, D_v p is
     the zero polynomial iff M v = 0.  M is built once per polynomial and
-    shared by every caller, so its rows are tuples.
+    shared by every caller, so its rows are tuples.  Its rows at x_1..x_n
+    are C times the Hessian of p's degree-2 part (``_hessian_rows``).
     """
     return p._derivative_matrix
 

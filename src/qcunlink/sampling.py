@@ -89,7 +89,7 @@ def evaluate_float(polys: Sequence[Polynomial], points: np.ndarray) -> np.ndarra
 
 # Error of the power-table evaluation.
 #
-# Write u = 2**-53 and gamma_k = k*u / (1 - k*u) as in ``structure.py``.
+# Write u = 2**-53, the unit roundoff, and gamma_k = k*u / (1 - k*u) (Higham's notation).
 # Squaring s_0 = x gives s_j = fl(s_(j-1) * s_(j-1)) = x^(2^j) times
 # 2^j - 1 factors (1 + delta), |delta| <= u, counted with multiplicity.
 # x^k is the product of the s_j over the set bits j of k, in increasing

@@ -11,8 +11,9 @@ coefficients.  There is no floating point in the search and no false
 positive or negative; the witness is the first violating trial.  The
 one decidable case is total degree at most two, where convexity
 (equivalently quasi-convexity) reduces to an exact
-positive-semidefiniteness test of the quadratic form; a failed test
-yields a deterministic witness instead of relying on sampling luck.
+positive-semidefiniteness test of the quadratic form, whose integer
+matrix is the rows at x_1..x_n of the derivative matrix below; a failed
+test yields a deterministic witness instead of relying on sampling luck.
 
 The invariance subspace I_p of p is the set of directions a along which
 p is translation-invariant, p(x + t*a) = p(x) for every x and t.  It is
@@ -113,28 +114,6 @@ class QcVerdict:
         }
 
 
-def _scaled_hessian(p: Polynomial) -> list[list[int]]:
-    """C times the Hessian of p's degree-2 part, C the lcm of p's coefficient denominators.
-
-    A term c*x_i^2 puts 2*C*c on the diagonal and a term c*x_i*x_j puts
-    C*c at (i, j) and (j, i), all integers.  A positive multiple of the
-    quadratic form has the same signs, so its PSD test and witness are
-    those of p.
-    """
-    n = p.arity
-    h = [[0] * n for _ in range(n)]
-    for exponent, coeff in p._integer_terms[1]:
-        if sum(exponent) != 2:
-            continue
-        support = [i for i, k in enumerate(exponent) if k]
-        if len(support) == 1:
-            h[support[0]][support[0]] = 2 * coeff
-        else:
-            i, j = support
-            h[i][j] = h[j][i] = coeff
-    return h
-
-
 def _quadratic_witness(p: Polynomial, direction: Sequence[Fraction]) -> QcWitness:
     """Witness along a direction where the quadratic part is negative.
 
@@ -168,7 +147,7 @@ def qc_falsify(p: Polynomial, trials: int, seed: int) -> QcVerdict:
     if trials < 1:
         raise ValueError("trials must be positive")
     if p.total_degree() <= 2:
-        violation = psd_violation(_scaled_hessian(p))
+        violation = psd_violation(p._hessian_rows())
         if violation is None:
             return QcVerdict(CERTIFIED_CONVEX_QUADRATIC, None, 0, seed)
         return QcVerdict(FALSIFIED, _quadratic_witness(p, violation), 0, seed)

@@ -16,9 +16,10 @@ that took powers with ``pow``, compared within a rounding bound,
 sorted the samples again for its marginals, compared bit for bit, and
 ``tokenize`` is the per-character scanner the regex tokenizer replaced.
 ``quadratic_form_fraction`` is the ``Fraction`` quadratic form that the
-integer Hessian replaced in the PSD test of a quadratic.  ``exactla``
-takes integer matrices only; ``integer_rows`` scales rational rows to
-the integer rows it takes.  Nothing here is used by the package.
+derivative matrix's rows at x_1..x_n, an integer Hessian, replaced in
+the PSD test of a quadratic.  ``exactla`` takes integer matrices only;
+``integer_rows`` scales rational rows to the integer rows it takes.
+Nothing here is used by the package.
 """
 
 from __future__ import annotations

@@ -778,6 +778,18 @@ def test_env_seed_is_used(capsys, monkeypatch):
     assert report["seed"] == 7
 
 
+@pytest.mark.parametrize(
+    "command, trials", [("check", True), ("unlink", True), ("verify", False), ("invariance", False)]
+)
+def test_help_describes_the_shared_flags(capsys, command, trials):
+    code, out, _ = run(capsys, command, "--help")
+    assert code == 0
+    text = " ".join(out.split())
+    assert "--seed SEED random seed (default: UNLINK_SEED or 42)" in text
+    assert "--out OUT write the report here instead of stdout" in text
+    assert ("--trials TRIALS falsifier trials (default: 10^4)" in text) == trials
+
+
 def test_repeated_in_process_calls(capsys, monkeypatch):
     # one process, one parser: a usage error and --help leave nothing behind,
     # and UNLINK_SEED is read afresh on every call

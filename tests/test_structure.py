@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from qcunlink import structure
 from qcunlink.exactla import kernel_and_row_space, psd_violation
-from qcunlink.polyalg import Polynomial, evaluate
+from qcunlink.polyalg import Polynomial, derivative_matrix, evaluate
 from qcunlink.structure import (
     CASE_A,
     CASE_B,
@@ -186,7 +186,7 @@ def concave_quadratics(draw):
     coefficient = st.fractions(-5, 5, max_denominator=7)
     p = Polynomial(arity, {e: draw(coefficient) for e in exponents if draw(st.booleans())})
     p = p * Fraction(10) ** draw(st.integers(-30, 30))
-    direction = psd_violation(structure._scaled_hessian(p))
+    direction = psd_violation(p._hessian_rows())
     assume(direction is not None)
     scale = draw(st.fractions(Fraction(1, 1000), 1000, max_denominator=1000).filter(bool))
     return p, tuple(scale * c for c in direction)
@@ -215,16 +215,40 @@ def scaled_quadratics(draw):
     return p * Fraction(10) ** draw(st.integers(-400, 400))
 
 
+@st.composite
+def higher_degree_polynomials(draw):
+    """Total degree 3 or 4 in up to 4 variables, with terms of every lower degree."""
+    arity = draw(st.integers(1, 4))
+    exponents = [e for e in itertools.product(range(5), repeat=arity) if sum(e) <= 4]
+    coefficient = st.fractions(-5, 5, max_denominator=9)
+    p = Polynomial(arity, {e: draw(coefficient) for e in exponents if draw(st.booleans())})
+    assume(p.total_degree() > 2)
+    return p
+
+
 @settings(max_examples=200, deadline=None)
-@given(scaled_quadratics())
+@given(st.one_of(scaled_quadratics(), higher_degree_polynomials()))
 @example(P("x1^2 + 2*x1*x2 + x2^2 + 3*x1", 2))  # singular PSD form
 @example(P("1/3*x1*x2 - 2*x2 + 7", 2))  # zero diagonal, indefinite
 @example(P(f"{10**400}*x1^2 - {Fraction(1, 10**400)}*x2^2", 2))
-def test_scaled_hessian_matches_fraction_reference(p):
-    # the integer Hessian is a positive multiple of the rational quadratic
-    # form, so the PSD test takes the same pivots and returns the same witness
-    reference = psd_violation_fraction(quadratic_form_fraction(p))
-    assert psd_violation(structure._scaled_hessian(p)) == reference
+@example(P("x1^4 - 1/16*x1^2", 1))
+@example(P("1/3*x1^3*x2 + 2/5*x1*x2 - 7/2*x2^2 + x1", 2))
+@example(P("x1^2*x2^2 + 1/7*x3^3", 3))  # no degree-2 part: zero rows
+def test_hessian_rows_of_derivative_matrix_match_fraction_reference(p):
+    # the rows of the derivative matrix at x_1..x_n are C times the Hessian
+    # of the degree-2 part, C the lcm of all of p's denominators: a positive
+    # multiple of the rational quadratic form, so the PSD test takes the
+    # same pivots and returns the same witness
+    scale = math.lcm(*(c.denominator for c in p.terms.values()))
+    form = quadratic_form_fraction(p)
+    rows = p._hessian_rows()
+    assert [list(row) for row in rows] == [[2 * scale * a for a in row] for row in form]
+    matrix = derivative_matrix(p)
+    assert all(any(row is m for m in matrix) for row in rows if any(row))
+    reference = psd_violation_fraction(form)
+    assert psd_violation(rows) == reference
+    if p.total_degree() > 2:
+        return
     if reference is None:
         expected = QcVerdict(CERTIFIED_CONVEX_QUADRATIC, None, 0, 5)
     else:

@@ -1,6 +1,7 @@
 """Concordance, transform assembly, the unlink pipeline, and spot-checks."""
 
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -17,10 +18,10 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qcunlink import exactla, sampling, unlink
-from qcunlink.exactla import kernel_and_row_space, subspace_sum
+from qcunlink import exactla, sampling, structure, unlink
+from qcunlink.exactla import kernel_and_row_space, psd_violation, subspace_sum
 from qcunlink.gaussmeasure import covariance, expectation
-from qcunlink.polyalg import Polynomial, evaluate
+from qcunlink.polyalg import Polynomial, derivative_matrix, evaluate
 from qcunlink.sampling import correlation_spotcheck, covariance_integral_check
 from qcunlink.structure import invariance_subspace
 from qcunlink.unlink import (
@@ -280,6 +281,48 @@ def test_unlink_rotated_pair_end_to_end():
         for exponent, coeff in composed.terms.items():
             if exponent != keep:
                 assert abs(float(coeff)) <= 1e-9
+
+
+def test_unlink_builds_each_derivative_matrix_once(monkeypatch):
+    # the PSD test, concordance and the separation check read one matrix per input
+    built = []
+    build = Polynomial._derivative_rows.func
+
+    def counted(p):
+        built.append(p)
+        return build(p)
+
+    rows_property = functools.cached_property(counted)
+    rows_property.__set_name__(Polynomial, "_derivative_rows")
+    monkeypatch.setattr(Polynomial, "_derivative_rows", rows_property)
+    falsifier_read = []
+    monkeypatch.setattr(
+        structure, "psd_violation", lambda rows: falsifier_read.append(rows) or psd_violation(rows)
+    )
+    matrices_read = []
+
+    def spy(caller, read):
+        def spied(p):
+            matrix = read(p)
+            matrices_read.append((caller, p, matrix))
+            return matrix
+
+        return spied
+
+    for module in (structure, unlink):
+        monkeypatch.setattr(module, "derivative_matrix", spy(module.__name__, module.derivative_matrix))
+    u = P("x1^2 + 2*x1*x2 + x2^2 + 1", 2)
+    v = P("x1^2 - 2*x1*x2 + x2^2", 2)
+    assert unlink_decision(u, v).verdict == VERDICT_UNLINKED
+    assert sorted(map(id, built)) == sorted([id(u), id(v)])
+    assert len(falsifier_read) == 2
+    for p, rows in zip((u, v), falsifier_read):
+        matrix = derivative_matrix(p)
+        assert all(any(row is m for m in matrix) for row in rows)
+        # concordance reads it through structure, the separation check in unlink
+        readers = {caller for caller, q, m in matrices_read if q is p and m is matrix}
+        assert readers == {"qcunlink.structure", "qcunlink.unlink"}
+    assert all(m is derivative_matrix(p) for _, p, m in matrices_read)
 
 
 def test_unlink_nonzero_covariance_fails_hypothesis():
