@@ -397,7 +397,8 @@ def _build_parser() -> argparse.ArgumentParser:
     cov = sub.add_parser("cov", help="exact Gaussian covariance")
     _add_common(cov, u=True, v=True)
     cov.add_argument("--mc", action="store_true", help="add a Monte Carlo cross-check")
-    cov.add_argument("--mc-samples", type=_positive_integer, default=DEFAULT_MC_SAMPLES)
+    mc_help = "Monte Carlo samples for --mc (default: 10^6)"
+    cov.add_argument("--mc-samples", type=_positive_integer, default=DEFAULT_MC_SAMPLES, help=mc_help)
 
     marginal = sub.add_parser("marginal", help="partial Gaussian expectation")
     _add_common(marginal, p=True)

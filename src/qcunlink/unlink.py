@@ -11,8 +11,8 @@ polynomials over a standard Gaussian vector:
    out;
 3. compute the concordance order r: with I_u the invariance subspace of
    u, r = dim(I_u complement) - dim(I_u complement intersected with
-   I_v).  The count is symmetric in u and v and is computed both ways as
-   a consistency check;
+   I_v), the rank of the product of the complements' integer bases; the
+   overlap kernel must have dimension dim(I_u complement) - r;
 4. if r = 0, assemble an orthonormal basis adapted to the nested chain
    (overlap) < (I_u complement) < (I_u complement + I_v complement) and
    certify exactly that each polynomial, composed with it, does not
@@ -96,8 +96,8 @@ class ConcordanceReport:
     """Exact dimension bookkeeping for a polynomial pair.
 
     ``overlap`` is (I_u complement) intersected with I_v; ``perp_sum`` is
-    the sum of the two complements.  The counts satisfy
-    r = dim(inv_u_perp) - t and r + t + m = dim(perp_sum).
+    the sum of the two complements.  r is the rank of the complements'
+    basis product; r + t = dim(inv_u_perp) and r + t + m = dim(perp_sum).
     """
 
     n: int
@@ -134,29 +134,26 @@ class ConcordanceReport:
 def concordance(u: Polynomial, v: Polynomial) -> ConcordanceReport:
     """Exact concordance order r and the bases behind it.
 
-    The order is computed from each side and must agree; a mismatch
-    would be a bug in the exact linear algebra.
+    r = rank(B_u B_v') for the integer RREF rows B_u, B_v of the two
+    complements, since x -> B_v x kills I_v and is injective on its
+    complement.  The overlap, found as a kernel, is the cross-check: a
+    dimension other than dim(inv_u_perp) - r raises InvariantViolation.
     """
     if u.arity != v.arity:
         raise ValueError(f"arity mismatch: {u.arity} != {v.arity}")
     n = u.arity
     inv_u, inv_u_perp = invariance_and_complement(u)
     inv_v, inv_v_perp = invariance_and_complement(v)
+    product = [[sum(map(mul, a, b)) for b in inv_v_perp.rows] for a in inv_u_perp.rows]
+    r = rank(product, inv_v_perp.dimension)
     # A^perp intersected with B is (A + B^perp)^perp: the vectors orthogonal
     # to the rows of A and of B^perp
     overlap = kernel(inv_u.rows + inv_v_perp.rows, n)
     t = overlap.dimension
-    r = inv_u_perp.dimension - t
-    # the same count from v's side: (I_v complement) intersected with I_u is
-    # the kernel of the rows of I_v and of I_u complement, so only its
-    # dimension n - rank is needed
-    r_other = inv_v_perp.dimension - (n - rank(inv_v.rows + inv_u_perp.rows, n))
-    if r != r_other:
-        raise InvariantViolation(
-            f"concordance order disagrees between sides: {r} vs {r_other}"
-        )
+    if r + t != inv_u_perp.dimension:
+        raise InvariantViolation(f"concordance order {r} disagrees with overlap dimension {t}")
     perp_sum = subspace_sum(inv_u_perp, inv_v_perp)
-    m = perp_sum.dimension - r - t
+    m = perp_sum.dimension - inv_u_perp.dimension
     return ConcordanceReport(
         n=n,
         r=r,

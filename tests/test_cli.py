@@ -790,6 +790,13 @@ def test_help_describes_the_shared_flags(capsys, command, trials):
     assert ("--trials TRIALS falsifier trials (default: 10^4)" in text) == trials
 
 
+def test_cov_help_describes_the_sample_count(capsys):
+    code, out, _ = run(capsys, "cov", "--help")
+    assert code == 0
+    text = " ".join(out.split())
+    assert "--mc-samples MC_SAMPLES Monte Carlo samples for --mc (default: 10^6)" in text
+
+
 def test_repeated_in_process_calls(capsys, monkeypatch):
     # one process, one parser: a usage error and --help leave nothing behind,
     # and UNLINK_SEED is read afresh on every call

@@ -19,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qcunlink import exactla, sampling, structure, unlink
+from qcunlink.cli import _load_polynomial
 from qcunlink.exactla import kernel_and_row_space, psd_violation, subspace_sum
 from qcunlink.gaussmeasure import covariance, expectation
 from qcunlink.polyalg import Polynomial, derivative_matrix, evaluate
@@ -55,11 +56,15 @@ from exact_oracles import (
     covariance_integral_check_reference,
     integer_rows,
     intersect,
+    kernel_fraction,
     orthogonal_complement,
+    quadratic_form_fraction,
+    rref_fraction,
     same_space,
     verify_unlinked_by_derivatives,
 )
 
+FIXTURES = Path(__file__).parent / "fixtures"
 ROT_U = P("x1^2 + 2*x1*x2 + x2^2", 2)
 ROT_V = P("x1^2 - 2*x1*x2 + x2^2", 2)
 
@@ -172,10 +177,146 @@ def test_concordance_overlap_matches_stacked_intersection():
 
 
 def test_concordance_cross_check_fires(monkeypatch):
-    # a rank off by one on v's side makes the two counts of r disagree
-    monkeypatch.setattr(unlink, "rank", lambda rows, cols: exactla.rank(rows, cols) + 1)
-    with pytest.raises(InvariantViolation, match="concordance order disagrees between sides: 0 vs 1"):
-        concordance(ROT_U, ROT_V)
+    # a product rank off by one disagrees with the overlap's dimension
+    for offset in (1, -1):
+        monkeypatch.setattr(unlink, "rank", lambda rows, cols: exactla.rank(rows, cols) + offset)
+        expected = f"concordance order {offset} disagrees with overlap dimension 1"
+        with pytest.raises(InvariantViolation, match=expected):
+            concordance(ROT_U, ROT_V)
+
+
+def under_optimize_flag(patch, call):
+    """Standard output of ``call`` on the rotated pair under python -O, after ``patch``.
+
+    python -O strips assert statements, so a runtime check that still
+    raises there prints its ``InvariantViolation`` message.
+    """
+    script = f"""
+import sys
+from qcunlink import exactla, unlink
+from qcunlink.errors import InvariantViolation
+from qcunlink.polyalg import parse_expression
+{patch}
+u = parse_expression("x1^2 + 2*x1*x2 + x2^2", 2)
+v = parse_expression("x1^2 - 2*x1*x2 + x2^2", 2)
+try:
+    {call}
+except InvariantViolation as exc:
+    print("optimize", sys.flags.optimize, "raised", exc)
+"""
+    src = str(Path(unlink.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+def test_concordance_cross_check_survives_optimize_flag():
+    patch = "unlink.rank = lambda rows, cols: exactla.rank(rows, cols) + 1"
+    out = under_optimize_flag(patch, "unlink.concordance(u, v)")
+    assert out == "optimize 1 raised concordance order 1 disagrees with overlap dimension 1\n"
+
+
+def rank_fraction(rows, cols):
+    return len(rref_fraction(rows, cols)[1])
+
+
+def product(first, second):
+    """first times the transpose of second, both given by their rows."""
+    return [[sum(x * y for x, y in zip(a, b)) for b in second] for a in first]
+
+
+def fixture_pairs():
+    """Same-arity pairs of the corpus fixtures and of the input files in tests/fixtures."""
+    files = sorted(path for path in FIXTURES.iterdir() if path.suffix in (".poly", ".json"))
+    named = QC_FIXTURES + NON_QC_FIXTURES + [(path.name, _load_polynomial(str(path))) for path in files]
+    return [(u, v) for _, u in named for _, v in named if u.arity == v.arity]
+
+
+def test_concordance_order_is_the_rank_of_the_basis_product():
+    # rank(B_u B_v') = dim I_u^perp - dim overlap = r(v, u), and on small
+    # inputs the same rank as the product of the full derivative matrices
+    rng = random.Random(53)
+    pairs = fixture_pairs()
+    pairs += [overlapping_convex_pair(rng)[:2] for _ in range(40)]
+    for arity in range(1, 13):
+        for _ in range(5):
+            pairs.append((random_psd_quadratic(rng, arity), random_psd_quadratic(rng, arity)))
+    rotations = random.Random(2022)
+    for u, v in decision_pairs(rotations):
+        q = seeded_rotation(rotations, u.arity)
+        pairs += [(u, v), (compose_linear(u, q), compose_linear(v, q))]
+    small = 0
+    for u, v in pairs:
+        report, flipped = concordance(u, v), concordance(v, u)
+        b_u, b_v = report.inv_u_perp.rows, flipped.inv_u_perp.rows
+        order = rank_fraction(product(b_u, b_v), len(b_v))
+        assert order == report.r == report.inv_u_perp.dimension - report.overlap.dimension
+        assert order == flipped.r
+        m_u, m_v = derivative_matrix(u), derivative_matrix(v)
+        if max(len(m_u), len(m_v)) <= 60:
+            small += 1
+            assert rank_fraction(product(m_u, m_v), len(m_v)) == order
+    assert small >= 200
+
+
+def quadratic_from_matrix(entries):
+    """x'Ax for the symmetric matrix A."""
+    n = len(entries)
+    terms = {}
+    for i in range(n):
+        for j in range(i, n):
+            exponent = tuple((k == i) + (k == j) for k in range(n))
+            terms[exponent] = entries[i][j] * (1 if i == j else 2)
+    return Polynomial(n, terms)
+
+
+def signed_gram(rng, vectors, n):
+    """The n-by-n sum of +-g g' over the vectors, each sign drawn."""
+    entries = [[Fraction(0)] * n for _ in range(n)]
+    for g in vectors:
+        sign = rng.choice((-1, 1))
+        for i in range(n):
+            for j in range(n):
+                entries[i][j] += sign * g[i] * g[j]
+    return entries
+
+
+def indefinite_pair(rng, n):
+    """Symmetric integer forms A, B of any signature; half of them with AB = 0 by construction."""
+    first = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(rng.randint(1, n))]
+    a = signed_gram(rng, first, n)
+    if rng.random() < 0.5:
+        second = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(rng.randint(1, n))]
+        return a, signed_gram(rng, second, n)
+    # B built from integer vectors orthogonal to every g, so that AB = 0
+    free = integer_rows(kernel_fraction(first, n))
+    weights = [[rng.randint(-2, 2) for _ in free] for _ in free]
+    combos = [[sum(w * h[i] for w, h in zip(row, free)) for i in range(n)] for row in weights]
+    return a, signed_gram(rng, combos, n)
+
+
+def test_quadratic_concordance_order_is_the_rank_of_ab():
+    # x'Ax and x'Bx unlink iff AB = 0, for any signature (Craig 1943,
+    # Sakamoto 1944); I_p^perp is the row space of A, so r = rank(AB)
+    rng = random.Random(59)
+    forms = []
+    for n in range(1, 9):
+        for _ in range(8):
+            u, v = random_psd_quadratic(rng, n), random_psd_quadratic(rng, n)
+            forms.append((quadratic_form_fraction(u), quadratic_form_fraction(v)))
+            forms.append(indefinite_pair(rng, n))
+    zero = 0
+    for a, b in forms:
+        n = len(a)
+        ab = [[sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+        order = rank_fraction(ab, n)
+        assert concordance(quadratic_from_matrix(a), quadratic_from_matrix(b)).r == order
+        assert (order == 0) == all(x == 0 for row in ab for x in row)
+        zero += order == 0
+    assert 20 <= zero <= len(forms) - 20
 
 
 # ---------------------------------------------------------------------------
@@ -206,27 +347,8 @@ def test_build_transform_degenerate_zero_input():
 
 
 def test_build_transform_invariant_survives_optimize_flag():
-    # python -O strips assert statements; the runtime check must still raise
-    script = """
-import sys
-from qcunlink import unlink
-from qcunlink.errors import InvariantViolation
-from qcunlink.polyalg import parse_expression
-unlink.TOL_ORTHO = -1.0
-u = parse_expression("x1^2 + 2*x1*x2 + x2^2", 2)
-v = parse_expression("x1^2 - 2*x1*x2 + x2^2", 2)
-try:
-    unlink.build_transform(unlink.concordance(u, v))
-except InvariantViolation as exc:
-    print("optimize", sys.flags.optimize, "raised", exc)
-"""
-    src = str(Path(unlink.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    done = subprocess.run(
-        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=60
-    )
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.startswith("optimize 1 raised assembled transform is not orthonormal"), done.stdout
+    out = under_optimize_flag("unlink.TOL_ORTHO = -1.0", "unlink.build_transform(unlink.concordance(u, v))")
+    assert out.startswith("optimize 1 raised assembled transform is not orthonormal"), out
 
 
 def block_span_residual(q, columns, space):
