@@ -170,6 +170,20 @@ def qc_falsify(p: Polynomial, trials: int, seed: int) -> QcVerdict:
 # and likewise for y, so a trial is decided over ``int`` alone.  Over the
 # same C * (d*L)^D, p(x), p(y) and p(mid) are d^D * V(X, L), d^D * V(Y, L)
 # and V(M, d*L), the witness values.
+#
+# Trials 1 to _COMPILE_AFTER - 1 evaluate V by ``_integer_value``, which
+# walks the term list.  A search that reaches trial _COMPILE_AFTER runs
+# its remaining trials through two functions compiled from the same terms
+# (``_horner_program``): V(X, L) of the n entries of X, and V(M, d*L) of
+# a, b = d - a and the 2n entries of X and Y, which forms M itself.  The
+# fixed last argument s is folded into the coefficients, c_e times
+# s^(D - |e|), so the code is a polynomial in n variables only, written
+# as straight-line multivariate Horner code, over 2x faster per value than
+# the walk.  Compiling both costs about as much as 60 to 130 walked
+# trials, so the threshold keeps that cost off searches that falsify
+# early, and charges it to searches that run long enough to repay it.
+# The values, and so every verdict and witness, are the same either way.
+_COMPILE_AFTER = 64
 
 # the distinct powers (variable index, exponent) that V uses, with s at
 # index n, and per term its integer coefficient and the positions of its
@@ -200,6 +214,115 @@ def _integer_value(form: _IntegerForm, point: Sequence[int]) -> int:
     return total
 
 
+def _horner_program(form: _IntegerForm, arity: int, s: int, midpoint: bool) -> tuple[str, list[int]]:
+    """Source of V(., s) as straight-line Horner code, and the coefficients it takes.
+
+    The source defines ``program(c0, c1, ...)``, which returns the
+    evaluator ``value(x0, .., x{n-1})``, or with ``midpoint``
+    ``value(a, b, x0, .., x{n-1}, y0, .., y{n-1})`` at m_i = a*x_i + b*y_i.
+    The coefficients, s folded in, reach the code as arguments of
+    ``program`` and never as literals, so no coefficient is ever written
+    as text; the source holds local names, exponents, ``+``, ``*`` and
+    ``**`` only.  Each step splits the terms on the variable that occurs
+    in most of them, P = x_i^k * Q + R with k the least exponent of x_i
+    there (greedy multivariate Horner, Ceberio & Kreinovich 2004), and
+    assigns one local; an explicit stack replaces recursion, so neither
+    generating nor compiling nests deeper with the degree.
+    """
+    powers, terms = form
+    coefficients = []
+    monomials = []
+    for j, (c, factors) in enumerate(terms):
+        exponent = {}
+        for f in factors:
+            i, k = powers[f]
+            if i == arity:
+                c *= s**k
+            else:
+                exponent[i] = k
+        coefficients.append(c)
+        monomials.append((exponent, j))
+    var = "m" if midpoint else "x"
+    lines = []
+    if midpoint:
+        used = sorted({i for exponent, _ in monomials for i in exponent})
+        lines += [f"m{i} = a * x{i} + b * y{i}" for i in used]
+    named = {}
+
+    def power(i: int, k: int) -> str:
+        if k == 1:
+            return f"{var}{i}"
+        if (i, k) not in named:
+            named[i, k] = f"{var}{i}_{k}"
+            lines.append(f"{var}{i}_{k} = {var}{i} ** {k}")
+        return named[i, k]
+
+    # an expression per finished part, None for a coefficient 1; a list on
+    # the stack is a part to split, a tuple a split to join
+    values: list[Optional[str]] = []
+    stack: list = [monomials] if monomials else []
+    while stack:
+        task = stack.pop()
+        if isinstance(task, tuple):
+            i, k, has_rest = task
+            quotient = values.pop()
+            step = power(i, k) if quotient is None else f"{power(i, k)} * {quotient}"
+            if has_rest:
+                step += f" + {values.pop() or 1}"
+            elif quotient is None:
+                # a power alone needs no local of its own
+                values.append(step)
+                continue
+            values.append(f"t{len(lines)}")
+            lines.append(f"t{len(lines)} = {step}")
+        elif len(task) == 1 and not task[0][0]:
+            j = task[0][1]
+            values.append(None if coefficients[j] == 1 else f"c{j}")
+        else:
+            counts: dict[int, int] = {}
+            for exponent, _ in task:
+                for i in exponent:
+                    counts[i] = counts.get(i, 0) + 1
+            i = max(counts, key=lambda v: (counts[v], -v))
+            k = min(exponent[i] for exponent, _ in task if i in exponent)
+            quotient, rest = [], []
+            for exponent, j in task:
+                if i in exponent:
+                    exponent = dict(exponent)
+                    exponent[i] -= k
+                    if not exponent[i]:
+                        del exponent[i]
+                    quotient.append((exponent, j))
+                else:
+                    rest.append((exponent, j))
+            stack.append((i, k, bool(rest)))
+            stack.append(quotient)
+            if rest:
+                stack.append(rest)
+    result = (values.pop() or 1) if monomials else 0
+    entries = [f"x{i}" for i in range(arity)]
+    if midpoint:
+        entries = ["a", "b", *entries, *(f"y{i}" for i in range(arity))]
+    body = "".join(f"        {line}\n" for line in lines)
+    source = (
+        f"def program({', '.join(f'c{j}' for j in range(len(coefficients)))}):\n"
+        f"    def value({', '.join(entries)}):\n"
+        f"{body}"
+        f"        return {result}\n"
+        "    return value\n"
+    )
+    return source, coefficients
+
+
+def _compiled(source: str, coefficients: Sequence[int]):
+    """The evaluator that ``_horner_program``'s source defines, bound to its coefficients."""
+    # ``program`` lands in its own dict, not in the globals that the
+    # functions keep, so no reference cycle waits for the garbage collector
+    defined: dict = {}
+    exec(compile(source, "<horner>", "exec"), {"__builtins__": {}}, defined)
+    return defined["program"](*coefficients)
+
+
 def _sample_violation(p: Polynomial, trials: int, seed: int) -> QcVerdict:
     """The sampled search: trials in order, each decided exactly over the integers.
 
@@ -213,6 +336,13 @@ def _sample_violation(p: Polynomial, trials: int, seed: int) -> QcVerdict:
     a = ((r >> 2 >> (4 - k)) | 1) << (4 - k) puts alpha = a/16 uniform on
     the odd multiples of 1/2^k.  Those widths follow from POINT_BOUND = 4,
     POINT_LEVELS = 8 and WEIGHT_LEVELS = 4.
+
+    V is evaluated by ``_integer_value`` up to trial _COMPILE_AFTER - 1,
+    so a search that falsifies early never pays for compiling.  From
+    trial _COMPILE_AFTER on, two functions compiled once from V's terms
+    take over: V(X, L) and V(M, d*L), with s = L and s = d*L folded into
+    the coefficients and M formed inside.  The draws, the comparisons and
+    the witness do not change, so neither does any verdict.
     """
     scale, form = _homogenized(p)
     degree = p.total_degree()
@@ -233,23 +363,30 @@ def _sample_violation(p: Polynomial, trials: int, seed: int) -> QcVerdict:
     denominator = scale * (d * common) ** degree
     getrandbits = random.Random(seed).getrandbits
 
+    # V at (X, L), and at (M, d*L) from a, b and the entries of X and Y,
+    # by the term walk until trial _COMPILE_AFTER
+    def vx(*entries: int) -> int:
+        return _integer_value(form, [*entries, common])
+
+    def vm(a: int, b: int, *drawn: int) -> int:
+        mid = [a * u + b * w for u, w in zip(drawn, drawn[arity:])]
+        mid.append(d * common)
+        return _integer_value(form, mid)
+
     for trial in range(1, trials + 1):
+        if trial == _COMPILE_AFTER:
+            vx = _compiled(*_horner_program(form, arity, common, False))
+            vm = _compiled(*_horner_program(form, arity, d * common, True))
         # the entries of X, then of Y
         drawn = [(r >> level_bits & masks[r & finest]) - low for r in map(getrandbits, draws)]
-        # the points (X, L) and (Y, L) of V
-        big_x = [*drawn[:arity], common]
-        big_y = [*drawn[arity:], common]
         r = getrandbits(weight_bits)
         shift = k_mask - (r & k_mask)
         a = (r >> k_bits >> shift | 1) << shift
-        # the point (M, d*L) of V
-        b = d - a
-        mid = [a * u + b * w for u, w in zip(big_x, big_y)]
-        v_mid = _integer_value(form, mid)
-        v_x = weight * _integer_value(form, big_x)
+        v_mid = vm(a, d - a, *drawn)
+        v_x = weight * vx(*drawn[:arity])
         if v_mid <= v_x:
             continue
-        v_y = weight * _integer_value(form, big_y)
+        v_y = weight * vx(*drawn[arity:])
         if v_mid <= v_y:
             continue
         witness = QcWitness(

@@ -1,8 +1,10 @@
 """Quasi-convexity falsifier, ray classes, and invariance subspaces."""
 
+import ast
 import itertools
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -11,7 +13,7 @@ from hypothesis import strategies as st
 
 from qcunlink import structure
 from qcunlink.exactla import kernel_and_row_space, psd_violation
-from qcunlink.polyalg import Polynomial, derivative_matrix, evaluate
+from qcunlink.polyalg import MAX_EXPONENT, Polynomial, derivative_matrix, evaluate
 from qcunlink.structure import (
     CASE_A,
     CASE_B,
@@ -270,9 +272,122 @@ def test_falsify_rejects_nonpositive_trials():
 @pytest.mark.parametrize(
     "p", [pytest.param(p, id=name) for name, p in QC_FIXTURES + NON_QC_FIXTURES]
 )
-def test_screened_trials_match_exact_reference_on_corpus(p, seed):
-    # the sampled loop itself, also on the quadratics that qc_falsify decides exactly
+def test_sampled_trials_match_exact_reference_on_corpus(p, seed):
+    # the sampled loop itself, also on the quadratics that qc_falsify decides
+    # exactly; 300 trials run through the compiled evaluators past trial 63
     assert structure._sample_violation(p, 300, seed) == exact_reference_falsify(p, 300, seed)
+
+
+# the fixed denominators of the falsifier's points and weights
+COMMON = 2 ** (structure.POINT_LEVELS - 1)
+WEIGHT_DENOMINATOR = 2**structure.WEIGHT_LEVELS
+
+
+def horner_sources(p):
+    """The generated (source, coefficients) of V(X, L) and of V(M, d*L) for p."""
+    _, form = structure._homogenized(p)
+    return [
+        structure._horner_program(form, p.arity, s, midpoint)
+        for s, midpoint in ((COMMON, False), (WEIGHT_DENOMINATOR * COMMON, True))
+    ]
+
+
+def random_polynomial(rng, arity, degree):
+    """Up to five random terms of degree at most ``degree``, one of them of that degree."""
+    exponents = []
+    for total in [degree] + [rng.randint(0, degree) for _ in range(rng.randint(0, 4))]:
+        exponent = [0] * arity
+        for _ in range(total):
+            exponent[rng.randrange(arity)] += 1
+        exponents.append(tuple(exponent))
+    return Polynomial(arity, {e: Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 7)) for e in exponents})
+
+
+def horner_inputs():
+    """Degrees 0-6 in 1-12 variables, the zero polynomial, a long univariate chain, huge coefficients."""
+    rng = random.Random(5)
+    inputs = [
+        pytest.param(random_polynomial(rng, arity, degree), id=f"d{degree}-n{arity}")
+        for degree in range(7)
+        for arity in range(1, 13)
+    ]
+    inputs += [
+        pytest.param(Polynomial(3), id="zero"),
+        pytest.param(Polynomial(1, {(k,): 1 for k in range(2, 1001)}), id="x1^2+...+x1^1000"),
+        pytest.param(P("x1^4 + x2^4 - 3*x1*x2^3 + 7", 2) * Fraction(10) ** 5001, id="over-10^5000"),
+        pytest.param(P("x1^4*x2^2 + 2*x3^6", 3) * Fraction(1, 10**5001), id="under-10^-5000"),
+    ]
+    return inputs
+
+
+@pytest.mark.parametrize("p", horner_inputs())
+def test_compiled_evaluators_match_term_walk_and_fraction_evaluate(p):
+    # V(X, L) and V(M, d*L) against the term walk over (X, L) and (M, d*L),
+    # and against p itself: p(Z / s) = V(Z, s) / (C * s^D); the interpreter's
+    # default limit on int/str conversion is in force, so no coefficient may
+    # pass through text
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(sys.int_info.default_max_str_digits)
+    try:
+        scale, form = structure._homogenized(p)
+        vx, vm = (structure._compiled(*program) for program in horner_sources(p))
+        degree = p.total_degree()
+        rng = random.Random(p.arity)
+        for _ in range(3):
+            big_x = [rng.randrange(-512, 512) for _ in range(p.arity)]
+            big_y = [rng.randrange(-512, 512) for _ in range(p.arity)]
+            a = rng.randrange(1, WEIGHT_DENOMINATOR)
+            b = WEIGHT_DENOMINATOR - a
+            mid = [a * u + b * w for u, w in zip(big_x, big_y)]
+            value_x = vx(*big_x)
+            assert value_x == structure._integer_value(form, [*big_x, COMMON])
+            assert value_x == evaluate(p, [Fraction(u, COMMON) for u in big_x]) * scale * COMMON**degree
+            value_mid = vm(a, b, *big_x, *big_y)
+            s = WEIGHT_DENOMINATOR * COMMON
+            assert value_mid == structure._integer_value(form, [*mid, s])
+            assert value_mid == evaluate(p, [Fraction(m, s) for m in mid]) * scale * s**degree
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+@pytest.mark.parametrize("p", horner_inputs())
+def test_generated_source_holds_only_names_exponents_and_arithmetic(p):
+    # no call, attribute, subscript or string can appear, and every integer
+    # literal is an exponent or a lone 0 or 1: the coefficients are arguments
+    allowed = (
+        ast.Module, ast.FunctionDef, ast.arguments, ast.arg, ast.Assign, ast.Return,
+        ast.Name, ast.Load, ast.Store, ast.Constant, ast.BinOp, ast.Add, ast.Mult, ast.Pow,
+    )
+    for source, coefficients in horner_sources(p):
+        tree = ast.parse(source)
+        exponents = {id(node.right) for node in ast.walk(tree) if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow)}
+        for node in ast.walk(tree):
+            assert isinstance(node, allowed), ast.dump(node)
+            if isinstance(node, ast.Constant):
+                assert type(node.value) is int
+                assert 2 <= node.value <= MAX_EXPONENT if id(node) in exponents else node.value in (0, 1)
+        assert len(tree.body) == 1 and len(tree.body[0].args.args) == len(coefficients)
+
+
+def test_searches_that_falsify_before_the_threshold_never_compile(monkeypatch):
+    # the benchmark's early-falsified inputs pay nothing for the compiled path
+    def refuse(source, coefficients):
+        raise AssertionError("compiled before trial _COMPILE_AFTER")
+
+    monkeypatch.setattr(structure, "_compiled", refuse)
+    early = [
+        (P("x1^2*x2^2", 2), 42, 31),
+        (P("1/1000000000000*x1^2*x2^2", 3), 42, 24),
+        (P("-" + " - ".join(f"x{i}^4" for i in range(1, 9)), 8), 42, 1),
+    ]
+    for p, seed, trial in early:
+        verdict = qc_falsify(p, 10_000, seed)
+        assert verdict == exact_reference_falsify(p, 10_000, seed)
+        assert verdict.trials == trial < structure._COMPILE_AFTER
+    # a search that reaches the threshold does compile
+    with pytest.raises(AssertionError, match="compiled before"):
+        qc_falsify(P("x1^4 + x2^4", 2), structure._COMPILE_AFTER, 1)
+    assert qc_falsify(P("x1^4 + x2^4", 2), structure._COMPILE_AFTER - 1, 1).status == NOT_FALSIFIED
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3, 42, 2**31 - 1])
@@ -404,6 +519,10 @@ def test_falsifier_exact_at_coefficients_beyond_float_range():
         assert qc_falsify(p, 50, 3) == exact_reference_falsify(p, 50, 3)
         q = P("x1^2*x2^2", 2) * scale
         assert qc_falsify(q, 300, 42) == exact_reference_falsify(q, 300, 42)
+    # coefficients of more digits than the interpreter converts to text by
+    # default; 100 trials run past the threshold into the compiled path
+    huge = P("x1^4 + x2^4", 2) * Fraction(10) ** 5000
+    assert qc_falsify(huge, 100, 1) == exact_reference_falsify(huge, 100, 1)
 
 
 @st.composite
