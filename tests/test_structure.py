@@ -272,7 +272,7 @@ def test_falsify_rejects_nonpositive_trials():
 @pytest.mark.parametrize(
     "p", [pytest.param(p, id=name) for name, p in QC_FIXTURES + NON_QC_FIXTURES]
 )
-def test_sampled_trials_match_exact_reference_on_corpus(p, seed):
+def test_screened_trials_match_exact_reference_on_corpus(p, seed):
     # the sampled loop itself, also on the quadratics that qc_falsify decides
     # exactly; 300 trials run through the compiled evaluators past trial 63
     assert structure._sample_violation(p, 300, seed) == exact_reference_falsify(p, 300, seed)
