@@ -25,7 +25,7 @@ from .structure import (
     classify_ray,
     invariance_subspace,
     qc_falsify,
-    ray_constant,
+    translation_invariant,
 )
 from .unlink import (
     ConcordanceReport,

@@ -25,7 +25,8 @@ x1*x2 is constant on the x1 axis and has I_p = {0}.  For symmetric
 quasi-convex inputs the two sets coincide.  The map's integer matrix is
 built once from p's terms (``derivative_matrix``), and one elimination
 of it gives both the subspace and its orthogonal complement, the row
-space.
+space.  Membership needs no elimination: a is in I_p iff M a = 0
+(``translation_invariant``), which certifies a claimed basis exactly.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Mapping, Optional, Sequence
 
 from .exactla import Subspace, kernel_and_row_space, psd_violation
@@ -54,7 +56,7 @@ __all__ = [
     "invariance_and_complement",
     "invariance_subspace",
     "qc_falsify",
-    "ray_constant",
+    "translation_invariant",
 ]
 
 FALSIFIED = "falsified"
@@ -459,12 +461,12 @@ def classify_ray(g: Polynomial) -> RayClass:
 def invariance_subspace(p: Polynomial) -> Subspace:
     """Exact subspace of directions a with p(x + t*a) = p(x) for every x and t.
 
-    This is translation invariance, not constancy on the line through 0
-    (``ray_constant``), which is weaker: x1*x2 is constant on the x1 axis,
-    yet its subspace is {0}.  Computed as the kernel of the matrix of the
-    linear map v -> derivative of p along v (``derivative_matrix``).  The
-    order of its rows does not matter: the basis is the RREF basis of the
-    kernel, unique for the subspace.
+    This is translation invariance, not constancy on the line through 0,
+    which is weaker: x1*x2 is constant on the x1 axis, yet its subspace
+    is {0}.  Computed as the kernel of the matrix of the linear map
+    v -> derivative of p along v (``derivative_matrix``).  The order of
+    its rows does not matter: the basis is the RREF basis of the kernel,
+    unique for the subspace.
     """
     return invariance_and_complement(p)[0]
 
@@ -478,8 +480,14 @@ def invariance_and_complement(p: Polynomial) -> tuple[Subspace, Subspace]:
     return kernel_and_row_space(derivative_matrix(p), p.arity)
 
 
-def ray_constant(p: Polynomial, direction: Sequence) -> bool:
-    """Exact test that p(t*a) = p(0) for every t: p is constant on the line through 0 along a."""
-    if len(direction) != p.arity:
+def translation_invariant(p: Polynomial, directions: Sequence[Sequence[int]]) -> bool:
+    """Exact test that each integer direction a lies in I_p: p(x + t*a) = p(x) for all x, t.
+
+    That holds iff the derivative of p along a is the zero polynomial,
+    i.e. iff M a = 0 for the integer derivative matrix M of p; the test
+    is that product over ``int``, with no elimination.
+    """
+    if any(len(a) != p.arity for a in directions):
         raise ValueError("direction length must equal the arity")
-    return restrict_ray(p, direction).total_degree() == 0
+    matrix = derivative_matrix(p)
+    return not any(sum(map(mul, row, a)) for a in directions for row in matrix)

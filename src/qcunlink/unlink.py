@@ -47,8 +47,15 @@ from typing import Optional, Sequence
 from .errors import InvariantViolation
 from .exactla import Subspace, kernel, orthonormalize_nested, rank, subspace_sum
 from .gaussmeasure import covariance
-from .polyalg import Polynomial, derivative_matrix, evaluate, is_symmetric, restrict_ray
-from .structure import CASE_A, QcVerdict, classify_ray, invariance_and_complement, qc_falsify
+from .polyalg import Polynomial, evaluate, is_symmetric, restrict_ray
+from .structure import (
+    CASE_A,
+    QcVerdict,
+    classify_ray,
+    invariance_and_complement,
+    qc_falsify,
+    translation_invariant,
+)
 
 __all__ = [
     "ConcordanceReport",
@@ -248,8 +255,8 @@ def verify_unlinked(p: Polynomial, transform: OrthogonalTransform, forbidden) ->
     the arity n of p, which must also be the transform's dimension.  True
     iff for each forbidden j the directional derivative of p along the
     exact column w_j is the zero polynomial, i.e. iff M w_j = 0 for the
-    integer derivative matrix M of p: then p o Q is a function of the
-    other coordinates only.
+    integer derivative matrix M of p (``translation_invariant``): then
+    p o Q is a function of the other coordinates only.
     """
     n = p.arity
     if transform.n != n:
@@ -259,14 +266,11 @@ def verify_unlinked(p: Polynomial, transform: OrthogonalTransform, forbidden) ->
         return True
     if not 1 <= banned[0] <= banned[-1] <= n:
         raise ValueError(f"forbidden coordinates {banned} outside 1..{n}")
-    matrix = derivative_matrix(p)
-    for j in banned:
-        column = transform.columns[j - 1]
+    columns = [transform.columns[j - 1] for j in banned]
+    for j, column in zip(banned, columns):
         if len(column) != n:
             raise ValueError(f"column {j} has length {len(column)}, expected {n}")
-        if any(sum(map(mul, row, column)) for row in matrix):
-            return False
-    return True
+    return translation_invariant(p, columns)
 
 
 def _asymmetry_witness(p: Polynomial) -> dict:

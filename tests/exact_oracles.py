@@ -4,7 +4,9 @@ Most functions are the straightforward rational computation that a
 fraction-free or one-pass routine in the package replaces; the
 differential tests compare the two exactly.  ``compose_linear`` and
 ``restrict_line`` substitute linear forms into a polynomial, which the
-package no longer does; tests use them as oracles.  ``classify_ray_probe``
+package no longer does; tests use them as oracles.  ``ray_constant`` is
+the ray law that every direction of the invariance subspace satisfies,
+the check of a basis that M a = 0 replaced.  ``classify_ray_probe``
 is the ray classifier that rounded its root bound to float and probed
 the derivative's sign beyond it.  The invariance subspace from
 ``partial_derivative`` polynomials, the complement as a
@@ -37,6 +39,7 @@ from qcunlink.polyalg import (
     Polynomial,
     PolynomialSyntaxError,
     evaluate,
+    restrict_ray,
 )
 from qcunlink.sampling import IntegralCheck, sample_values
 from qcunlink.structure import CASE_A, CASE_B, CASE_CONST, QcWitness, RayClass
@@ -93,6 +96,17 @@ def restrict_line(p: Polynomial, base, direction) -> Polynomial:
         for j, a in enumerate(term):
             coefficients[j] += a
     return Polynomial(1, {(j,): a for j, a in enumerate(coefficients)})
+
+
+def ray_constant(p: Polynomial, direction) -> bool:
+    """Exact test that p(t*a) = p(0) for every t: p is constant on the line through 0 along a.
+
+    Weaker than translation invariance, which the package tests: x1*x2
+    is constant on the x1 axis, yet no direction leaves it unchanged.
+    """
+    if len(direction) != p.arity:
+        raise ValueError("direction length must equal the arity")
+    return restrict_ray(p, direction).total_degree() == 0
 
 
 def partial_derivative(p: Polynomial, index: int) -> Polynomial:

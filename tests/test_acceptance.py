@@ -22,7 +22,6 @@ from qcunlink.structure import (
     classify_ray,
     invariance_subspace,
     qc_falsify,
-    ray_constant,
 )
 from qcunlink.unlink import (
     VERDICT_UNLINKED,
@@ -40,7 +39,7 @@ from corpus import (
     random_even_convex,
     random_psd_quadratic,
 )
-from exact_oracles import compose_linear, contains_vector_fraction
+from exact_oracles import compose_linear, contains_vector_fraction, ray_constant
 
 
 def report(criterion: int, description: str, passed: bool):

@@ -11,8 +11,10 @@ from pathlib import Path
 
 import pytest
 
+import qcunlink.structure as structure_module
 import qcunlink.unlink as unlink_module
 from qcunlink.cli import main
+from qcunlink.exactla import Subspace
 from qcunlink.polyalg import evaluate, parse_expression, to_expression
 from qcunlink.unlink import InvariantViolation
 
@@ -710,6 +712,40 @@ def test_verify_fixture_directory(capsys):
     assert report["all_pass"] is True
     assert report["pairs_checked"] > 0
     assert all(entry["pass"] for entry in report["fixtures"])
+
+
+def test_verify_rejects_a_wrong_invariance_basis(capsys, monkeypatch):
+    # x1^2*x2^2 is constant on the x1 axis, but its invariance subspace is {0}:
+    # the derivative along (1, 0) is 2*x1*x2^2, so M (1, 0) != 0
+    cross_square = parse_expression("x1^2*x2^2", 2)
+    compute = structure_module.invariance_subspace
+
+    def patched(p):
+        return Subspace(2, ((1, 0),), (0,)) if p == cross_square else compute(p)
+
+    monkeypatch.setattr(structure_module, "invariance_subspace", patched)
+    code, report, _ = run_json(capsys, "verify", str(FIXTURES))
+    assert code == 5
+    assert report["all_pass"] is False
+    failed = [entry for entry in report["fixtures"] if not entry["pass"]]
+    assert failed == [
+        {
+            "file": "cross_square.poly",
+            "round_trip": True,
+            "symmetry_consistent": True,
+            "kernel_invariant": False,
+            "pass": False,
+        }
+    ]
+
+
+def test_verify_report_is_seed_free(capsys, monkeypatch):
+    reports = [run(capsys, "verify", str(FIXTURES), "--seed", seed) for seed in ("1", "2")]
+    monkeypatch.setenv("UNLINK_SEED", "5")
+    reports.append(run(capsys, "verify", str(FIXTURES)))
+    assert reports[0][0] == 0
+    assert reports[1] == reports[0] and reports[2] == reports[0]
+    assert "seed" not in json.loads(reports[0][1])
 
 
 def test_unlink_quartic_pair_residuals_zero(capsys, certificates):

@@ -27,7 +27,7 @@ from qcunlink.structure import (
     invariance_and_complement,
     invariance_subspace,
     qc_falsify,
-    ray_constant,
+    translation_invariant,
 )
 
 from corpus import NON_QC_FIXTURES, QC_FIXTURES, RAY_CORPUS, P, rotated_polynomials
@@ -38,6 +38,7 @@ from exact_oracles import (
     psd_violation_fraction,
     quadratic_form_fraction,
     quadratic_witness_doubling,
+    ray_constant,
     restrict_line,
     same_space,
 )
@@ -705,10 +706,17 @@ def test_ray_constant_examples():
     assert not ray_constant(p, (1, 0))
     assert ray_constant(p, (0, 0))
     # constancy on the line through 0 is weaker than translation invariance:
-    # x1*x2 vanishes on the x1 axis, yet no direction leaves it unchanged
+    # x1*x2 vanishes on the x1 axis, yet no direction leaves it unchanged;
+    # its derivative along (1, 0) is x2, so M (1, 0) != 0
     q = P("x1*x2", 2)
     assert ray_constant(q, (1, 0))
     assert invariance_subspace(q).dimension == 0
+    assert not translation_invariant(q, [(1, 0)])
+    assert translation_invariant(p, [(1, -1), (-3, 3), (0, 0)])
+    assert not translation_invariant(p, [(1, -1), (1, 0)])
+    assert translation_invariant(p, [])
+    with pytest.raises(ValueError, match="direction length must equal the arity"):
+        translation_invariant(p, [(1, -1, 0)])
 
 
 def test_ray_constant_ignores_the_constant_term():
@@ -789,21 +797,25 @@ def test_invariance_pair_matches_partial_derivative_reference(p):
 
 
 def test_ray_constant_agrees_with_translation_invariance():
+    # on symmetric quasi-convex inputs the ray law, the product check M a = 0
+    # and translation invariance at sampled base points all agree, on integer
+    # combinations of the kernel rows and on random integer directions
     rng = random.Random(29)
     for name, p in QC_FIXTURES:
         space = invariance_subspace(p)
         for trial in range(12):
-            if space.basis and trial % 2 == 0:
-                coeffs = [Fraction(rng.randint(-5, 5)) for _ in space.basis]
+            if space.rows and trial % 2 == 0:
+                coeffs = [rng.randint(-5, 5) for _ in space.rows]
                 direction = [
-                    sum(c * row[i] for c, row in zip(coeffs, space.basis))
-                    for i in range(p.arity)
+                    sum(c * row[i] for c, row in zip(coeffs, space.rows)) for i in range(p.arity)
                 ]
             else:
-                direction = [Fraction(rng.randint(-5, 5)) for _ in range(p.arity)]
-            assert ray_constant(p, direction) == check_translation_invariance(
+                direction = [rng.randint(-5, 5) for _ in range(p.arity)]
+            invariant = translation_invariant(p, [direction])
+            assert invariant == check_translation_invariance(
                 p, direction, trials=20, seed=rng.randint(0, 10**6)
             ), name
+            assert invariant == ray_constant(p, direction), name
 
 
 def test_symmetric_qc_minimum_at_origin():
